@@ -7,12 +7,13 @@ and verifies the predicted codeword counts and minimum weights against
 brute-force enumeration.
 """
 
-from .arith import GroupSpec, parse_group, validate_group
+from .arith import GroupSpec, InvariantError, parse_group, validate_group
 from .chain_ring import F2, ChainRing, RingElem, parse_ring
 from .group_algebra import AlgebraElem, GroupAlgebra, Subgroup
 
 __all__ = [
     "GroupSpec",
+    "InvariantError",
     "parse_group",
     "validate_group",
     "F2",

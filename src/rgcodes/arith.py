@@ -25,6 +25,13 @@ from itertools import product
 MAX_ORDER = 10**6  # designator parser refuses larger group orders
 
 
+class InvariantError(Exception):
+    """A mathematical invariant the code relies on failed to hold.
+
+    Raised in place of ``assert`` so that the checks survive ``python -O``.
+    """
+
+
 def is_odd_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:
         return False
@@ -72,7 +79,8 @@ def mult_ord(b: int, m: int) -> int:
     while x != 1:
         x = x * b % m
         h += 1
-        assert h <= m
+        if h > m:
+            raise InvariantError(f"{b} has no finite order mod {m}")
     return h
 
 

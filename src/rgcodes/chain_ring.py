@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import InvariantError
+
 FAMILY_INT = "int"    # Z / 2^t
 FAMILY_POLY = "poly"  # F2[u] / (u^t)
 
@@ -206,7 +208,8 @@ class ChainRing:
         """Payloads of the ideal (s^k), of size 2^(t-k)."""
         s_k = self.s_pow_payload(k)
         seen = sorted({self.mul(s_k, a) for a in range(self.size)})
-        assert len(seen) == 1 << (self.t - k)
+        if len(seen) != 1 << (self.t - k):
+            raise InvariantError(f"the ideal (s^{k}) has {len(seen)} elements")
         return seen
 
     def str_payload(self, a: int) -> str:

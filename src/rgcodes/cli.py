@@ -3,7 +3,8 @@
 Commands: validate, idempotents, code, table, selftest.  Output is JSON
 by default (deterministic: fixed key order, no timestamps), with csv and
 text renderings for quick reading.  Exit codes: 0 success, 1 usage or
-parse error, 2 validation failure, 3 enumeration budget exceeded.
+parse error, 2 validation failure, 3 enumeration budget exceeded,
+4 a mathematical invariant failed (a bug, not a bad input).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import io
 import json
 import sys
 
-from .arith import parse_group, validate_group
+from .arith import InvariantError, parse_group, validate_group
 from .chain_ring import FAMILY_INT, parse_ring
 from .codes import (
     DEFAULT_BUDGET,
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+EXIT_INVARIANT = 4
 
 
 class UsageError(Exception):
@@ -135,7 +137,7 @@ def cmd_idempotents(args) -> int:
     _require_valid_or_exit(spec)
     records = primitive_family(spec, ring)
     alg = GroupAlgebra(ring, spec)
-    checks = verify_family(records, alg)
+    checks = verify_family([r.element for r in records], alg)
     payload = {
         "ring": ring.designator(),
         "group": spec.designator(),
@@ -278,7 +280,8 @@ def cmd_table(args) -> int:
         else:
             comp = CodeComponent(rec.element, block, split, k)
             rep = analyze_code(alg, [comp], args.budget)
-            assert rep.size == words
+            if rep.size != words:
+                raise InvariantError(f"row {block}: code size {rep.size} != formula {words}")
             entry["weight"] = rep.min_weight
             entry["weight_method"] = rep.weight_method
             entry["lower_bound"] = rep.lower_bound
@@ -342,6 +345,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InvariantError as exc:
+        print(f"error: invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

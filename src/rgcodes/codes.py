@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import GroupSpec
+from .arith import GroupSpec, InvariantError
 from .chain_ring import ChainRing
 from .group_algebra import AlgebraElem, GroupAlgebra
 
@@ -80,7 +80,8 @@ def component_dimension(spec: GroupSpec, block) -> int:
         return 1
     num = math.prod(deltas)
     den = 1 << (len(deltas) - 1)
-    assert num % den == 0
+    if num % den:
+        raise InvariantError(f"block {tuple(block)}: dimension {num}/{den} is not an integer")
     return num // den
 
 
@@ -193,7 +194,8 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
                 for row in batch:
                     seen.add(row.tobytes())
 
-    assert len(rows) == predicted, "closure disagrees with the size formula"
+    if len(rows) != predicted:
+        raise InvariantError("closure disagrees with the size formula")
     return CodewordSet(alg, rows)
 
 
@@ -384,7 +386,8 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
     size_method = "formula"
     if size <= budget:
         words = enumerate_codewords(alg, components, budget)
-        assert len(words) == size
+        if len(words) != size:
+            raise InvariantError("enumeration disagrees with the size formula")
         size_method = "both-agree"
 
     live = [c for c in components if c.k < ring.t]
@@ -402,11 +405,13 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
         if formula is not None:
             min_weight, weight_method = formula, "formula"
             probe = min_weight_upper_bound(alg, comp)
-            assert probe is not None and probe[0] == formula, "no probe attains the formula"
+            if probe is None or probe[0] != formula:
+                raise InvariantError("no probe attains the formula")
             witness = probe[1]
             if words is not None:
                 got = words.min_nonzero()
-                assert got is not None and got[0] == formula, "enumeration disagrees with formula"
+                if got is None or got[0] != formula:
+                    raise InvariantError("enumeration disagrees with formula")
         else:
             lower = min_weight_lower_bound(spec, comp.block, comp.split)
             best = min_weight_upper_bound(alg, comp)
@@ -414,11 +419,14 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
                 upper, witness = best
             if words is not None:
                 got = words.min_nonzero()
-                assert got is not None
+                if got is None:
+                    raise InvariantError("a live code enumerated no nonzero word")
                 min_weight, witness = got
                 weight_method = "enumeration"
-                assert lower <= min_weight, "enumerated weight beats the lower bound"
-                assert upper is None or min_weight <= upper
+                if min_weight < lower:
+                    raise InvariantError("enumerated weight beats the lower bound")
+                if upper is not None and min_weight > upper:
+                    raise InvariantError("enumerated weight exceeds a probe's weight")
             elif upper == lower:
                 min_weight, weight_method = lower, "bounds-only"
             else:
@@ -428,7 +436,8 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
     elif live:
         if words is not None:
             got = words.min_nonzero()
-            assert got is not None
+            if got is None:
+                raise InvariantError("a live code enumerated no nonzero word")
             min_weight, witness = got
             weight_method = "enumeration"
         else:

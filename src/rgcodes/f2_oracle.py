@@ -13,8 +13,7 @@ coset sums fully splits the identity.
 This construction never touches the closed-form products used
 elsewhere, so it serves as the ground truth they are compared against.
 The number of components is also predicted by a closed formula in the
-factor exponents n_i, and the component dimensions are computed from
-scratch as F2-ranks of multiplication matrices.
+factor exponents n_i.
 """
 
 from __future__ import annotations
@@ -25,7 +24,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .arith import GroupSpec, crt_index, crt_multi, cyclotomic_cosets, require_valid
+from .arith import (
+    GroupSpec,
+    InvariantError,
+    crt_index,
+    crt_multi,
+    cyclotomic_cosets,
+    require_valid,
+)
 from .chain_ring import F2
 from .group_algebra import AlgebraElem, GroupAlgebra
 
@@ -61,7 +67,8 @@ def primitive_idempotents_f2(spec: GroupSpec):
         working = refined
     # one pass splits completely; order deterministically for callers
     working.sort(key=_support_min_exponent)
-    assert len(working) == component_count_formula(spec)
+    if len(working) != component_count_formula(spec):
+        raise InvariantError("oracle family size disagrees with the count formula")
     return tuple(working)
 
 
@@ -77,29 +84,3 @@ def component_count_formula(spec: GroupSpec) -> int:
             total += (1 << (k - 1)) * math.prod(subset)
     return total
 
-
-def component_degrees(spec: GroupSpec):
-    """Sorted multiset of the F2-dimensions, i.e. the coset sizes."""
-    return tuple(sorted(len(c) for c in cyclotomic_cosets(spec.n)))
-
-
-def module_dimension_f2(e: AlgebraElem) -> int:
-    """dim_F2 of F2 G * e, as the rank of the matrix of all translates g*e."""
-    alg = e.algebra
-    if alg.ring != F2:
-        raise ValueError("expects an element over F2")
-    rows = []
-    grid = e.coeffs.reshape(alg.shape)
-    axes = tuple(range(alg.group.r))
-    for idx in np.ndindex(alg.shape):
-        row = np.roll(grid, idx, axis=axes).reshape(alg.n)
-        rows.append(int.from_bytes(np.packbits(row).tobytes(), "big"))
-    # Gaussian elimination on bit-packed rows
-    basis = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    return len(basis)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import GroupSpec, crt_multi
+from .arith import GroupSpec, InvariantError, crt_multi
 from .chain_ring import F2, ChainRing, RingElem
 
 
@@ -148,7 +148,8 @@ class AlgebraElem:
     def __init__(self, algebra: GroupAlgebra, coeffs: np.ndarray):
         self.algebra = algebra
         coeffs = np.ascontiguousarray(coeffs, dtype=algebra.ring.dtype)
-        assert coeffs.shape == (algebra.n,)
+        if coeffs.shape != (algebra.n,):
+            raise InvariantError(f"coefficient array of shape {coeffs.shape}, want ({algebra.n},)")
         coeffs.setflags(write=False)
         self.coeffs = coeffs
 
@@ -247,14 +248,16 @@ class AlgebraElem:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative exponent")
-        out = self.algebra.one()
-        base = self
-        while e:
+        if e == 0:
+            return self.algebra.one()
+        out, base = None, self
+        while True:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if not e:
+                return out
+            base = base * base
 
     def translate(self, multi) -> AlgebraElem:
         """Multiply by the group element with the given exponent vector."""
@@ -329,19 +332,3 @@ class AlgebraElem:
             body = body[:117] + "..."
         return f"AlgebraElem[{self.algebra.ring.designator()}; {self.algebra.group}]({body})"
 
-
-def exponent_view(x: AlgebraElem) -> np.ndarray:
-    """Coefficients of x indexed by powers of the order-n generator a."""
-    alg = x.algebra
-    out = np.zeros(alg.n, dtype=alg.ring.dtype)
-    for k in range(alg.n):
-        out[k] = x.coeffs[alg._flat(crt_multi(k, alg.group))]
-    return out
-
-
-def from_exponent_view(alg: GroupAlgebra, vec) -> AlgebraElem:
-    """Inverse of exponent_view: build an element from a-power coefficients."""
-    arr = np.zeros(alg.n, dtype=alg.ring.dtype)
-    for k, c in enumerate(vec):
-        arr[alg._flat(crt_multi(k, alg.group))] = c
-    return AlgebraElem(alg, arr)

@@ -12,13 +12,11 @@ For l = 2 the two primitive summands are the bare product pairs
 u_1 u_2 + u_1^2 u_2^2 and u_1^2 u_2 + u_1 u_2^2 (times the complement
 hats).  For l = 3 the bare pair is idempotent but splits further: the
 four primitive summands are the block idempotent plus one balanced
-product pair each.  Both facts are re-checked against the refinement
-oracle every time a family is assembled.
+product pair each.
 
-Idempotents lift along R -> R/(s) = F2 by raising a coefficientwise
-lift to the power 2^(t-1); modulo a nil ideal the idempotent lift is
-unique, so the lifted oracle output and the ring-level closed forms
-must coincide exactly, and the code asserts that they do.
+Each block's members come from one evaluation of its closed form over
+R, and the F2 refinement oracle only checks them (see primitive_family);
+blocks with four or more nonzero indices lift oracle primitives instead.
 """
 
 from __future__ import annotations
@@ -26,12 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import GroupSpec, block_labels, require_valid
+from .arith import GroupSpec, InvariantError, block_labels, require_valid
 from .chain_ring import F2, ChainRing
 from .f2_oracle import component_count_formula, primitive_idempotents_f2
 from .group_algebra import AlgebraElem, GroupAlgebra
-
-SPLIT_ORDER = {None: 0, "(1)": 1, "(2)": 2, "(3)": 3, "(4)": 4, "complement": 9}
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,7 @@ def split_block_3(alg: GroupAlgebra, block):
     idx = _split_indices(alg, block)
     if len(idx) != 3:
         raise ValueError("block must have exactly three nonzero indices")
-    f2alg = alg if alg.ring == F2 else GroupAlgebra(F2, alg.group)
+    f2alg = GroupAlgebra(F2, alg.group)
     us = [u_element(f2alg, i, block[i]) for i in idx]
     qs = [u * u for u in us]
     patterns = [
@@ -157,10 +153,7 @@ def split_block_3(alg: GroupAlgebra, block):
             out = out * (q if b else u)
         return out
 
-    cands = tuple(blk + hats * (term(x) + term(y)) for x, y in patterns)
-    if alg.ring == F2:
-        return cands
-    return tuple(lift_idempotent(c, alg.ring) for c in cands)
+    return tuple(lift_idempotent(blk + hats * (term(x) + term(y)), alg.ring) for x, y in patterns)
 
 
 def u_product_pair(alg: GroupAlgebra, block) -> AlgebraElem:
@@ -191,11 +184,9 @@ def lift_idempotent(f: AlgebraElem, ring: ChainRing) -> AlgebraElem:
         raise ValueError("element is not idempotent")
     if ring == F2:
         return f
-    w = f.lift_to(ring)
-    for _ in range(ring.t - 1):
-        w = w * w
-    assert w.is_idempotent()
-    assert w.reduce_f2() == f
+    w = f.lift_to(ring) ** (1 << (ring.t - 1))
+    if not w.is_idempotent() or w.reduce_f2() != f:
+        raise InvariantError("the lift is not an idempotent reducing to f")
     return w
 
 
@@ -203,68 +194,43 @@ def lift_idempotent(f: AlgebraElem, ring: ChainRing) -> AlgebraElem:
 def primitive_family(spec: GroupSpec, ring: ChainRing):
     """All primitive idempotents of RG as labelled records, sorted by block.
 
-    The elements come from lifting the refinement oracle's output; the
-    closed-form constructions are evaluated alongside and must agree,
-    which also fixes each record's split tag.  Blocks with >= 4 nonzero
-    indices have no closed form here and keep the tag "complement".
+    A block with at most three nonzero indices takes its members from one
+    evaluation of its closed form over R; a block with more lifts the
+    oracle primitives under it and tags them "complement".  Each member's
+    residue must be a distinct oracle primitive and the member idempotent
+    over R, which makes it the unique lift; a block's members must sum to
+    its block idempotent.  A failed check raises InvariantError.
     """
     require_valid(spec)
-    f2alg = GroupAlgebra(F2, spec)
-    ring_alg = GroupAlgebra(ring, spec)
-    prims = primitive_idempotents_f2(spec)
-
-    by_block = {}
-    f2_blocks = {b: block_idempotent(f2alg, b) for b in block_labels(spec)}
-    for e in prims:
-        homes = [b for b, be in f2_blocks.items() if e * be == e]
-        assert len(homes) == 1, "each primitive lies in exactly one block"
-        by_block.setdefault(homes[0], []).append(e)
-
+    alg = GroupAlgebra(ring, spec)
+    unused = {f.coeffs.tobytes(): f for f in primitive_idempotents_f2(spec)}
     records = []
-    for block in sorted(by_block):
-        members = by_block[block]
-        nonzero = sum(1 for j in block if j > 0)
-        assert len(members) == (1 << max(nonzero - 1, 0))
+    for block in block_labels(spec):
+        nonzero = len(_split_indices(alg, block))
+        blk = block_idempotent(alg, block)
         if nonzero <= 1:
-            candidates = [(None, f2_blocks[block], block_idempotent(ring_alg, block))]
-        elif nonzero == 2:
-            f2_pair = split_block_2(f2alg, block)
-            ring_pair = split_block_2(ring_alg, block)
-            candidates = [
-                (f"({i + 1})", f2_pair[i], ring_pair[i]) for i in range(2)
-            ]
-        elif nonzero == 3:
-            f2_quad = split_block_3(f2alg, block)
-            ring_quad = split_block_3(ring_alg, block)
-            candidates = [
-                (f"({i + 1})", f2_quad[i], ring_quad[i]) for i in range(4)
-            ]
+            members = (blk,)
+        elif nonzero <= 3:
+            members = (split_block_2 if nonzero == 2 else split_block_3)(alg, block)
         else:
-            candidates = []
-
-        for e in members:
-            lifted = lift_idempotent(e, ring)
-            tag, method = "complement", "oracle-lift"
-            for cand_tag, cand_f2, cand_ring in candidates:
-                if e == cand_f2:
-                    # idempotent lifts are unique, so the closed form must
-                    # reproduce the lifted oracle element exactly
-                    assert cand_ring == lifted
-                    tag, method = cand_tag, "paper-formula"
-                    break
-            records.append(IdempotentRecord(lifted, block, tag, method))
-        if candidates and nonzero >= 2:
-            matched = {r.split for r in records if r.block == block}
-            assert all(t in matched for t, _, _ in candidates), "formula piece missing"
-
-    records.sort(key=lambda r: (r.block, SPLIT_ORDER.get(r.split, 9)))
-    assert len(records) == component_count_formula(spec)
+            home = blk.reduce_f2()
+            members = [lift_idempotent(f, ring) for f in unused.values() if f * home == f]
+        method = "paper-formula" if nonzero <= 3 else "oracle-lift"
+        for i, e in enumerate(members):
+            tag = None if nonzero <= 1 else f"({i + 1})" if nonzero <= 3 else "complement"
+            # an idempotent whose residue is an oracle primitive is its unique lift
+            if unused.pop(e.reduce_f2().coeffs.tobytes(), None) is None or not e.is_idempotent():
+                raise InvariantError(f"block {block} member {tag}: not an unused primitive's lift")
+            records.append(IdempotentRecord(e, block, tag, method))
+        if sum(members, alg.zero()) != blk:
+            raise InvariantError(f"block {block}: members do not sum to the block idempotent")
+    if unused or len(records) != component_count_formula(spec):
+        raise InvariantError("the family does not use each oracle primitive once")
     return tuple(records)
 
 
-def verify_family(records, alg: GroupAlgebra) -> dict:
-    """Completeness checks for a family of records over the given algebra."""
-    elems = [r.element for r in records]
+def verify_family(elems, alg: GroupAlgebra) -> dict:
+    """Completeness checks for a family of elements of the given algebra."""
     idempotent = all(e.is_idempotent() for e in elems)
     orthogonal = all(
         (elems[i] * elems[j]).is_zero()
@@ -278,5 +244,5 @@ def verify_family(records, alg: GroupAlgebra) -> dict:
         "idempotent": idempotent,
         "orthogonal": orthogonal,
         "sum_to_one": total == alg.one(),
-        "count_matches_formula": len(records) == component_count_formula(alg.group),
+        "count_matches_formula": len(elems) == component_count_formula(alg.group),
     }

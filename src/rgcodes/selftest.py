@@ -89,19 +89,12 @@ def criterion_component_counts():
             want = component_count_formula(spec)
             if len(prims) != want:
                 return False, f"{spec}: oracle {len(prims)} != formula {want}"
-            alg = GroupAlgebra(F2, spec)
-            if not all(e.is_idempotent() for e in prims):
+            checks = verify_family(prims, GroupAlgebra(F2, spec))
+            if not checks["idempotent"]:
                 return False, f"{spec}: non-idempotent member"
-            if not all(
-                (prims[i] * prims[j]).is_zero()
-                for i in range(len(prims))
-                for j in range(i + 1, len(prims))
-            ):
+            if not checks["orthogonal"]:
                 return False, f"{spec}: family not orthogonal"
-            total = alg.zero()
-            for e in prims:
-                total = total + e
-            if total != alg.one():
+            if not checks["sum_to_one"]:
                 return False, f"{spec}: family does not sum to 1"
             counts.append(f"{spec}:{want}")
         return True, "counts " + " ".join(counts)
@@ -119,22 +112,16 @@ def criterion_lifting():
             for rname in LIFT_RINGS:
                 ring = parse_ring(rname)
                 lifted = [lift_idempotent(f, ring) for f in prims]
-                for f, e in zip(prims, lifted):
-                    if not e.is_idempotent() or e.reduce_f2() != f:
-                        return False, f"{spec}/{rname}: bad lift"
-                    cases += 1
-                alg = GroupAlgebra(ring, spec)
-                total = alg.zero()
-                for e in lifted:
-                    total = total + e
-                if total != alg.one():
-                    return False, f"{spec}/{rname}: lifts do not sum to 1"
-                if not all(
-                    (lifted[i] * lifted[j]).is_zero()
-                    for i in range(len(lifted))
-                    for j in range(i + 1, len(lifted))
+                checks = verify_family(lifted, GroupAlgebra(ring, spec))
+                if not checks["idempotent"] or any(
+                    e.reduce_f2() != f for f, e in zip(prims, lifted)
                 ):
+                    return False, f"{spec}/{rname}: bad lift"
+                if not checks["sum_to_one"]:
+                    return False, f"{spec}/{rname}: lifts do not sum to 1"
+                if not checks["orthogonal"]:
                     return False, f"{spec}/{rname}: lifts not orthogonal"
+                cases += len(lifted)
         return True, f"{cases} lifts over {len(LIFT_RINGS)} rings verified"
 
     return _timed("idempotent-lifting", 30.0, run)
@@ -148,7 +135,9 @@ def criterion_formula_vs_oracle():
         verified = 0
         for spec in [GroupSpec((3, 5), (1, 1)), GroupSpec((3, 5, 11), (1, 1, 1))]:
             alg = GroupAlgebra(ring, spec)
-            family = [r.element for r in primitive_family(spec, ring)]
+            # the oracle lifted directly, not primitive_family, which is
+            # itself built from the closed forms under test
+            family = [lift_idempotent(f, ring) for f in primitive_idempotents_f2(spec)]
 
             def member(e):
                 return any(e == f for f in family)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rgcodes import cli
+from rgcodes import cli, idempotents
 from rgcodes.codes import BudgetExceeded
 
 
@@ -146,3 +146,15 @@ def test_out_file(tmp_path, capsys):
     assert rc == 0
     assert out == ""
     assert json.loads(target.read_text())["valid"] is True
+
+
+def test_invariant_failure_exit_4(capsys, monkeypatch):
+    """A closed form that repeats a member fails the oracle check: exit 4."""
+    real = idempotents.split_block_2
+    monkeypatch.setattr(idempotents, "split_block_2", lambda alg, block: real(alg, block)[:1] * 2)
+    idempotents.primitive_family.cache_clear()
+    rc = cli.main(["idempotents", "--ring", "z4", "--group", "3^1,5^1"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert "not an unused primitive's lift" in captured.err

@@ -1,14 +1,39 @@
-from rgcodes.arith import GroupSpec
+import numpy as np
+
+from rgcodes.arith import GroupSpec, cyclotomic_cosets
 from rgcodes.f2_oracle import (
     component_count_formula,
-    component_degrees,
     coset_sums,
     f2_algebra,
-    module_dimension_f2,
     primitive_idempotents_f2,
 )
 
 C15 = GroupSpec((3, 5), (1, 1))
+
+
+def component_degrees(spec: GroupSpec):
+    """Sorted multiset of the F2-dimensions, i.e. the coset sizes."""
+    return tuple(sorted(len(c) for c in cyclotomic_cosets(spec.n)))
+
+
+def module_dimension_f2(e) -> int:
+    """dim_F2 of F2 G * e, as the rank of the matrix of all translates g*e."""
+    alg = e.algebra
+    rows = []
+    grid = e.coeffs.reshape(alg.shape)
+    axes = tuple(range(alg.group.r))
+    for idx in np.ndindex(alg.shape):
+        row = np.roll(grid, idx, axis=axes).reshape(alg.n)
+        rows.append(int.from_bytes(np.packbits(row).tobytes(), "big"))
+    # Gaussian elimination on bit-packed rows
+    basis = []
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+    return len(basis)
 
 
 def test_coset_sums_mod_15():

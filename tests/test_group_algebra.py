@@ -5,17 +5,28 @@ import pytest
 
 from rgcodes.arith import GroupSpec, crt_multi
 from rgcodes.chain_ring import F2, parse_ring
-from rgcodes.group_algebra import (
-    AlgebraElem,
-    GroupAlgebra,
-    Subgroup,
-    exponent_view,
-    from_exponent_view,
-)
+from rgcodes.group_algebra import AlgebraElem, GroupAlgebra, Subgroup
 
 C3 = GroupSpec((3,), (1,))
 C15 = GroupSpec((3, 5), (1, 1))
 Z4 = parse_ring("z4")
+
+
+def exponent_view(x: AlgebraElem) -> np.ndarray:
+    """Coefficients of x indexed by powers of the order-n generator a."""
+    alg = x.algebra
+    out = np.zeros(alg.n, dtype=alg.ring.dtype)
+    for k in range(alg.n):
+        out[k] = x.coeffs[alg._flat(crt_multi(k, alg.group))]
+    return out
+
+
+def from_exponent_view(alg: GroupAlgebra, vec) -> AlgebraElem:
+    """Inverse of exponent_view: build an element from a-power coefficients."""
+    arr = np.zeros(alg.n, dtype=alg.ring.dtype)
+    for k, c in enumerate(vec):
+        arr[alg._flat(crt_multi(k, alg.group))] = c
+    return AlgebraElem(alg, arr)
 
 
 def test_subgroup_lattice():
@@ -108,15 +119,27 @@ def test_convolution_against_schoolbook():
             assert x * y == want
 
 
-def test_pow_matches_repeated_mul():
+def test_pow_matches_repeated_mul(monkeypatch):
+    """Square-and-multiply: bit_length - 1 squarings, popcount - 1 multiplies."""
     rng = random.Random(5)
     alg = GroupAlgebra(Z4, C15)
     x = alg.element([rng.randrange(4) for _ in range(15)])
+    products = []
+    convolve = AlgebraElem._convolve
+
+    def counted(self, other):
+        products.append(1)
+        return convolve(self, other)
+
+    monkeypatch.setattr(AlgebraElem, "_convolve", counted)
     acc = alg.one()
-    for e in range(1, 9):
+    for e in range(10):
+        products.clear()
+        power = x ** e
+        want = 0 if e == 0 else e.bit_length() + bin(e).count("1") - 2
+        assert len(products) == want, e
+        assert power == acc
         acc = acc * x
-        assert x ** e == acc
-    assert x ** 0 == alg.one()
 
 
 def test_translate_and_scale():

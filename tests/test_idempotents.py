@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from rgcodes.arith import GroupSpec
+from rgcodes import idempotents
+from rgcodes.arith import GroupSpec, InvariantError, block_labels
 from rgcodes.chain_ring import F2, parse_ring
 from rgcodes.f2_oracle import primitive_idempotents_f2
 from rgcodes.group_algebra import GroupAlgebra
@@ -18,8 +23,14 @@ from rgcodes.idempotents import (
 
 C3 = GroupSpec((3,), (1,))
 C15 = GroupSpec((3, 5), (1, 1))
+C45 = GroupSpec((3, 5), (2, 1))
 C165 = GroupSpec((3, 5, 11), (1, 1, 1))
 Z4 = parse_ring("z4")
+
+
+def lifted_oracle(spec, ring):
+    """The F2 oracle's primitives lifted to R, independent of the closed forms."""
+    return [lift_idempotent(f, ring) for f in primitive_idempotents_f2(spec)]
 
 
 def test_c3_family_over_z4():
@@ -58,7 +69,7 @@ def test_split_block_2_members():
     assert e1.is_idempotent() and e2.is_idempotent()
     assert (e1 * e2).is_zero()
     assert e1 + e2 == block_idempotent(alg, (1, 1))
-    fam = [r.element for r in primitive_family(C15, Z4)]
+    fam = lifted_oracle(C15, Z4)
     assert any(e1 == f for f in fam) and any(e2 == f for f in fam)
 
 
@@ -87,7 +98,7 @@ def test_three_factor_bare_pair_decomposes():
     alg = GroupAlgebra(Z4, C165)
     bare = u_product_pair(alg, (1, 1, 1))
     assert bare.is_idempotent()
-    fam = [r.element for r in primitive_family(C165, Z4)]
+    fam = lifted_oracle(C165, Z4)
     assert not any(bare == f for f in fam)
     parts = [f for f in fam if f * bare == f]  # components under bare
     assert len(parts) == 3
@@ -112,7 +123,7 @@ def test_primitive_family_verifies():
         ring = parse_ring(ring_name)
         fam = primitive_family(C15, ring)
         alg = GroupAlgebra(ring, C15)
-        checks = verify_family(fam, alg)
+        checks = verify_family([r.element for r in fam], alg)
         assert all(checks.values()), checks
 
 
@@ -157,3 +168,52 @@ def test_record_is_frozen():
     rec = primitive_family(C3, Z4)[0]
     with pytest.raises(Exception):
         rec.block = (9,)
+
+
+@pytest.mark.parametrize("group,rings", [
+    (C15, ("z2", "z4", "z8", "f2u2", "f2u3")),
+    (C45, ("z2", "z4", "z8", "f2u2", "f2u3")),
+    (C165, ("z4", "f2u3")),
+], ids=["3^1,5^1", "3^2,5^1", "3^1,5^1,11^1"])
+def test_family_matches_lifted_oracle(group, rings):
+    """Reference construction: lift every oracle primitive and home it in
+    its block by the product f * blk == f over F2."""
+    f2alg = GroupAlgebra(F2, group)
+    f2_blocks = {b: block_idempotent(f2alg, b) for b in block_labels(group)}
+    for ring_name in rings:
+        ring = parse_ring(ring_name)
+        fam = primitive_family(group, ring)
+        want = lifted_oracle(group, ring)
+        assert len(fam) == len(want)
+        assert all(any(r.element == e for e in want) for r in fam)
+        for r in fam:
+            f = r.element.reduce_f2()
+            homes = [b for b, blk in f2_blocks.items() if f * blk == f]
+            assert homes == [r.block]
+
+
+def test_mislabelled_members_raise(monkeypatch):
+    """Swap the second members of the blocks (1,1) and (2,1) of 3^2,5^1:
+    every member is still a lifted oracle primitive, but the labels lie."""
+    real = idempotents.split_block_2
+
+    def swapped(alg, block):
+        (a1, a2), (b1, b2) = real(alg, (1, 1)), real(alg, (2, 1))
+        return {(1, 1): (a1, b2), (2, 1): (b1, a2)}[tuple(block)]
+
+    monkeypatch.setattr(idempotents, "split_block_2", swapped)
+    primitive_family.cache_clear()
+    with pytest.raises(InvariantError, match="do not sum to the block idempotent"):
+        primitive_family(C45, Z4)
+
+
+def test_mislabelled_members_raise_under_optimize():
+    """The same check in a python -O interpreter, where asserts are stripped."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_mislabelled_members_raise"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 passed" in proc.stdout
