@@ -6,9 +6,9 @@ span of the coset sums is the fixed algebra of the squaring map, and in
 characteristic 2 every element of that span is idempotent).  The
 complete set of primitive idempotents is found by refinement: start from
 the working set {1}; for each coset sum c replace every e in the set by
-the nonzero elements among e*c and e*(1+c).  The coset sums span the
-fixed algebra, which separates its components, so one pass over all
-coset sums fully splits the identity.
+the nonzero elements among e*c and e*(1+c) = e*c + e.  The coset sums
+span the fixed algebra, which separates its components, so one pass over
+all coset sums fully splits the identity.
 
 This construction never touches the closed-form products used
 elsewhere, so it serves as the ground truth they are compared against.
@@ -61,7 +61,8 @@ def primitive_idempotents_f2(spec: GroupSpec):
     for _, c in coset_sums(spec):
         refined = []
         for e in working:
-            for piece in (e * c, e * (c + 1)):
+            ec = e * c
+            for piece in (ec, ec + e):  # ec + e = e * (c + 1) over F2
                 if not piece.is_zero():
                     refined.append(piece)
         working = refined

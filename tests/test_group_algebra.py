@@ -1,14 +1,20 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rgcodes.arith import GroupSpec, crt_multi
+from rgcodes.arith import GroupSpec, InvariantError, crt_multi
 from rgcodes.chain_ring import F2, parse_ring
 from rgcodes.group_algebra import AlgebraElem, GroupAlgebra, Subgroup
 
 C3 = GroupSpec((3,), (1,))
 C15 = GroupSpec((3, 5), (1, 1))
+C45 = GroupSpec((3, 5), (2, 1))
 Z4 = parse_ring("z4")
 
 
@@ -98,25 +104,70 @@ def test_from_exponent():
     assert prod == alg.from_exponent(18 % 15)
 
 
-def test_convolution_against_schoolbook():
-    """Dense multi-axis convolution vs a 1-D schoolbook product on a-powers."""
-    rng = random.Random(20260823)
-    for rname, spec in [("z4", C15), ("f2u3", C15), ("z8", C3),
-                        ("z4", GroupSpec((3,), (2,)))]:
-        ring = parse_ring(rname)
-        alg = GroupAlgebra(ring, spec)
-        n = alg.n
-        for _ in range(12):
-            x = alg.element([rng.randrange(ring.size) for _ in range(n)])
-            y = alg.element([rng.randrange(ring.size) for _ in range(n)])
-            xa, ya = exponent_view(x), exponent_view(y)
-            out = np.zeros(n, dtype=np.uint32)
-            for i in range(n):  # schoolbook: one scalar product per pair
-                for j in range(n):
-                    k = (i + j) % n
-                    out[k] = ring.add(int(out[k]), ring.mul(int(xa[i]), int(ya[j])))
-            want = from_exponent_view(alg, out)
-            assert x * y == want
+# t in {1, 2, 8, 9, 16} in both families: one FFT digit, 8-bit limbs, bit-planes
+KERNEL_RINGS = ("z2", "z4", "z256", "z512", "z65536", "f2u2", "f2u8", "f2u9", "f2u16")
+KERNEL_GROUPS = (GroupSpec((3,), (2,)), C15, C45)
+
+
+def schoolbook(x: AlgebraElem, y: AlgebraElem) -> AlgebraElem:
+    """1-D product on a-powers, one scalar ring product per pair: O(n^2)."""
+    alg, ring = x.algebra, x.algebra.ring
+    xa, ya = exponent_view(x), exponent_view(y)
+    out = np.zeros(alg.n, dtype=np.uint32)
+    for i in range(alg.n):
+        for j in range(alg.n):
+            k = (i + j) % alg.n
+            out[k] = ring.add(int(out[k]), ring.mul(int(xa[i]), int(ya[j])))
+    return from_exponent_view(alg, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_convolution_against_schoolbook(data):
+    """Both product paths (shift-and-add up to SHIFT_ADD_MAX_TERMS terms in
+    the sparser operand, FFT above) equal the scalar schoolbook product."""
+    ring = parse_ring(data.draw(st.sampled_from(KERNEL_RINGS), label="ring"))
+    alg = GroupAlgebra(ring, data.draw(st.sampled_from(KERNEL_GROUPS), label="group"))
+    n = alg.n
+
+    def operand(label):
+        terms = data.draw(st.sampled_from(range(1, n + 1)), label=label + " terms")
+        where = data.draw(st.lists(st.integers(0, n - 1), min_size=terms,
+                                   max_size=terms, unique=True), label=label + " support")
+        coeffs = [0] * n
+        for k in where:
+            coeffs[k] = data.draw(st.integers(1, ring.mask), label=label + " coefficient")
+        return alg.element(coeffs)
+
+    x, y = operand("x"), operand("y")
+    assert x * y == schoolbook(x, y)
+
+
+def test_fft_rounding_guard(monkeypatch):
+    """An inverse transform that is off by 0.3 fails the integer check; a
+    product on the shift-and-add path never transforms and is unaffected."""
+    rng = random.Random(3)
+    alg = GroupAlgebra(Z4, C15)
+    x = alg.element([rng.randrange(1, 4) for _ in range(15)])
+    monomial = alg.from_exponent(4)
+    want = x.translate(monomial.support()[0])
+    real = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda *a, **k: real(*a, **k) + 0.3)
+    with pytest.raises(InvariantError, match="FFT product lost integer precision"):
+        x * x
+    assert x * monomial == want
+
+
+def test_fft_rounding_guard_under_optimize():
+    """The same check in a python -O interpreter, where asserts are stripped."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_fft_rounding_guard"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 passed" in proc.stdout
 
 
 def test_pow_matches_repeated_mul(monkeypatch):
@@ -155,6 +206,20 @@ def test_translate_and_scale():
     # m = 2 is an automorphism: multiplicative on products
     a, b = alg.hat((0, 1)), alg.from_pairs([((1, 0), 2), ((2, 3), 1)])
     assert (a * b).scale_exponents(2) == a.scale_exponents(2) * b.scale_exponents(2)
+
+
+def test_scale_exponents_against_loop():
+    """The index-array permutation equals the per-element loop it replaced."""
+    rng = random.Random(7)
+    for spec in (C15, C45, GroupSpec((3, 5, 7), (1, 1, 1))):
+        alg = GroupAlgebra(Z4, spec)
+        x = alg.element([rng.randrange(4) for _ in range(alg.n)])
+        for m in (1, 2, 4, -1, alg.n + 2):
+            grid = x.coeffs.reshape(alg.shape)
+            want = np.zeros(alg.shape, dtype=grid.dtype)
+            for idx in np.ndindex(alg.shape):
+                want[tuple(m * e % q for e, q in zip(idx, alg.shape))] = grid[idx]
+            assert x.scale_exponents(m) == AlgebraElem(alg, want.reshape(alg.n))
 
 
 def test_reduce_and_lift_roundtrip():
