@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+
+import numpy as np
 
 MAX_ORDER = 10**6  # designator parser refuses larger group orders
 
@@ -107,11 +110,11 @@ class GroupSpec:
     def r(self) -> int:
         return len(self.primes)
 
-    @property
+    @cached_property
     def factor_orders(self) -> tuple:
         return tuple(p**n for p, n in zip(self.primes, self.exponents))
 
-    @property
+    @cached_property
     def n(self) -> int:
         return math.prod(self.factor_orders)
 
@@ -214,8 +217,8 @@ def crt_index(multi, spec: GroupSpec) -> int:
     return k % n
 
 
-def crt_multi(k: int, spec: GroupSpec):
-    """Inverse of crt_index: the exponent vector of a^k."""
+def crt_multi(k: int | np.ndarray, spec: GroupSpec) -> tuple:
+    """Inverse of crt_index: the exponent vector of a^k, elementwise for an array k."""
     n = spec.n
     return tuple(k * pow(n // q, -1, q) % q for q in spec.factor_orders)
 

@@ -328,6 +328,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "budget", 0) < 0:  # 0 is legal: enumerate nothing
+            raise UsageError(f"--budget must be >= 0, got {args.budget}")
         handler = {
             "validate": cmd_validate,
             "idempotents": cmd_idempotents,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .arith import GroupSpec, InvariantError
 from .chain_ring import ChainRing
-from .group_algebra import AlgebraElem, GroupAlgebra
+from .group_algebra import AlgebraElem, GroupAlgebra, grid_order
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -146,11 +146,7 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
         raise BudgetExceeded(predicted, budget)
 
     ring = alg.ring
-    n = alg.n
-    shape = alg.shape
-    axes = tuple(range(alg.group.r))
-
-    rows = np.zeros((1, n), dtype=ring.dtype)
+    rows = np.zeros((1, alg.n), dtype=ring.dtype)
     seen = {rows[0].tobytes()}
 
     for comp in components:
@@ -167,9 +163,10 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
                 mult_seen.add(key)
                 mults.append(row)
 
-        base_grid = [m.reshape(shape) for m in mults]
-        for g in np.ndindex(shape):
-            shifted = [np.roll(m, g, axis=axes).reshape(n) for m in base_grid]
+        # translates by a^k in multi-index order of the group element: the
+        # order fixes the row order, and so the reported witness
+        for k in grid_order(alg.group):
+            shifted = [np.roll(m, k) for m in mults]
             if shifted[0].tobytes() in seen:
                 continue  # W is a module, so every multiple is in W too
             # coset representatives among the multiples, distinct modulo W

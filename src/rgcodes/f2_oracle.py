@@ -24,14 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .arith import (
-    GroupSpec,
-    InvariantError,
-    crt_index,
-    crt_multi,
-    cyclotomic_cosets,
-    require_valid,
-)
+from .arith import GroupSpec, InvariantError, cyclotomic_cosets, require_valid
 from .chain_ring import F2
 from .group_algebra import AlgebraElem, GroupAlgebra
 
@@ -46,8 +39,7 @@ def coset_sums(spec: GroupSpec):
     out = []
     for coset in cyclotomic_cosets(spec.n):
         arr = np.zeros(alg.n, dtype=np.uint8)
-        for k in coset:
-            arr[alg._flat(crt_multi(k, spec))] = 1
+        arr[list(coset)] = 1
         out.append((coset, AlgebraElem(alg, arr)))
     return out
 
@@ -74,7 +66,7 @@ def primitive_idempotents_f2(spec: GroupSpec):
 
 
 def _support_min_exponent(e: AlgebraElem) -> int:
-    return min(crt_index(multi, e.algebra.group) for multi in e.support())
+    return int(np.flatnonzero(e.coeffs)[0])
 
 
 def component_count_formula(spec: GroupSpec) -> int:

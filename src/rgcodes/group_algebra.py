@@ -1,21 +1,21 @@
 """The group algebra RG for a chain ring R and an abelian group G.
 
-Elements are dense coefficient vectors of length n = |G|, stored as
-payload arrays in the multi-index layout: position (e_1, ..., e_r) of
-the C-ordered array of shape (q_1, ..., q_r) holds the coefficient of
-a_1^{e_1} ... a_r^{e_r}.  The 1-D cyclic view (coefficients of powers of
-the single generator a = a_1 ... a_r) is obtained through
-``arith.crt_index`` and is only used at the serialization boundary and
-in cross-checking tests.
+The factor orders q_i = p_i^{n_i} are pairwise coprime, so G is cyclic,
+generated by a = a_1 ... a_r of order n, and RG = R[x]/(x^n - 1).  An
+element is a dense payload vector of length n whose position k holds the
+coefficient of a^k; products, shifts, subgroup sums and exponent scaling
+all work on this one axis.  The factor grid, where (e_1, ..., e_r) names
+a_1^{e_1} ... a_r^{e_r}, is a view kept inside this module: multi-indices
+enter through ``arith.crt_index`` and ``support``/``pairs`` list them in
+grid order through the per-group permutation ``grid_order``.
 
-Multiplication is circular convolution over the exponent grid, exact in
-the ring.  A product whose sparser operand has at most
-SHIFT_ADD_MAX_TERMS nonzero terms (monomials, subgroup sums, 1 - g
-factors) accumulates coefficient * cyclic shift over that support.  Any
-other product goes through real FFTs over the factor grid, O(n log n):
-payloads are split into 8-bit limbs (Z/2^t) or bit-planes (F2[u]/(u^t)),
-the digit convolutions are rounded to integers, and a rounding error of
-1/4 or more raises InvariantError.
+Multiplication is cyclic convolution, exact in the ring.  A product whose
+sparser operand has at most SHIFT_ADD_MAX_TERMS nonzero terms (monomials,
+subgroup sums, 1 - g factors) accumulates coefficient * cyclic shift over
+that support.  Any other product goes through real FFTs of length n,
+O(n log n): payloads are split into 8-bit limbs (Z/2^t) or bit-planes
+(F2[u]/(u^t)), the digit convolutions are rounded to integers, and a
+rounding error of 1/4 or more raises InvariantError.
 Elements are immutable; every operation allocates a fresh array.
 """
 
@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .arith import GroupSpec, InvariantError, crt_multi
+from .arith import GroupSpec, InvariantError, crt_index, crt_multi
 from .chain_ring import F2, FAMILY_POLY, ChainRing, RingElem
 
 # A product whose sparser operand has at most this many nonzero terms is
@@ -66,6 +67,17 @@ class Subgroup:
         return out
 
 
+@lru_cache(maxsize=None)
+def grid_order(group: GroupSpec) -> np.ndarray:
+    """Exponent k of a^k for each group element, in C order of the factor grid:
+    ``coeffs[grid_order(group)]`` lays coefficients out on the grid."""
+    k = np.arange(group.n)
+    order = np.empty(group.n, dtype=np.intp)
+    order[np.ravel_multi_index(crt_multi(k, group), group.factor_orders)] = k
+    order.setflags(write=False)
+    return order
+
+
 class GroupAlgebra:
     """Context object tying a ChainRing to a GroupSpec."""
 
@@ -89,6 +101,7 @@ class GroupAlgebra:
         return f"GroupAlgebra({self.ring.designator()}, {self.group})"
 
     def element(self, coeffs) -> AlgebraElem:
+        """Element from n payloads; coeffs[k] is the coefficient of a^k."""
         arr = np.array(coeffs, dtype=self.ring.dtype).reshape(self.n)
         if arr.size and int(arr.max()) >= self.ring.size:
             raise ValueError("coefficient payload out of range")
@@ -117,10 +130,6 @@ class GroupAlgebra:
         multi[i] = e % self.shape[i]
         return self.monomial(tuple(multi))
 
-    def from_exponent(self, k: int) -> AlgebraElem:
-        """a^k for the order-n generator a = a_1 ... a_r."""
-        return self.monomial(crt_multi(k % self.n, self.group))
-
     def hat(self, subgroup) -> AlgebraElem:
         """|H|^{-1} sum of the elements of H; requires |H| odd (it is)."""
         if not isinstance(subgroup, Subgroup):
@@ -128,9 +137,10 @@ class GroupAlgebra:
         if subgroup.group != self.group:
             raise ValueError("subgroup of a different group")
         inv = self.ring.inv(self.ring.from_int(subgroup.size))
-        grid = np.zeros(self.shape, dtype=self.ring.dtype)
-        grid[tuple(slice(None, None, d) for d in subgroup.gen_exponents)] = inv
-        return AlgebraElem(self, grid.reshape(self.n))
+        # H is cyclic, generated by a^D with D = prod d_i: a^k lies in H iff D | k
+        arr = np.zeros(self.n, dtype=self.ring.dtype)
+        arr[:: math.prod(subgroup.gen_exponents)] = inv
+        return AlgebraElem(self, arr)
 
     def factor_hat(self, i: int, level: int) -> AlgebraElem:
         """hat of the cyclic subgroup <a_i^{p_i^level}> of the i-th factor."""
@@ -147,41 +157,38 @@ class GroupAlgebra:
     def _flat(self, multi) -> int:
         if len(multi) != self.group.r:
             raise ValueError("wrong multi-index length")
-        return int(np.ravel_multi_index(tuple(int(e) for e in multi), self.shape))
+        return crt_index(tuple(int(e) for e in multi), self.group)
 
 
-def _shift_add_product(ring: ChainRing, grid_a, grid_b):
-    """Sum of coefficient * cyclic shift of grid_b over the support of grid_a."""
-    axes = tuple(range(grid_a.ndim))
-    out = np.zeros(grid_a.shape, dtype=np.uint32)
-    for idx in np.argwhere(grid_a):
-        c = int(grid_a[tuple(idx)])
-        shifted = np.roll(grid_b, tuple(int(v) for v in idx), axis=axes)
-        out = ring.add_arr(out, ring.scalar_mul_arr(c, shifted))
+def _shift_add_product(ring: ChainRing, a, b):
+    """Sum of coefficient * cyclic shift of b over the support of a."""
+    out = np.zeros(a.shape, dtype=np.uint32)
+    for k in np.flatnonzero(a):
+        out = ring.add_arr(out, ring.scalar_mul_arr(int(a[k]), np.roll(b, k)))
     return out.astype(ring.dtype)
 
 
-def _fft_product(ring: ChainRing, grid_a, grid_b):
-    """Cyclic convolution over the factor grid by real FFTs, exact in the ring.
+def _fft_product(ring: ChainRing, a, b):
+    """Cyclic convolution of length n by real FFTs, exact in the ring.
 
-    Each payload is split into digits of `width` bits: 8-bit limbs for
-    Z/2^t, single bit-planes for F2[u]/(u^t).  Digit k of the product is
-    the integer convolution sum_{i+j=k} A_i * B_j; digits at or above t
-    bits vanish in the ring and are never formed.  An int digit keeps its
-    carries, a poly digit is reduced mod 2.
+    Both operands are indexed by the exponent of a^k, so the product in
+    R[x]/(x^n - 1) is one 1-D cyclic convolution.  Each payload is split
+    into digits of `width` bits: 8-bit limbs for Z/2^t, single bit-planes
+    for F2[u]/(u^t).  Digit k of the product is the integer convolution
+    sum_{i+j=k} A_i * B_j; digits at or above t bits vanish in the ring
+    and are never formed.  An int digit keeps its carries, a poly digit
+    is reduced mod 2.
     """
     width = 1 if ring.family == FAMILY_POLY else 8
     digits = -(-ring.t // width)
-    shifts = (width * np.arange(digits)).reshape((digits,) + (1,) * grid_a.ndim)
-    axes = tuple(range(1, grid_a.ndim + 1))
+    shifts = (width * np.arange(digits))[:, None]
 
-    def spectra(grid):
-        parts = (grid.astype(np.int64) >> shifts) & ((1 << width) - 1)
-        return np.fft.rfftn(parts, axes=axes)
+    def spectra(x):
+        return np.fft.rfft((x.astype(np.int64) >> shifts) & ((1 << width) - 1))
 
-    fa, fb = spectra(grid_a), spectra(grid_b)
+    fa, fb = spectra(a), spectra(b)
     prod = np.stack([sum(fa[i] * fb[k - i] for i in range(k + 1)) for k in range(digits)])
-    real = np.fft.irfftn(prod, s=grid_a.shape, axes=axes)
+    real = np.fft.irfft(prod, n=a.size)
     exact = np.rint(real)
     err = float(np.abs(real - exact).max())
     if err >= 0.25:
@@ -207,10 +214,14 @@ class AlgebraElem:
 
     # -- structure -----------------------------------------------------
 
+    def _grid(self) -> np.ndarray:
+        """Coefficients on the factor grid; entry e belongs to a_1^{e_1} ... a_r^{e_r}."""
+        alg = self.algebra
+        return self.coeffs[grid_order(alg.group)].reshape(alg.shape)
+
     def support(self):
         """Sorted multi-indices of the nonzero coefficients."""
-        grid = self.coeffs.reshape(self.algebra.shape)
-        return [tuple(int(v) for v in idx) for idx in np.argwhere(grid)]
+        return [tuple(idx) for idx in np.argwhere(self._grid()).tolist()]
 
     def weight(self) -> int:
         return int(np.count_nonzero(self.coeffs))
@@ -220,11 +231,9 @@ class AlgebraElem:
 
     def pairs(self):
         """(multi-index, payload) for each nonzero coefficient, sorted."""
-        grid = self.coeffs.reshape(self.algebra.shape)
-        return [
-            (tuple(int(v) for v in idx), int(grid[tuple(idx)]))
-            for idx in np.argwhere(grid)
-        ]
+        grid = self._grid()
+        idx = np.argwhere(grid)
+        return list(zip(map(tuple, idx.tolist()), grid[tuple(idx.T)].tolist()))
 
     def coeff(self, multi) -> RingElem:
         return self.algebra.ring.elem(int(self.coeffs[self.algebra._flat(multi)]))
@@ -285,12 +294,9 @@ class AlgebraElem:
         terms_a, terms_b = np.count_nonzero(A), np.count_nonzero(B)
         if terms_a > terms_b:
             A, B, terms_a = B, A, terms_b
-        grid_a, grid_b = A.reshape(alg.shape), B.reshape(alg.shape)
         if terms_a <= SHIFT_ADD_MAX_TERMS:
-            out = _shift_add_product(alg.ring, grid_a, grid_b)
-        else:
-            out = _fft_product(alg.ring, grid_a, grid_b)
-        return AlgebraElem(alg, out.reshape(alg.n))
+            return AlgebraElem(alg, _shift_add_product(alg.ring, A, B))
+        return AlgebraElem(alg, _fft_product(alg.ring, A, B))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -306,23 +312,14 @@ class AlgebraElem:
                 return out
             base = base * base
 
-    def translate(self, multi) -> AlgebraElem:
-        """Multiply by the group element with the given exponent vector."""
-        alg = self.algebra
-        grid = self.coeffs.reshape(alg.shape)
-        shift = tuple(int(e) % q for e, q in zip(multi, alg.shape))
-        rolled = np.roll(grid, shift, axis=tuple(range(alg.group.r)))
-        return AlgebraElem(alg, rolled.reshape(alg.n))
-
     def scale_exponents(self, m: int) -> AlgebraElem:
-        """The algebra map a_i -> a_i^m on group elements (m coprime to n)."""
-        alg = self.algebra
-        if math.gcd(m, alg.n) != 1:
+        """The algebra map a_i -> a_i^m, i.e. a^k -> a^(km) (m coprime to n)."""
+        n = self.algebra.n
+        if math.gcd(m, n) != 1:
             raise ValueError("scaling factor must be coprime to the group order")
-        grid = self.coeffs.reshape(alg.shape)
-        out = np.empty_like(grid)
-        out[np.ix_(*[np.arange(q) * (m % q) % q for q in alg.shape])] = grid
-        return AlgebraElem(alg, out.reshape(alg.n))
+        out = np.empty_like(self.coeffs)
+        out[np.arange(n) * (m % n) % n] = self.coeffs
+        return AlgebraElem(self.algebra, out)
 
     def is_idempotent(self) -> bool:
         return self * self == self

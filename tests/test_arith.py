@@ -57,6 +57,9 @@ def test_group_spec_properties():
     assert spec.designator() == "3^1,5^1,11^1"
     assert GroupSpec((3, 5), (2, 1)).factor_orders == (9, 5)
     assert GroupSpec((3, 5), (2, 1)).n == 45
+    # the cached orders leave equality, hashing and repr to the fields
+    fresh = GroupSpec((3, 5, 11), (1, 1, 1))
+    assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
 
 
 def test_group_spec_shape_errors():

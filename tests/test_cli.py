@@ -105,6 +105,21 @@ def test_code_budget_exit_3(capsys, monkeypatch):
     assert rc == 3
 
 
+def test_budget_must_be_nonnegative(capsys):
+    code = ("code", "--ring", "z4", "--group", "3^1,5^1", "--block", "1,1",
+            "--split", "1", "--k", "0")
+    rc, _ = run(capsys, *code, "--budget", "-1")
+    assert rc == 1
+    rc, _ = run(capsys, "table", "--ring", "z4", "--group", "3^1,5^1,11^1",
+                "--k", "0", "--budget", "-1")
+    assert rc == 1
+    assert cli.main(["selftest", "--budget", "-1"]) == 1
+    # 0 is legal: nothing is enumerated, the size comes from the formula
+    rc, out = run(capsys, *code, "--budget", "0")
+    assert rc == 0
+    assert json.loads(out)["size_method"] == "formula"
+
+
 def test_table_frozen_rows(capsys):
     rc, out = run(capsys, "table", "--ring", "z4",
                   "--group", "3^1,5^1,11^1", "--k", "1")
@@ -127,6 +142,9 @@ def test_table_rejects_other_contexts(capsys):
     assert rc == 1
     rc, _ = run(capsys, "table", "--ring", "z4",
                 "--group", "3^1,5^1,11^1", "--k", "2")
+    assert rc == 1
+    rc, _ = run(capsys, "table", "--ring", "z4",
+                "--group", "3^1,5^1,11^1", "--k", "-1")
     assert rc == 1
 
 

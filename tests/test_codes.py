@@ -137,6 +137,11 @@ def test_direct_sum():
     assert rep.min_weight == 6
     assert rep.min_component_weight == 6
     assert rep.sum_matches_component_min is True
+    # the witness is the first minimum-weight word enumerated, so it pins the
+    # order in which translates are visited: multi-index order of the group
+    rep = analyze_code(alg, [c1, _component(C15, Z4, (1, 0), None, 0)])
+    assert rep.witness.pairs() == [
+        ((0, 0), 1), ((0, 1), 3), ((1, 0), 1), ((1, 1), 3), ((2, 0), 1), ((2, 1), 3)]
 
 
 def test_budget_gate():

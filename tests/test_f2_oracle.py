@@ -17,13 +17,10 @@ def component_degrees(spec: GroupSpec):
 
 
 def module_dimension_f2(e) -> int:
-    """dim_F2 of F2 G * e, as the rank of the matrix of all translates g*e."""
-    alg = e.algebra
+    """dim_F2 of F2 G * e, as the rank of the matrix of all translates a^k e."""
     rows = []
-    grid = e.coeffs.reshape(alg.shape)
-    axes = tuple(range(alg.group.r))
-    for idx in np.ndindex(alg.shape):
-        row = np.roll(grid, idx, axis=axes).reshape(alg.n)
+    for k in range(e.algebra.n):
+        row = np.roll(e.coeffs, k)
         rows.append(int.from_bytes(np.packbits(row).tobytes(), "big"))
     # Gaussian elimination on bit-packed rows
     basis = []

@@ -1,6 +1,8 @@
+import math
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -16,23 +18,6 @@ C3 = GroupSpec((3,), (1,))
 C15 = GroupSpec((3, 5), (1, 1))
 C45 = GroupSpec((3, 5), (2, 1))
 Z4 = parse_ring("z4")
-
-
-def exponent_view(x: AlgebraElem) -> np.ndarray:
-    """Coefficients of x indexed by powers of the order-n generator a."""
-    alg = x.algebra
-    out = np.zeros(alg.n, dtype=alg.ring.dtype)
-    for k in range(alg.n):
-        out[k] = x.coeffs[alg._flat(crt_multi(k, alg.group))]
-    return out
-
-
-def from_exponent_view(alg: GroupAlgebra, vec) -> AlgebraElem:
-    """Inverse of exponent_view: build an element from a-power coefficients."""
-    arr = np.zeros(alg.n, dtype=alg.ring.dtype)
-    for k, c in enumerate(vec):
-        arr[alg._flat(crt_multi(k, alg.group))] = c
-    return AlgebraElem(alg, arr)
 
 
 def test_subgroup_lattice():
@@ -93,15 +78,42 @@ def test_factor_hat():
     assert alg.factor_hat(0, 1) == alg.monomial((0, 0), 1)
 
 
-def test_from_exponent():
-    alg = GroupAlgebra(F2, C15)
-    assert alg.from_exponent(0) == alg.one()
-    x = alg.one()
-    for _ in range(15):
-        x = x * alg.from_exponent(1)
-    assert x == alg.one()  # a has order 15
-    prod = alg.from_exponent(7) * alg.from_exponent(11)
-    assert prod == alg.from_exponent(18 % 15)
+LAYOUT_GROUPS = (GroupSpec((3,), (2,)), C15, C45, GroupSpec((3, 5, 11), (1, 1, 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_layout_boundary(data):
+    """Multi-indices in and out of the cyclic layout obey the group law."""
+    spec = data.draw(st.sampled_from(LAYOUT_GROUPS), label="group")
+    alg = GroupAlgebra(parse_ring(data.draw(st.sampled_from(("z4", "f2u2")), label="ring")), spec)
+    qs = spec.factor_orders
+    multi = st.tuples(*(st.integers(0, q - 1) for q in qs))
+    x, y = data.draw(multi, label="x"), data.draw(multi, label="y")
+
+    # position k holds a^k, and a = a_1 ... a_r has order n
+    k = data.draw(st.integers(0, spec.n - 1), label="k")
+    unit = np.zeros(spec.n, dtype=alg.ring.dtype)
+    unit[k] = 1
+    assert np.array_equal(alg.monomial(crt_multi(k, spec)).coeffs, unit)
+    assert alg.monomial(crt_multi(1, spec)) ** spec.n == alg.one()
+
+    assert alg.monomial(x) * alg.monomial(y) == alg.monomial(
+        tuple((a + b) % q for a, b, q in zip(x, y, qs)))
+    assert alg.monomial(x).support() == [x]
+
+    support = data.draw(st.lists(multi, min_size=1, max_size=8, unique=True), label="support")
+    pairs = [(e, data.draw(st.integers(1, alg.ring.mask), label="payload")) for e in support]
+    assert alg.from_pairs(pairs).pairs() == sorted(pairs)
+
+    levels = data.draw(st.tuples(*(st.integers(0, e) for e in spec.exponents)), label="levels")
+    want = [e for e in product(*map(range, qs))
+            if all(ei % p**l == 0 for ei, p, l in zip(e, spec.primes, levels))]
+    assert alg.hat(levels).support() == want
+
+    m = data.draw(st.integers(1, 2 * spec.n).filter(lambda v: math.gcd(v, spec.n) == 1), label="m")
+    assert alg.monomial(x).scale_exponents(m) == alg.monomial(
+        tuple(m * a % q for a, q in zip(x, qs)))
 
 
 # t in {1, 2, 8, 9, 16} in both families: one FFT digit, 8-bit limbs, bit-planes
@@ -112,13 +124,12 @@ KERNEL_GROUPS = (GroupSpec((3,), (2,)), C15, C45)
 def schoolbook(x: AlgebraElem, y: AlgebraElem) -> AlgebraElem:
     """1-D product on a-powers, one scalar ring product per pair: O(n^2)."""
     alg, ring = x.algebra, x.algebra.ring
-    xa, ya = exponent_view(x), exponent_view(y)
     out = np.zeros(alg.n, dtype=np.uint32)
     for i in range(alg.n):
         for j in range(alg.n):
             k = (i + j) % alg.n
-            out[k] = ring.add(int(out[k]), ring.mul(int(xa[i]), int(ya[j])))
-    return from_exponent_view(alg, out)
+            out[k] = ring.add(int(out[k]), ring.mul(int(x.coeffs[i]), int(y.coeffs[j])))
+    return AlgebraElem(alg, out)
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,10 +160,10 @@ def test_fft_rounding_guard(monkeypatch):
     rng = random.Random(3)
     alg = GroupAlgebra(Z4, C15)
     x = alg.element([rng.randrange(1, 4) for _ in range(15)])
-    monomial = alg.from_exponent(4)
-    want = x.translate(monomial.support()[0])
-    real = np.fft.irfftn
-    monkeypatch.setattr(np.fft, "irfftn", lambda *a, **k: real(*a, **k) + 0.3)
+    monomial = alg.monomial(crt_multi(4, C15))
+    want = alg.element(np.roll(x.coeffs, 4))  # times a^4: a cyclic shift by 4
+    real = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: real(*a, **k) + 0.3)
     with pytest.raises(InvariantError, match="FFT product lost integer precision"):
         x * x
     assert x * monomial == want
@@ -195,9 +206,6 @@ def test_pow_matches_repeated_mul(monkeypatch):
 
 def test_translate_and_scale():
     alg = GroupAlgebra(Z4, C15)
-    g1 = alg.generator_power(0)
-    x = alg.hat((1, 0))
-    assert x.translate((1, 0)) == g1 * x
     # scaling exponents by a unit permutes coefficients
     y = alg.from_pairs([((1, 2), 3), ((0, 1), 1)])
     z = y.scale_exponents(2)
@@ -209,17 +217,16 @@ def test_translate_and_scale():
 
 
 def test_scale_exponents_against_loop():
-    """The index-array permutation equals the per-element loop it replaced."""
+    """The index-array permutation equals a per-term loop over multi-indices."""
     rng = random.Random(7)
     for spec in (C15, C45, GroupSpec((3, 5, 7), (1, 1, 1))):
         alg = GroupAlgebra(Z4, spec)
         x = alg.element([rng.randrange(4) for _ in range(alg.n)])
         for m in (1, 2, 4, -1, alg.n + 2):
-            grid = x.coeffs.reshape(alg.shape)
-            want = np.zeros(alg.shape, dtype=grid.dtype)
-            for idx in np.ndindex(alg.shape):
-                want[tuple(m * e % q for e, q in zip(idx, alg.shape))] = grid[idx]
-            assert x.scale_exponents(m) == AlgebraElem(alg, want.reshape(alg.n))
+            want = alg.from_pairs(
+                (tuple(m * e % q for e, q in zip(multi, spec.factor_orders)), c)
+                for multi, c in x.pairs())
+            assert x.scale_exponents(m) == want
 
 
 def test_reduce_and_lift_roundtrip():
@@ -265,13 +272,3 @@ def test_algebra_equality_and_errors():
         a.one() * b.one()
     with pytest.raises(ValueError):
         a.element([0] * 7)  # wrong length
-
-
-def test_exponent_view_roundtrip():
-    alg = GroupAlgebra(Z4, C15)
-    rng = random.Random(11)
-    x = alg.element([rng.randrange(4) for _ in range(15)])
-    assert from_exponent_view(alg, exponent_view(x)) == x
-    # a^k lands at position k of the view
-    v = exponent_view(alg.from_exponent(7))
-    assert v[7] == 1 and v.sum() == 1
