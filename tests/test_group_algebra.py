@@ -78,6 +78,32 @@ def test_factor_hat():
     assert alg.factor_hat(0, 1) == alg.monomial((0, 0), 1)
 
 
+def test_from_exponent():
+    """Powers of a = a_1 ... a_r, built as monomials at crt_multi(k), obey the group law."""
+    alg = GroupAlgebra(F2, C15)
+
+    def a_pow(k):
+        return alg.monomial(crt_multi(k % alg.n, C15))
+
+    assert a_pow(0) == alg.one()
+    x = alg.one()
+    for _ in range(15):
+        x = x * a_pow(1)
+    assert x == alg.one()  # a has order 15
+    assert a_pow(7) * a_pow(11) == a_pow(18)
+
+
+def test_exponent_view_roundtrip():
+    """coeffs is the a-power view: it round-trips through the multi-index view."""
+    alg = GroupAlgebra(Z4, C15)
+    rng = random.Random(11)
+    x = alg.element([rng.randrange(4) for _ in range(15)])
+    assert alg.from_pairs(x.pairs()) == x
+    # a^k lands at position k of the view
+    v = alg.monomial(crt_multi(7, C15)).coeffs
+    assert v[7] == 1 and v.sum() == 1
+
+
 LAYOUT_GROUPS = (GroupSpec((3,), (2,)), C15, C45, GroupSpec((3, 5, 11), (1, 1, 1)))
 
 
