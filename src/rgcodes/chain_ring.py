@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import InvariantError
-
 FAMILY_INT = "int"    # Z / 2^t
 FAMILY_POLY = "poly"  # F2[u] / (u^t)
 
@@ -118,20 +116,11 @@ class ChainRing:
     def residue(self, a: int) -> int:
         return a & 1
 
-    def lift_bit(self, b: int) -> int:
-        if b not in (0, 1):
-            raise ValueError("residue payload must be 0 or 1")
-        return b
-
     def from_int(self, k: int) -> int:
         """Payload of the image of the integer k under the unique map Z -> R."""
         if self.family == FAMILY_INT:
             return k & self.mask
         return k & 1
-
-    @property
-    def zero_payload(self):
-        return 0
 
     @property
     def one_payload(self):
@@ -194,23 +183,12 @@ class ChainRing:
     def s(self):
         return self.elem(self.uniformizer_payload())
 
-    def element_from_int(self, k: int) -> RingElem:
-        return self.elem(self.from_int(k))
-
     def elements(self):
         """All 2^t elements, in payload order."""
         return [self.elem(a) for a in range(self.size)]
 
     def units(self):
         return [self.elem(a) for a in range(1, self.size, 2)]
-
-    def ideal_payloads(self, k: int):
-        """Payloads of the ideal (s^k), of size 2^(t-k)."""
-        s_k = self.s_pow_payload(k)
-        seen = sorted({self.mul(s_k, a) for a in range(self.size)})
-        if len(seen) != 1 << (self.t - k):
-            raise InvariantError(f"the ideal (s^{k}) has {len(seen)} elements")
-        return seen
 
     def str_payload(self, a: int) -> str:
         if self.family == FAMILY_INT:
@@ -274,9 +252,6 @@ class RingElem:
 
     def is_unit(self) -> bool:
         return self.ring.is_unit(self.payload)
-
-    def inverse(self) -> RingElem:
-        return RingElem(self.ring, self.ring.inv(self.payload))
 
     def is_zero(self) -> bool:
         return self.payload == 0

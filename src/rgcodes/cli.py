@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 from .arith import InvariantError, parse_group, validate_group
@@ -72,7 +73,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("code", help="analyze one cyclic code <s^k e>")
     common(p, budget=True)
     p.add_argument("--block", required=True, help='block label, e.g. "1,0"')
-    p.add_argument("--split", help="split tag for multi-index blocks: 1..4 or complement")
+    p.add_argument("--split", help="split tag for a block with l >= 2 nonzero indices: 1..2^(l-1)")
     p.add_argument("--k", type=int, required=True, help="power of the uniformizer")
 
     p = sub.add_parser("table", help="emit the worked example table for n = 165 over z4")
@@ -168,12 +169,10 @@ def _require_valid_or_exit(spec):
 def _split_tag(raw):
     if raw is None:
         return None
-    raw = raw.strip()
-    if raw in ("1", "2", "3", "4"):
-        return f"({raw})"
-    if raw in ("(1)", "(2)", "(3)", "(4)", "complement"):
-        return raw
-    raise UsageError(f"unknown split tag {raw!r}")
+    m = re.fullmatch(r"([1-9][0-9]*)|\(([1-9][0-9]*)\)", raw.strip())
+    if m is None:
+        raise UsageError(f"unknown split tag {raw!r}")
+    return f"({m.group(1) or m.group(2)})"
 
 
 def cmd_code(args) -> int:

@@ -8,15 +8,11 @@ l >= 2 nonzero indices splits into 2^(l-1) primitive pieces, built from
 the auxiliary elements u_i which satisfy u_i^3 = u_i + u_i^2 = (the
 i-th block factor) and generate a copy of F4 in each component.
 
-For l = 2 the two primitive summands are the bare product pairs
-u_1 u_2 + u_1^2 u_2^2 and u_1^2 u_2 + u_1 u_2^2 (times the complement
-hats).  For l = 3 the bare pair is idempotent but splits further: the
-four primitive summands are the block idempotent plus one balanced
-product pair each.
-
-Each block's members come from one evaluation of its closed form over
-R, and the F2 refinement oracle only checks them (see primitive_family);
-blocks with four or more nonzero indices lift oracle primitives instead.
+split_block builds the summands of every block the same way: starting
+from the block idempotent, it halves each member by a lifted pair
+idempotent x + x^2 with x = u_{i_1} u_i, once per nonzero index i after
+the first one i_1.  The F2 refinement oracle builds nothing; it only
+checks the members (see primitive_family).
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ class IdempotentRecord:
     element: AlgebraElem
     block: tuple
     split: str | None
-    method: str  # "paper-formula" or "oracle-lift"
+    method: str  # "paper-formula": every member comes from split_block
 
     def to_json_dict(self):
         ring = self.element.algebra.ring
@@ -99,81 +95,65 @@ def _split_indices(alg: GroupAlgebra, block) -> list:
     return [i for i, j in enumerate(block) if j > 0]
 
 
-def _complement_hats(alg: GroupAlgebra, indices) -> AlgebraElem:
-    out = alg.one()
-    for i in range(alg.group.r):
-        if i not in indices:
-            out = out * alg.factor_hat(i, 0)
-    return out
+def split_block(alg: GroupAlgebra, block) -> list:
+    """The 2^(l-1) primitive summands of a block with l nonzero indices.
 
-
-def split_block_2(alg: GroupAlgebra, block):
-    """The two primitive summands of a block with exactly two nonzero indices."""
-    block = _check_block(alg, block)
-    idx = _split_indices(alg, block)
-    if len(idx) != 2:
-        raise ValueError("block must have exactly two nonzero indices")
-    i1, i2 = idx
-    u1 = u_element(alg, i1, block[i1])
-    u2 = u_element(alg, i2, block[i2])
-    q1, q2 = u1 * u1, u2 * u2
-    exp = 1 << (alg.ring.t - 1)
-    hats = _complement_hats(alg, idx)
-    e1 = hats * (u1 * u2 + q1 * q2) ** exp
-    e2 = hats * (q1 * u2 + u1 * q2) ** exp
-    return e1, e2
-
-
-def split_block_3(alg: GroupAlgebra, block):
-    """The four primitive summands of a block with exactly three nonzero indices.
-
-    Each is the block idempotent plus a balanced u-product pair (the bare
-    pair alone is idempotent but decomposes further; see u_product_pair).
-    Built over F2 and lifted when the target ring is larger.
+    Start from the block idempotent and, for each nonzero index i after
+    the first one i_1 (last index first), split every member e into e*p
+    and e - e*p, where p lifts x + x^2 for x = u_{i_1} u_i over F2.  In
+    each component u_i acts as omega or omega^2 in F4, so x + x^2 is the
+    trace of x: the indicator that sigma_{i_1}/sigma_i is fixed.
     """
     block = _check_block(alg, block)
     idx = _split_indices(alg, block)
-    if len(idx) != 3:
+    members = [block_idempotent(alg, block)]
+    if len(idx) >= 2:
+        f2alg = GroupAlgebra(F2, alg.group)
+        u1 = u_element(f2alg, idx[0], block[idx[0]])
+        for i in reversed(idx[1:]):
+            x = u1 * u_element(f2alg, i, block[i])
+            p = lift_idempotent(x + x * x, alg.ring)
+            members = [m for e in members for ep in (e * p,) for m in (ep, e - ep)]
+    return members
+
+
+# bench/tracer.py wraps split_block_2, split_block_3 and u_product_pair by
+# name, so these names stay until its list of traced functions changes.
+def split_block_2(alg: GroupAlgebra, block):
+    """The two primitive summands of a block with exactly two nonzero indices."""
+    if len(_split_indices(alg, _check_block(alg, block))) != 2:
+        raise ValueError("block must have exactly two nonzero indices")
+    return tuple(split_block(alg, block))
+
+
+def split_block_3(alg: GroupAlgebra, block):
+    """The four primitive summands of a block with exactly three nonzero indices."""
+    if len(_split_indices(alg, _check_block(alg, block))) != 3:
         raise ValueError("block must have exactly three nonzero indices")
-    f2alg = GroupAlgebra(F2, alg.group)
-    us = [u_element(f2alg, i, block[i]) for i in idx]
-    qs = [u * u for u in us]
-    patterns = [
-        ((0, 0, 0), (1, 1, 1)),
-        ((0, 1, 0), (1, 0, 1)),
-        ((0, 0, 1), (1, 1, 0)),
-        ((1, 0, 0), (0, 1, 1)),
-    ]
-    blk = block_idempotent(f2alg, block)
-    hats = _complement_hats(f2alg, idx)
-
-    def term(bits):
-        out = f2alg.one()
-        for b, u, q in zip(bits, us, qs):
-            out = out * (q if b else u)
-        return out
-
-    return tuple(lift_idempotent(blk + hats * (term(x) + term(y)), alg.ring) for x, y in patterns)
+    return tuple(split_block(alg, block))
 
 
 def u_product_pair(alg: GroupAlgebra, block) -> AlgebraElem:
-    """Complement hats times (u_1 ... u_l + u_1^2 ... u_l^2)^(2^(t-1)).
+    """Hats of the zero-index factors times (u_1 ... u_l + u_1^2 ... u_l^2)^(2^(t-1)).
 
     An idempotent in the block component for any l >= 2 nonzero indices;
     primitive exactly when l = 2 (for l = 3 it is a sum of three of the
-    split_block_3 summands).
+    split_block summands).
     """
     block = _check_block(alg, block)
     idx = _split_indices(alg, block)
     if len(idx) < 2:
         raise ValueError("block must have at least two nonzero indices")
-    prod_u, prod_q = alg.one(), alg.one()
-    for i in idx:
-        u = u_element(alg, i, block[i])
+    hats, prod_u, prod_q = alg.one(), alg.one(), alg.one()
+    for i, j in enumerate(block):
+        if j == 0:
+            hats = hats * alg.factor_hat(i, 0)
+            continue
+        u = u_element(alg, i, j)
         prod_u = prod_u * u
         prod_q = prod_q * (u * u)
     exp = 1 << (alg.ring.t - 1)
-    return _complement_hats(alg, idx) * (prod_u + prod_q) ** exp
+    return hats * (prod_u + prod_q) ** exp
 
 
 def lift_idempotent(f: AlgebraElem, ring: ChainRing) -> AlgebraElem:
@@ -194,35 +174,26 @@ def lift_idempotent(f: AlgebraElem, ring: ChainRing) -> AlgebraElem:
 def primitive_family(spec: GroupSpec, ring: ChainRing):
     """All primitive idempotents of RG as labelled records, sorted by block.
 
-    A block with at most three nonzero indices takes its members from one
-    evaluation of its closed form over R; a block with more lifts the
-    oracle primitives under it and tags them "complement".  Each member's
-    residue must be a distinct oracle primitive and the member idempotent
-    over R, which makes it the unique lift; a block's members must sum to
-    its block idempotent.  A failed check raises InvariantError.
+    Every block takes its members from split_block, evaluated over R.  The
+    F2 oracle only checks them: each member's residue must be a distinct
+    oracle primitive and the member idempotent over R, which makes it the
+    unique lift; a block's members must sum to its block idempotent, and
+    the family must use every oracle primitive.  A failed check raises
+    InvariantError.
     """
     require_valid(spec)
     alg = GroupAlgebra(ring, spec)
     unused = {f.coeffs.tobytes(): f for f in primitive_idempotents_f2(spec)}
     records = []
     for block in block_labels(spec):
-        nonzero = len(_split_indices(alg, block))
-        blk = block_idempotent(alg, block)
-        if nonzero <= 1:
-            members = (blk,)
-        elif nonzero <= 3:
-            members = (split_block_2 if nonzero == 2 else split_block_3)(alg, block)
-        else:
-            home = blk.reduce_f2()
-            members = [lift_idempotent(f, ring) for f in unused.values() if f * home == f]
-        method = "paper-formula" if nonzero <= 3 else "oracle-lift"
+        members = split_block(alg, block)
         for i, e in enumerate(members):
-            tag = None if nonzero <= 1 else f"({i + 1})" if nonzero <= 3 else "complement"
+            tag = None if len(members) == 1 else f"({i + 1})"
             # an idempotent whose residue is an oracle primitive is its unique lift
             if unused.pop(e.reduce_f2().coeffs.tobytes(), None) is None or not e.is_idempotent():
                 raise InvariantError(f"block {block} member {tag}: not an unused primitive's lift")
-            records.append(IdempotentRecord(e, block, tag, method))
-        if sum(members, alg.zero()) != blk:
+            records.append(IdempotentRecord(e, block, tag, "paper-formula"))
+        if sum(members, alg.zero()) != block_idempotent(alg, block):
             raise InvariantError(f"block {block}: members do not sum to the block idempotent")
     if unused or len(records) != component_count_formula(spec):
         raise InvariantError("the family does not use each oracle primitive once")

@@ -16,20 +16,12 @@ from contextlib import redirect_stdout
 from dataclasses import dataclass
 from itertools import product
 
-from .arith import GroupSpec, euler_phi, factorize, mult_ord, parse_group
+from .arith import GroupSpec, block_labels, euler_phi, factorize, mult_ord, parse_group
 from .chain_ring import F2, parse_ring
 from .codes import CodeComponent, analyze_code, enumerate_codewords, code_size_formula
 from .f2_oracle import component_count_formula, primitive_idempotents_f2
 from .group_algebra import GroupAlgebra
-from .idempotents import (
-    block_idempotent,
-    lift_idempotent,
-    primitive_family,
-    split_block_2,
-    split_block_3,
-    u_product_pair,
-    verify_family,
-)
+from .idempotents import lift_idempotent, primitive_family, split_block, verify_family
 
 SPEC_LIST = [
     GroupSpec((3,), (1,)),
@@ -128,7 +120,7 @@ def criterion_lifting():
 
 
 def criterion_formula_vs_oracle():
-    """Closed-form idempotents are members of the lifted oracle family."""
+    """Every split_block member is a member of the lifted oracle family."""
 
     def run():
         ring = parse_ring("z4")
@@ -138,32 +130,11 @@ def criterion_formula_vs_oracle():
             # the oracle lifted directly, not primitive_family, which is
             # itself built from the closed forms under test
             family = [lift_idempotent(f, ring) for f in primitive_idempotents_f2(spec)]
-
-            def member(e):
-                return any(e == f for f in family)
-
-            # whole-group hat and the single-index block idempotents
-            candidates = [block_idempotent(alg, (0,) * spec.r)]
-            for i in range(spec.r):
-                for j in range(1, spec.exponents[i] + 1):
-                    blk = tuple(j if m == i else 0 for m in range(spec.r))
-                    candidates.append(block_idempotent(alg, blk))
-            # both summands of every two-index block
-            for block in product(*(range(n + 1) for n in spec.exponents)):
-                if sum(1 for j in block if j) == 2:
-                    candidates.extend(split_block_2(alg, block))
-            # the leading summand of the all-index block: for r = 2 the bare
-            # u-product pair, for r = 3 the block-plus-pair form (the bare
-            # pair is then a proper sum of members, checked in the suite)
-            full = tuple(spec.exponents)
-            if spec.r == 2:
-                candidates.append(u_product_pair(alg, full))
-            else:
-                candidates.append(split_block_3(alg, full)[0])
-            for e in candidates:
-                if not member(e):
-                    return False, f"{spec}: closed form not in the family"
-                verified += 1
+            for block in block_labels(spec):
+                for e in split_block(alg, block):
+                    if not any(e == f for f in family):
+                        return False, f"{spec} block {block}: closed form not in the family"
+                    verified += 1
         return True, f"{verified} closed forms matched"
 
     return _timed("formula-vs-oracle", 10.0, run)

@@ -1,9 +1,13 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from rgcodes import cli, idempotents
 from rgcodes.codes import BudgetExceeded
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def run(capsys, *argv):
@@ -168,11 +172,35 @@ def test_out_file(tmp_path, capsys):
 
 def test_invariant_failure_exit_4(capsys, monkeypatch):
     """A closed form that repeats a member fails the oracle check: exit 4."""
-    real = idempotents.split_block_2
-    monkeypatch.setattr(idempotents, "split_block_2", lambda alg, block: real(alg, block)[:1] * 2)
+    real = idempotents.split_block
+    monkeypatch.setattr(idempotents, "split_block", lambda alg, block: real(alg, block)[:1] * 2)
     idempotents.primitive_family.cache_clear()
     rc = cli.main(["idempotents", "--ring", "z4", "--group", "3^1,5^1"])
     captured = capsys.readouterr()
     assert rc == 4
     assert captured.out == ""
     assert "not an unused primitive's lift" in captured.err
+
+
+def test_code_split_reaches_every_member(capsys):
+    """A block with l = 4 nonzero indices has members (1)..(8), each selectable."""
+    code = ("code", "--ring", "z4", "--group", "3^1,5^1,11^1,19^1", "--block", "1,1,1,1")
+    rc, out = run(capsys, *code, "--split", "8", "--k", "2")
+    assert rc == 0
+    assert json.loads(out)["size"] == 1  # s^t e = 0 over z4
+    for bad in ("complement", "0"):
+        rc, _ = run(capsys, *code, "--split", bad, "--k", "2")
+        assert rc == 1
+
+
+def test_frozen_cli_digests(capsys):
+    """The family and table --k 0 commands reproduce the benchmark's frozen stdout."""
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    frozen = json.loads(workloads.REFERENCE.read_text())["cli"]
+    argvs = [*workloads.CLI_COMMANDS["family"], workloads.CLI_COMMANDS["table"][0]]
+    for argv in argvs:
+        rc, out = run(capsys, *argv)
+        assert rc == 0
+        assert workloads.digest(out.encode()) == frozen[workloads.command_key(argv)], argv

@@ -25,6 +25,7 @@ C3 = GroupSpec((3,), (1,))
 C15 = GroupSpec((3, 5), (1, 1))
 C45 = GroupSpec((3, 5), (2, 1))
 C165 = GroupSpec((3, 5, 11), (1, 1, 1))
+C3135 = GroupSpec((3, 5, 11, 19), (1, 1, 1, 1))
 Z4 = parse_ring("z4")
 
 
@@ -171,10 +172,11 @@ def test_record_is_frozen():
 
 
 @pytest.mark.parametrize("group,rings", [
-    (C15, ("z2", "z4", "z8", "f2u2", "f2u3")),
+    (C15, ("z2", "z4", "z8", "f2u2", "f2u3", "z65536", "f2u16")),
     (C45, ("z2", "z4", "z8", "f2u2", "f2u3")),
     (C165, ("z4", "f2u3")),
-], ids=["3^1,5^1", "3^2,5^1", "3^1,5^1,11^1"])
+    (C3135, ("z4",)),
+], ids=["3^1,5^1", "3^2,5^1", "3^1,5^1,11^1", "3^1,5^1,11^1,19^1"])
 def test_family_matches_lifted_oracle(group, rings):
     """Reference construction: lift every oracle primitive and home it in
     its block by the product f * blk == f over F2."""
@@ -190,18 +192,27 @@ def test_family_matches_lifted_oracle(group, rings):
             f = r.element.reduce_f2()
             homes = [b for b, blk in f2_blocks.items() if f * blk == f]
             assert homes == [r.block]
+        # every block, l >= 4 included, is tagged (1)..(2^(l-1)) from the closed form
+        assert all(r.method == "paper-formula" for r in fam)
+        for block in f2_blocks:
+            l = sum(1 for j in block if j)
+            tags = [r.split for r in fam if r.block == block]
+            assert tags == ([None] if l <= 1 else [f"({i})" for i in range(1, (1 << (l - 1)) + 1)])
 
 
 def test_mislabelled_members_raise(monkeypatch):
     """Swap the second members of the blocks (1,1) and (2,1) of 3^2,5^1:
     every member is still a lifted oracle primitive, but the labels lie."""
-    real = idempotents.split_block_2
+    real = idempotents.split_block
 
     def swapped(alg, block):
+        block = tuple(block)
+        if block not in ((1, 1), (2, 1)):
+            return real(alg, block)
         (a1, a2), (b1, b2) = real(alg, (1, 1)), real(alg, (2, 1))
-        return {(1, 1): (a1, b2), (2, 1): (b1, a2)}[tuple(block)]
+        return {(1, 1): [a1, b2], (2, 1): [b1, a2]}[block]
 
-    monkeypatch.setattr(idempotents, "split_block_2", swapped)
+    monkeypatch.setattr(idempotents, "split_block", swapped)
     primitive_family.cache_clear()
     with pytest.raises(InvariantError, match="do not sum to the block idempotent"):
         primitive_family(C45, Z4)
