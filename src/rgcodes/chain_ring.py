@@ -136,10 +136,11 @@ class ChainRing:
 
     # -- vectorised payload arithmetic ---------------------------------
 
-    def add_arr(self, A, B):
+    def add_arr(self, A, B, out=None):
         if self.family == FAMILY_INT:
-            return (A + B) & np.asarray(self.mask, dtype=self.dtype)
-        return A ^ B
+            mask = np.asarray(self.mask, dtype=self.dtype)
+            return np.bitwise_and(np.add(A, B, out=out), mask, out=out)
+        return np.bitwise_xor(A, B, out=out)
 
     def neg_arr(self, A):
         if self.family == FAMILY_INT:

@@ -11,9 +11,12 @@ Enumeration is the independent check: the module is materialised by
 additive closure, walking the generators g s^k e (all group translates,
 all ring multiples) and growing the word set coset by coset.  One pass
 suffices because the module is the sum of the cyclic submodules
-generated by the walked elements.  Nothing in the enumeration consults
-the count or weight formulas beyond an up-front budget gate, so
-agreement between the two is evidence, not construction.
+generated by the walked elements.  Words are found through sorted 64-bit
+row keys, and every key hit is confirmed by comparing rows.  Nothing in
+the enumeration consults the count or weight formulas beyond an up-front
+budget gate and the size of its row buffer (a closure that outgrows it
+or falls short of it raises), so agreement between the two is evidence,
+not construction.
 """
 
 from __future__ import annotations
@@ -114,7 +117,10 @@ class CodewordSet:
         return len(self.rows)
 
     def weights(self) -> np.ndarray:
-        return np.count_nonzero(self.rows, axis=1)
+        # in slices, so the nonzero mask never spans the whole row store
+        step = 1 << 14
+        return np.concatenate([np.count_nonzero(self.rows[i : i + step], axis=1)
+                               for i in range(0, len(self.rows), step)])
 
     def min_nonzero(self):
         """(weight, word) over the nonzero words; None for the zero code."""
@@ -125,9 +131,54 @@ class CodewordSet:
         pos = idxs[np.argmin(w[idxs])]
         return int(w[pos]), AlgebraElem(self.algebra, self.rows[pos].copy())
 
-    def elements(self):
-        for row in self.rows:
-            yield AlgebraElem(self.algebra, row.copy())
+
+def _key_constants(words: int) -> np.ndarray:
+    """One odd 64-bit multiplier per uint64 word of a row (splitmix64 outputs)."""
+    x = np.arange(1, words + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ x >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ x >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return x ^ x >> np.uint64(31) | np.uint64(1)
+
+
+class _RowIndex:
+    """Rows in one preallocated buffer, found through a sorted array of 64-bit keys.
+
+    A row's key is the sum of its words (zero-padded to whole uint64s) times
+    fixed odd constants, mod 2^64.  Every key hit is confirmed against the
+    stored row, so a collision costs time and never changes an answer.
+    """
+
+    def __init__(self, capacity: int, n: int, dtype):
+        pad = -n % (8 // np.dtype(dtype).itemsize)
+        self.buf = np.zeros((capacity, n + pad), dtype=dtype)  # row 0: the zero word
+        self.words = self.buf.view(np.uint64)
+        self.consts = _key_constants(self.words.shape[1])
+        self.keys = np.zeros(1, dtype=np.uint64)  # sorted; keys[0] = 0 is the zero row's
+        self.index = np.zeros(1, dtype=np.intp)   # row of each key
+        self.size = 1
+
+    def contains(self, rows) -> np.ndarray:
+        """Membership of each of the given (unpadded) rows."""
+        q = np.zeros((len(rows), self.buf.shape[1]), dtype=self.buf.dtype)
+        q[:, : rows.shape[1]] = rows
+        q = q.view(np.uint64)
+        qk = q @ self.consts
+        last = self.keys.searchsorted(qk, side="right") - 1  # the last key <= qk
+        hit = (self.words[self.index[last]] == q).all(axis=1)
+        # a key shared by other rows: compare the query with each of them
+        for i in np.flatnonzero(~hit & (self.keys[last] == qk)).tolist():
+            first = self.keys.searchsorted(qk[i])
+            hit[i] = (self.words[self.index[first : last[i]]] == q[i]).all(axis=1).any()
+        return hit
+
+    def index_rows(self, stop: int):
+        """Merge the keys of rows size..stop-1 into the sorted index."""
+        new = self.words[self.size : stop] @ self.consts
+        order = np.argsort(new)
+        at = self.keys.searchsorted(new[order])
+        self.keys = np.insert(self.keys, at, new[order])
+        self.index = np.insert(self.index, at, order + self.size)
+        self.size = stop
 
 
 def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) -> CodewordSet:
@@ -139,61 +190,61 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
     batch of cosets is disjoint from W and from each other, so no
     deduplication is needed beyond the membership test, and a single pass
     over the generators reaches the full sum of cyclic submodules.
+
+    Rows go, in that order, into one buffer of the predicted size and are
+    looked up by key (_RowIndex).  The walk always visits every generator:
+    a closure that outgrows the buffer or falls short of it raises.
     """
     check_components(alg, components)
     predicted = code_size(alg, components)
     if predicted > budget:
         raise BudgetExceeded(predicted, budget)
 
-    ring = alg.ring
-    rows = np.zeros((1, alg.n), dtype=ring.dtype)
-    seen = {rows[0].tobytes()}
-
+    ring, n = alg.ring, alg.n
+    store = _RowIndex(predicted, n, ring.dtype)
     for comp in components:
         base = comp.element.scalar_mul(ring.elem(ring.s_pow_payload(comp.k)))
         if base.is_zero():
             continue
         # distinct nonzero multiples c * base, in payload order of c
-        mults = []
-        mult_seen = set()
-        for c in range(1, ring.size):
-            row = ring.scalar_mul_arr(c, base.coeffs).astype(ring.dtype)
-            key = row.tobytes()
-            if row.any() and key not in mult_seen:
-                mult_seen.add(key)
-                mults.append(row)
+        products = (ring.scalar_mul_arr(c, base.coeffs) for c in range(1, ring.size))
+        mults = list({row.tobytes(): row for row in products if row.any()}.values())
+        # every multiple's translate by a^k is a slice of this doubled copy
+        doubled = np.concatenate([mults, mults], axis=1)
+        windows = np.lib.stride_tricks.sliding_window_view(doubled[0], n)
+        chunk = max(1, (1 << 16) // store.buf[0].nbytes)  # translates per lookup
 
         # translates by a^k in multi-index order of the group element: the
-        # order fixes the row order, and so the reported witness
-        for k in grid_order(alg.group):
-            shifted = [np.roll(m, k) for m in mults]
-            if shifted[0].tobytes() in seen:
-                continue  # W is a module, so every multiple is in W too
-            # coset representatives among the multiples, distinct modulo W
-            reps = []
-            for row in shifted:
-                if row.tobytes() in seen:
-                    continue
-                if any(
-                    ring.sub_arr(row, rep).astype(ring.dtype).tobytes() in seen
-                    for rep in reps
-                ):
-                    continue
-                reps.append(row)
-            if not reps:
+        # order fixes the row order, and so the reported witness.  The first
+        # multiple's translates are looked up a chunk at a time; once one is
+        # in W, so is every multiple (W is a module), and W only grows
+        todo = grid_order(alg.group)
+        while todo.size:
+            fresh = np.flatnonzero(~store.contains(windows[n - todo[:chunk]]))
+            if not fresh.size:
+                todo = todo[chunk:]
                 continue
-            total = len(rows) * (1 + len(reps))
+            k, todo = int(todo[fresh[0]]), todo[fresh[0] + 1 :]
+            shifted = doubled[:, n - k : 2 * n - k]
+            # coset representatives among the multiples, distinct modulo W
+            reps = [shifted[0]]
+            for j in np.flatnonzero(~store.contains(shifted[1:])).tolist():
+                if not store.contains(ring.sub_arr(shifted[j + 1], np.array(reps))).any():
+                    reps.append(shifted[j + 1])
+            size = store.size
+            total = size * (1 + len(reps))
             if total > budget:
                 raise BudgetExceeded(total, budget)
-            batches = [ring.add_arr(rows, rep).astype(ring.dtype) for rep in reps]
-            rows = np.concatenate([rows] + batches)
-            for batch in batches:
-                for row in batch:
-                    seen.add(row.tobytes())
+            if total > predicted:
+                raise InvariantError("closure outgrows the size formula")
+            for i, rep in enumerate(reps, 1):
+                batch = store.buf[i * size : (i + 1) * size, :n]
+                ring.add_arr(store.buf[:size, :n], rep, out=batch)
+            store.index_rows(total)
 
-    if len(rows) != predicted:
+    if store.size != predicted:
         raise InvariantError("closure disagrees with the size formula")
-    return CodewordSet(alg, rows)
+    return CodewordSet(alg, store.buf[:, :n])
 
 
 def min_weight_exact(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET):
@@ -375,19 +426,23 @@ def _component_exact_weight(alg: GroupAlgebra, comp: CodeComponent, budget: int)
 
 def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) -> CodeReport:
     """Size and minimum weight with enumeration cross-checks where affordable."""
-    check_components(alg, components)
     ring, spec = alg.ring, alg.group
     size = code_size(alg, components)
-
-    words = None
+    live = [c for c in components if c.k < ring.t]
+    got = None  # enumerated (weight, word) of a live code
     size_method = "formula"
-    if size <= budget:
+    if size > budget:
+        check_components(alg, components)  # enumeration checks them itself
+    else:
         words = enumerate_codewords(alg, components, budget)
         if len(words) != size:
             raise InvariantError("enumeration disagrees with the size formula")
         size_method = "both-agree"
+        if live:
+            got = words.min_nonzero()
+            if got is None:
+                raise InvariantError("a live code enumerated no nonzero word")
 
-    live = [c for c in components if c.k < ring.t]
     min_weight = None
     weight_method = "undefined"
     lower = upper = None
@@ -405,19 +460,14 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
             if probe is None or probe[0] != formula:
                 raise InvariantError("no probe attains the formula")
             witness = probe[1]
-            if words is not None:
-                got = words.min_nonzero()
-                if got is None or got[0] != formula:
-                    raise InvariantError("enumeration disagrees with formula")
+            if got is not None and got[0] != formula:
+                raise InvariantError("enumeration disagrees with formula")
         else:
             lower = min_weight_lower_bound(spec, comp.block, comp.split)
             best = min_weight_upper_bound(alg, comp)
             if best is not None:
                 upper, witness = best
-            if words is not None:
-                got = words.min_nonzero()
-                if got is None:
-                    raise InvariantError("a live code enumerated no nonzero word")
+            if got is not None:
                 min_weight, witness = got
                 weight_method = "enumeration"
                 if min_weight < lower:
@@ -431,10 +481,7 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
             if min_weight is not None:
                 attained = min_weight == lower
     elif live:
-        if words is not None:
-            got = words.min_nonzero()
-            if got is None:
-                raise InvariantError("a live code enumerated no nonzero word")
+        if got is not None:
             min_weight, witness = got
             weight_method = "enumeration"
         else:

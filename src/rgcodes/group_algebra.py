@@ -162,9 +162,11 @@ class GroupAlgebra:
 
 def _shift_add_product(ring: ChainRing, a, b):
     """Sum of coefficient * cyclic shift of b over the support of a."""
+    n = len(b)
     out = np.zeros(a.shape, dtype=np.uint32)
-    for k in np.flatnonzero(a):
-        out = ring.add_arr(out, ring.scalar_mul_arr(int(a[k]), np.roll(b, k)))
+    for k in np.flatnonzero(a).tolist():
+        shifted = np.concatenate((b[n - k :], b[: n - k]))  # np.roll(b, k)
+        out = ring.add_arr(out, ring.scalar_mul_arr(int(a[k]), shifted))
     return out.astype(ring.dtype)
 
 

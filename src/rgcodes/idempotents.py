@@ -104,9 +104,14 @@ def split_block(alg: GroupAlgebra, block) -> list:
     each component u_i acts as omega or omega^2 in F4, so x + x^2 is the
     trace of x: the indicator that sigma_{i_1}/sigma_i is fixed.
     """
+    return _split_from(alg, block, block_idempotent(alg, block))
+
+
+def _split_from(alg: GroupAlgebra, block, whole: AlgebraElem) -> list:
+    """split_block, given the block idempotent `whole`."""
     block = _check_block(alg, block)
     idx = _split_indices(alg, block)
-    members = [block_idempotent(alg, block)]
+    members = [whole]
     if len(idx) >= 2:
         f2alg = GroupAlgebra(F2, alg.group)
         u1 = u_element(f2alg, idx[0], block[idx[0]])
@@ -186,14 +191,15 @@ def primitive_family(spec: GroupSpec, ring: ChainRing):
     unused = {f.coeffs.tobytes(): f for f in primitive_idempotents_f2(spec)}
     records = []
     for block in block_labels(spec):
-        members = split_block(alg, block)
+        whole = block_idempotent(alg, block)
+        members = _split_from(alg, block, whole)
         for i, e in enumerate(members):
             tag = None if len(members) == 1 else f"({i + 1})"
             # an idempotent whose residue is an oracle primitive is its unique lift
             if unused.pop(e.reduce_f2().coeffs.tobytes(), None) is None or not e.is_idempotent():
                 raise InvariantError(f"block {block} member {tag}: not an unused primitive's lift")
             records.append(IdempotentRecord(e, block, tag, "paper-formula"))
-        if sum(members, alg.zero()) != block_idempotent(alg, block):
+        if sum(members, alg.zero()) != whole:
             raise InvariantError(f"block {block}: members do not sum to the block idempotent")
     if unused or len(records) != component_count_formula(spec):
         raise InvariantError("the family does not use each oracle primitive once")

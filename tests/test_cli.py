@@ -172,8 +172,9 @@ def test_out_file(tmp_path, capsys):
 
 def test_invariant_failure_exit_4(capsys, monkeypatch):
     """A closed form that repeats a member fails the oracle check: exit 4."""
-    real = idempotents.split_block
-    monkeypatch.setattr(idempotents, "split_block", lambda alg, block: real(alg, block)[:1] * 2)
+    real = idempotents._split_from
+    monkeypatch.setattr(idempotents, "_split_from",
+                        lambda alg, block, whole: real(alg, block, whole)[:1] * 2)
     idempotents.primitive_family.cache_clear()
     rc = cli.main(["idempotents", "--ring", "z4", "--group", "3^1,5^1"])
     captured = capsys.readouterr()
@@ -194,12 +195,12 @@ def test_code_split_reaches_every_member(capsys):
 
 
 def test_frozen_cli_digests(capsys):
-    """The family and table --k 0 commands reproduce the benchmark's frozen stdout."""
+    """The family and table commands reproduce the benchmark's frozen stdout."""
     spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     frozen = json.loads(workloads.REFERENCE.read_text())["cli"]
-    argvs = [*workloads.CLI_COMMANDS["family"], workloads.CLI_COMMANDS["table"][0]]
+    argvs = [*workloads.CLI_COMMANDS["family"], *workloads.CLI_COMMANDS["table"]]
     for argv in argvs:
         rc, out = run(capsys, *argv)
         assert rc == 0

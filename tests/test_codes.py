@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rgcodes.arith import GroupSpec
+from rgcodes import codes
+from rgcodes.arith import GroupSpec, InvariantError
 from rgcodes.chain_ring import parse_ring
 from rgcodes.codes import (
     BudgetExceeded,
@@ -17,7 +21,7 @@ from rgcodes.codes import (
     min_weight_upper_bound,
     weight_probes,
 )
-from rgcodes.group_algebra import GroupAlgebra
+from rgcodes.group_algebra import GroupAlgebra, grid_order
 from rgcodes.idempotents import primitive_family
 
 C15 = GroupSpec((3, 5), (1, 1))
@@ -191,3 +195,99 @@ def test_report_json_shape():
         assert key in d
     assert d["ring"] == "z4" and d["group"] == "3^1,5^1"
     assert d["size"] == 4 and d["min_weight"] == 15
+
+
+# -- enumeration against the set-based reference -----------------------
+
+
+def reference_rows(alg, components):
+    """The closure walk of enumerate_codewords over a set of row bytes.
+
+    Same generators, translates and row order; membership is a Python set of
+    each row's bytes and every batch is concatenated onto the rows.
+    """
+    ring = alg.ring
+    rows = np.zeros((1, alg.n), dtype=ring.dtype)
+    seen = {rows[0].tobytes()}
+    for comp in components:
+        base = comp.element.scalar_mul(ring.elem(ring.s_pow_payload(comp.k)))
+        if base.is_zero():
+            continue
+        mults, mult_seen = [], set()
+        for c in range(1, ring.size):
+            row = ring.scalar_mul_arr(c, base.coeffs).astype(ring.dtype)
+            if row.any() and row.tobytes() not in mult_seen:
+                mult_seen.add(row.tobytes())
+                mults.append(row)
+        for k in grid_order(alg.group):
+            shifted = [np.roll(m, k) for m in mults]
+            if shifted[0].tobytes() in seen:
+                continue
+            reps = []
+            for row in shifted:
+                if row.tobytes() in seen:
+                    continue
+                if any(ring.sub_arr(row, rep).astype(ring.dtype).tobytes() in seen
+                       for rep in reps):
+                    continue
+                reps.append(row)
+            batches = [ring.add_arr(rows, rep).astype(ring.dtype) for rep in reps]
+            rows = np.concatenate([rows] + batches)
+            for batch in batches:
+                seen.update(row.tobytes() for row in batch)
+    return rows
+
+
+REFERENCE_LIMIT_BITS = 12  # codes of at most 4096 words
+
+
+@st.composite
+def small_codes(draw):
+    """1-3 distinct family members with k chosen so that |C| <= 2^12."""
+    spec = draw(st.sampled_from([C15, GroupSpec((3, 5), (2, 1))]))
+    # z512 stores payloads as uint32, so rows are padded inside a uint64 word
+    ring = parse_ring(draw(st.sampled_from(["z2", "z4", "z8", "f2u2", "f2u3", "z512"])))
+    fam = primitive_family(spec, ring)
+    members = draw(st.lists(st.integers(0, len(fam) - 1), min_size=1, max_size=3, unique=True))
+    ks = [draw(st.integers(0, ring.t)) for _ in members]
+    dims = [component_dimension(spec, fam[i].block) for i in members]
+    while sum((ring.t - k) * d for k, d in zip(ks, dims)) > REFERENCE_LIMIT_BITS:
+        j = max(range(len(ks)), key=lambda j: (ring.t - ks[j]) * dims[j])
+        ks[j] += 1
+    comps = [CodeComponent(fam[i].element, fam[i].block, fam[i].split, k)
+             for i, k in zip(members, ks)]
+    return GroupAlgebra(ring, spec), comps
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_codes())
+def test_enumeration_matches_reference(case):
+    alg, comps = case
+    assert np.array_equal(enumerate_codewords(alg, comps).rows, reference_rows(alg, comps))
+
+
+def test_enumeration_survives_key_collisions(monkeypatch):
+    """With every key equal, each lookup falls back on comparing rows."""
+    monkeypatch.setattr(codes, "_key_constants", lambda words: np.zeros(words, dtype=np.uint64))
+    spec45 = GroupSpec((3, 5), (2, 1))
+    for spec, ring_name, picks in [(C15, "z4", [((0, 1), None, 0), ((1, 0), None, 1)]),
+                                   (C15, "f2u3", [((1, 1), "(2)", 2)]),
+                                   (spec45, "z512", [((2, 0), None, 8)])]:
+        ring = parse_ring(ring_name)
+        alg = GroupAlgebra(ring, spec)
+        comps = [_component(spec, ring, *pick) for pick in picks]
+        assert np.array_equal(enumerate_codewords(alg, comps).rows, reference_rows(alg, comps))
+
+
+@pytest.mark.parametrize("factor", [0.5, 2])
+def test_wrong_size_formula_fails(monkeypatch, factor):
+    """The walk never stops at the predicted size: a wrong formula raises."""
+    alg = GroupAlgebra(Z4, C15)
+    comp = _component(C15, Z4, (0, 1), None, 0)  # 256 words
+    monkeypatch.setattr(codes, "code_size", lambda alg, components: int(256 * factor))
+    with pytest.raises(InvariantError):
+        enumerate_codewords(alg, [comp])
+    # a budget between the wrong and the true size is passed first
+    budget = 200 if factor < 1 else 256
+    with pytest.raises(BudgetExceeded):
+        enumerate_codewords(alg, [comp], budget=budget)

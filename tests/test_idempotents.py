@@ -203,16 +203,19 @@ def test_family_matches_lifted_oracle(group, rings):
 def test_mislabelled_members_raise(monkeypatch):
     """Swap the second members of the blocks (1,1) and (2,1) of 3^2,5^1:
     every member is still a lifted oracle primitive, but the labels lie."""
-    real = idempotents.split_block
+    real = idempotents._split_from
 
-    def swapped(alg, block):
+    def unpatched(alg, block):
+        return real(alg, block, block_idempotent(alg, block))
+
+    def swapped(alg, block, whole):
         block = tuple(block)
         if block not in ((1, 1), (2, 1)):
-            return real(alg, block)
-        (a1, a2), (b1, b2) = real(alg, (1, 1)), real(alg, (2, 1))
+            return real(alg, block, whole)
+        (a1, a2), (b1, b2) = unpatched(alg, (1, 1)), unpatched(alg, (2, 1))
         return {(1, 1): [a1, b2], (2, 1): [b1, a2]}[block]
 
-    monkeypatch.setattr(idempotents, "split_block", swapped)
+    monkeypatch.setattr(idempotents, "_split_from", swapped)
     primitive_family.cache_clear()
     with pytest.raises(InvariantError, match="do not sum to the block idempotent"):
         primitive_family(C45, Z4)
