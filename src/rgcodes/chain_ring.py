@@ -49,7 +49,7 @@ class ChainRing:
 
     @property
     def dtype(self):
-        return np.uint8 if self.t <= 8 else np.uint32
+        return np.uint8 if self.t <= 8 else np.uint16
 
     def designator(self) -> str:
         if self.family == FAMILY_INT:

@@ -5,7 +5,10 @@ s^{k_i} e_i for primitive idempotents e_i and powers of the uniformizer.
 Word counts follow the closed form |<s^k e>| = 2^((t-k) d) with d the
 F2-dimension of the component of e; minimum weights have closed forms
 for components whose block has at most one nonzero index, and
-lower/upper bounds otherwise.
+lower/upper bounds otherwise, all through one per-component path
+(_weigh).  A split component's only probe is its generator s^k e: the
+products s^k (1 - g_1)...(1 - g_l) hat(H) are nonzero in the components of
+all its block's members, so are words of none (see weight_probes).
 
 Enumeration is the independent check: the module is materialised by
 additive closure, walking the generators g s^k e (all group translates,
@@ -206,9 +209,9 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
         base = comp.element.scalar_mul(ring.elem(ring.s_pow_payload(comp.k)))
         if base.is_zero():
             continue
-        # distinct nonzero multiples c * base, in payload order of c
-        products = (ring.scalar_mul_arr(c, base.coeffs) for c in range(1, ring.size))
-        mults = list({row.tobytes(): row for row in products if row.any()}.values())
+        # the distinct nonzero multiples c * base in payload order of c: c * s^k e
+        # depends only on c mod s^(t-k), as e has a unit coefficient
+        mults = ring.mul_arr(np.arange(1, 1 << (ring.t - comp.k))[:, None], base.coeffs)
         # every multiple's translate by a^k is a slice of this doubled copy
         doubled = np.concatenate([mults, mults], axis=1)
         windows = np.lib.stride_tricks.sliding_window_view(doubled[0], n)
@@ -245,11 +248,6 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
     if store.size != predicted:
         raise InvariantError("closure disagrees with the size formula")
     return CodewordSet(alg, store.buf[:, :n])
-
-
-def min_weight_exact(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET):
-    """Enumerated minimum nonzero weight and a witness; None for the zero code."""
-    return enumerate_codewords(alg, components, budget).min_nonzero()
 
 
 # -- closed forms and bounds ------------------------------------------
@@ -293,23 +291,24 @@ def min_weight_lower_bound(spec: GroupSpec, block, split):
     return factor * base
 
 
-def _membership_probe(comp: CodeComponent, probe: AlgebraElem):
-    """Accept the probe iff it is a nonzero word of <s^k e>."""
-    if probe.is_zero():
-        return None
-    if probe * comp.element != probe:
-        return None
-    return probe
-
-
 def weight_probes(alg: GroupAlgebra, comp: CodeComponent):
-    """Verified codewords whose weights bound the minimum from above."""
+    """Verified codewords whose weights bound the minimum from above.
+
+    The generator s^k e, and for a single nonzero index i1 at level j also
+    (a_i1^(p^j) - a_i1^(p^(j-1))) s^k e if it is a codeword.  A split block
+    (l >= 2 nonzero indices) has no second probe.  The candidate
+    s^k (1 - g_1)...(1 - g_l) hat(H), with H the level-j subgroups at the
+    split indices and each g_i = a_i^(c p_i^(j_i - 1)) one level below, is
+    never a codeword: for each member e' of the block, g_i acts on RGe' as
+    a root of unity of odd order p_i, whose residue is not 1, so 1 - g_i
+    is a unit there, and hat(H) e' = e'.  So for k < t the candidate P is
+    nonzero in RGe' for all 2^(l-1) >= 2 members e', while a word of
+    <s^k e> vanishes in every other member's component.
+    """
     ring = alg.ring
     spec = alg.group
-    s_k = ring.elem(ring.s_pow_payload(comp.k))
     out = []
-
-    gen = comp.element.scalar_mul(s_k)
+    gen = comp.element.scalar_mul(ring.elem(ring.s_pow_payload(comp.k)))
     if not gen.is_zero():
         out.append(gen)
 
@@ -319,35 +318,9 @@ def weight_probes(alg: GroupAlgebra, comp: CodeComponent):
         j = comp.block[i1]
         p = spec.primes[i1]
         diff = alg.generator_power(i1, p**j) - alg.generator_power(i1, p ** (j - 1))
-        probe = _membership_probe(comp, (diff * gen))
-        if probe is not None:
+        probe = diff * gen
+        if not probe.is_zero() and probe * comp.element == probe:  # a word of <s^k e>
             out.append(probe)
-
-    if len(nonzero) >= 2:
-        # s^k (1 - g_1)...(1 - g_l) hat(H), H = prod of the level-j subgroups
-        # at the split indices and the full factors elsewhere, with each g_i
-        # one level below the subgroup (nonzero in the quotient)
-        levels = tuple(comp.block[i] if i in nonzero else 0 for i in range(spec.r))
-        hat_h = alg.hat(levels)
-        choice_sets = []
-        for i in nonzero:
-            p, nn, j = spec.primes[i], spec.exponents[i], comp.block[i]
-            q = p**nn
-            exps = [c * p ** (j - 1) % q for c in range(p ** (nn - j + 1)) if c % p]
-            choice_sets.append((i, exps))
-
-        def walk(idx, acc):
-            if idx == len(choice_sets):
-                probe = _membership_probe(comp, acc.scalar_mul(s_k))
-                if probe is not None:
-                    out.append(probe)
-                return
-            i, exps = choice_sets[idx]
-            for e in exps:
-                walk(idx + 1, acc * (alg.one() - alg.generator_power(i, e)))
-
-        walk(0, hat_h)
-
     return out
 
 
@@ -383,13 +356,7 @@ class CodeReport:
     sum_matches_component_min: bool | None
 
     def to_json_dict(self):
-        witness = None
-        if self.witness is not None:
-            ring = self.witness.algebra.ring
-            witness = [
-                [list(multi), ring.str_payload(payload)]
-                for multi, payload in self.witness.pairs()
-            ]
+        witness = None if self.witness is None else self.witness.json_terms()
         return {
             "ring": self.ring,
             "group": self.group,
@@ -407,21 +374,36 @@ class CodeReport:
         }
 
 
-def _component_exact_weight(alg: GroupAlgebra, comp: CodeComponent, budget: int):
-    """Exact minimum weight of the single-component code, or None if out of reach."""
-    if comp.k >= alg.ring.t:
-        return None
-    w = min_weight_formula(alg.group, comp.block)
-    if w is not None:
-        return w
-    if code_size_formula(alg.group, alg.ring, comp.block, comp.k) <= budget:
-        got = min_weight_exact(alg, [comp], budget)
-        return None if got is None else got[0]
-    lower = min_weight_lower_bound(alg.group, comp.block, comp.split)
-    upper = min_weight_upper_bound(alg, comp)
-    if upper is not None and upper[0] == lower:
-        return lower
-    return None
+def _weigh(alg: GroupAlgebra, comp: CodeComponent, budget: int, got=None):
+    """Weight of one live component's code <s^k e>, cross-checked.
+
+    Returns (exact, lower, best, got): the exact minimum weight or None, the
+    lower bound (None where the closed form applies), the lightest probe as
+    (weight, word), and the enumerated (weight, word) or None.  An
+    enumeration the caller already holds comes in as got; otherwise a code
+    without a closed form is enumerated here if it fits the budget.
+    """
+    spec = alg.group
+    best = min_weight_upper_bound(alg, comp)
+    if best is None:  # s^k e != 0 for k < t whenever e != 0
+        raise InvariantError("a live component has a zero generator")
+    formula = min_weight_formula(spec, comp.block)
+    if formula is not None:
+        if best[0] != formula:
+            raise InvariantError("no probe attains the formula")
+        if got is not None and got[0] != formula:
+            raise InvariantError("enumeration disagrees with formula")
+        return formula, None, best, got
+    lower = min_weight_lower_bound(spec, comp.block, comp.split)
+    if got is None and code_size_formula(spec, alg.ring, comp.block, comp.k) <= budget:
+        got = enumerate_codewords(alg, [comp], budget).min_nonzero()
+    if got is None:
+        return (lower if best[0] == lower else None), lower, best, None
+    if got[0] < lower:
+        raise InvariantError("enumerated weight beats the lower bound")
+    if got[0] > best[0]:
+        raise InvariantError("enumerated weight exceeds a probe's weight")
+    return got[0], lower, best, got
 
 
 def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) -> CodeReport:
@@ -452,46 +434,26 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
     sum_matches = None
 
     if live and len(components) == 1:
-        comp = components[0]
-        formula = min_weight_formula(spec, comp.block)
-        if formula is not None:
-            min_weight, weight_method = formula, "formula"
-            probe = min_weight_upper_bound(alg, comp)
-            if probe is None or probe[0] != formula:
-                raise InvariantError("no probe attains the formula")
-            witness = probe[1]
-            if got is not None and got[0] != formula:
-                raise InvariantError("enumeration disagrees with formula")
+        min_weight, lower, best, got = _weigh(alg, components[0], budget, got)
+        if lower is None:
+            weight_method, witness = "formula", best[1]
         else:
-            lower = min_weight_lower_bound(spec, comp.block, comp.split)
-            best = min_weight_upper_bound(alg, comp)
-            if best is not None:
-                upper, witness = best
+            upper, witness = best
+            weight_method = "bounds-only"
             if got is not None:
-                min_weight, witness = got
-                weight_method = "enumeration"
-                if min_weight < lower:
-                    raise InvariantError("enumerated weight beats the lower bound")
-                if upper is not None and min_weight > upper:
-                    raise InvariantError("enumerated weight exceeds a probe's weight")
-            elif upper == lower:
-                min_weight, weight_method = lower, "bounds-only"
-            else:
-                weight_method = "bounds-only"
+                weight_method, witness = "enumeration", got[1]
             if min_weight is not None:
                 attained = min_weight == lower
     elif live:
+        parts = [_weigh(alg, c, budget) for c in live]
         if got is not None:
             min_weight, witness = got
             weight_method = "enumeration"
         else:
-            uppers = [min_weight_upper_bound(alg, c) for c in live]
-            uppers = [u for u in uppers if u is not None]
-            if uppers:
-                upper, witness = min(uppers, key=lambda x: x[0])
+            upper, witness = min((best for _, _, best, _ in parts), key=lambda x: x[0])
             weight_method = "bounds-only"
-        exact = [_component_exact_weight(alg, c, budget) for c in live]
-        if all(w is not None for w in exact):
+        exact = [part[0] for part in parts]
+        if None not in exact:
             min_comp = min(exact)
             if min_weight is not None:
                 sum_matches = min_weight == min_comp

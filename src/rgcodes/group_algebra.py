@@ -237,6 +237,11 @@ class AlgebraElem:
         idx = np.argwhere(grid)
         return list(zip(map(tuple, idx.tolist()), grid[tuple(idx.T)].tolist()))
 
+    def json_terms(self):
+        """[multi-index, payload string] for each nonzero coefficient, sorted."""
+        ring = self.algebra.ring
+        return [[list(multi), ring.str_payload(payload)] for multi, payload in self.pairs()]
+
     def coeff(self, multi) -> RingElem:
         return self.algebra.ring.elem(int(self.coeffs[self.algebra._flat(multi)]))
 

@@ -36,15 +36,11 @@ class IdempotentRecord:
     method: str  # "paper-formula": every member comes from split_block
 
     def to_json_dict(self):
-        ring = self.element.algebra.ring
         return {
             "block": list(self.block),
             "split": self.split,
             "method": self.method,
-            "element": [
-                [list(multi), ring.str_payload(payload)]
-                for multi, payload in self.element.pairs()
-            ],
+            "element": self.element.json_terms(),
         }
 
 

@@ -51,7 +51,8 @@ def test_sizes_and_dtype():
     assert parse_ring("z8").size == 8
     assert parse_ring("f2u3").size == 8
     assert ChainRing(FAMILY_INT, 8).dtype == np.uint8
-    assert ChainRing(FAMILY_INT, 9).dtype == np.uint32
+    assert ChainRing(FAMILY_INT, 9).dtype == np.uint16
+    assert ChainRing(FAMILY_POLY, 16).dtype == np.uint16
 
 
 def test_t_range():

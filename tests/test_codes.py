@@ -15,7 +15,6 @@ from rgcodes.codes import (
     code_size_formula,
     component_dimension,
     enumerate_codewords,
-    min_weight_exact,
     min_weight_formula,
     min_weight_lower_bound,
     min_weight_upper_bound,
@@ -73,7 +72,7 @@ def test_min_weights_formula_blocks():
         assert min_weight_formula(C15, block) == expected
         for k in (0, 1):
             comp = _component(C15, Z4, block, None, k)
-            got = min_weight_exact(alg, [comp])
+            got = enumerate_codewords(alg, [comp]).min_nonzero()
             assert got[0] == expected
     assert min_weight_formula(C15, (1, 1)) is None
 
@@ -128,7 +127,66 @@ def test_upper_bound_dominates_exact():
     bound, witness = min_weight_upper_bound(alg, comp)
     assert bound == 10
     assert witness.weight() == 10
-    assert min_weight_exact(alg, [comp])[0] <= bound
+    assert enumerate_codewords(alg, [comp]).min_nonzero()[0] <= bound
+
+
+def walk_leaves(alg, comp):
+    """Every candidate probe s^k (1 - g_1)...(1 - g_l) hat(H) of a split component.
+
+    H is the product of the level-j subgroups at the split indices and the
+    full factors elsewhere; each g_i = a_i^(c p_i^(j_i - 1)) with p_i not
+    dividing c lies one level below its subgroup.  Leaves in walk order.
+    """
+    spec, ring = alg.group, alg.ring
+    nonzero = [i for i, j in enumerate(comp.block) if j > 0]
+    leaves = [alg.hat(tuple(j if i in nonzero else 0 for i, j in enumerate(comp.block)))]
+    for i in nonzero:
+        p, nn, j = spec.primes[i], spec.exponents[i], comp.block[i]
+        exps = [c * p ** (j - 1) % p**nn for c in range(p ** (nn - j + 1)) if c % p]
+        leaves = [acc * (alg.one() - alg.generator_power(i, e)) for acc in leaves for e in exps]
+    s_k = ring.elem(ring.s_pow_payload(comp.k))
+    return [leaf.scalar_mul(s_k) for leaf in leaves]
+
+
+@pytest.mark.parametrize("spec", [C15, GroupSpec((3, 5), (2, 1)), GroupSpec((3, 5, 11), (1, 1, 1))],
+                         ids=str)
+def test_split_walk_yields_no_codeword(spec):
+    """A split block's only probe is its generator: every walked leaf is off the code."""
+    for ring in map(parse_ring, ("z2", "z4", "f2u2", "f2u3")):
+        alg = GroupAlgebra(ring, spec)
+        for rec in primitive_family(spec, ring):
+            if rec.split is None:
+                continue
+            for k in range(ring.t):
+                comp = CodeComponent(rec.element, rec.block, rec.split, k)
+                for leaf in walk_leaves(alg, comp):
+                    assert not leaf.is_zero() and leaf * comp.element != leaf
+                gen = comp.element.scalar_mul(ring.elem(ring.s_pow_payload(k)))
+                assert min_weight_upper_bound(alg, comp)[0] == gen.weight()
+
+
+def test_weight_probes_once_per_live_component(monkeypatch):
+    """An over-budget direct sum with a split member weighs each member once."""
+    calls = []
+    probes = codes.weight_probes
+    monkeypatch.setattr(codes, "weight_probes",
+                        lambda alg, comp: calls.append(comp.block) or probes(alg, comp))
+    alg = GroupAlgebra(Z4, C15)
+    comps = [_component(C15, Z4, (1, 1), "(1)", 0), _component(C15, Z4, (0, 1), None, 0)]
+    rep = analyze_code(alg, comps, budget=100)
+    assert calls == [(1, 1), (0, 1)]
+    assert rep.size == 65536 and rep.weight_method == "bounds-only"
+    assert rep.upper_bound == 6 and rep.witness.weight() == 6
+    assert rep.min_weight is None and rep.min_component_weight is None
+
+
+@pytest.mark.parametrize("k", [12, 15])
+def test_multiples_over_z65536(k):
+    """The c * s^k e for c < 2^(t-k) are all the distinct multiples, in reference order."""
+    ring = parse_ring("z65536")
+    alg = GroupAlgebra(ring, C15)
+    comp = _component(C15, ring, (0, 0), None, k)
+    assert np.array_equal(enumerate_codewords(alg, [comp]).rows, reference_rows(alg, [comp]))
 
 
 def test_direct_sum():
@@ -170,6 +228,14 @@ def test_zero_code_at_k_equals_t():
     assert rep.weight_method == "undefined"
     words = enumerate_codewords(alg, [comp])
     assert len(words) == 1 and words.min_nonzero() is None
+
+
+def test_zero_generator_raises():
+    """A zero element passes the idempotent checks; weighing it over budget must not."""
+    alg = GroupAlgebra(Z4, C15)
+    for block, split in [((1, 1), "(1)"), ((1, 0), None)]:
+        with pytest.raises(InvariantError, match="zero generator"):
+            analyze_code(alg, [CodeComponent(alg.zero(), block, split, 0)], budget=1)
 
 
 def test_component_validation():
@@ -245,7 +311,7 @@ REFERENCE_LIMIT_BITS = 12  # codes of at most 4096 words
 def small_codes(draw):
     """1-3 distinct family members with k chosen so that |C| <= 2^12."""
     spec = draw(st.sampled_from([C15, GroupSpec((3, 5), (2, 1))]))
-    # z512 stores payloads as uint32, so rows are padded inside a uint64 word
+    # z512 stores payloads as uint16, so rows are padded inside a uint64 word
     ring = parse_ring(draw(st.sampled_from(["z2", "z4", "z8", "f2u2", "f2u3", "z512"])))
     fam = primitive_family(spec, ring)
     members = draw(st.lists(st.integers(0, len(fam) - 1), min_size=1, max_size=3, unique=True))
