@@ -9,7 +9,7 @@ brute-force enumeration.
 
 from .arith import GroupSpec, InvariantError, parse_group, validate_group
 from .chain_ring import F2, ChainRing, RingElem, parse_ring
-from .group_algebra import AlgebraElem, GroupAlgebra, Subgroup
+from .group_algebra import AlgebraElem, GroupAlgebra
 
 __all__ = [
     "GroupSpec",
@@ -22,5 +22,4 @@ __all__ = [
     "parse_ring",
     "AlgebraElem",
     "GroupAlgebra",
-    "Subgroup",
 ]

@@ -118,6 +118,20 @@ class GroupSpec:
     def n(self) -> int:
         return math.prod(self.factor_orders)
 
+    def check_levels(self, levels) -> tuple:
+        """levels as ints, one per factor, with 0 <= level_i <= n_i.
+
+        A block label and a subgroup prod_i <a_i^{p_i^level_i}> are both
+        named by such a tuple.
+        """
+        levels = tuple(int(l) for l in levels)
+        if len(levels) != self.r:
+            raise ValueError("one level per group factor")
+        for l, n in zip(levels, self.exponents):
+            if not 0 <= l <= n:
+                raise ValueError(f"level {l} out of range 0..{n}")
+        return levels
+
     def designator(self) -> str:
         return ",".join(f"{p}^{n}" for p, n in zip(self.primes, self.exponents))
 

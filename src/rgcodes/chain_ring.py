@@ -8,10 +8,13 @@ uniformizer.  For t = 1 both collapse to the field F2 and s = 0.
 
 Elements are stored as integer payloads in [0, 2^t): the residue itself
 for the modular family, the coefficient bit-vector (bit i = coefficient
-of u^i) for the polynomial family.  The ring handle exposes scalar ops on
-payloads plus vectorised variants on numpy arrays so that group-algebra
-code can stay in numpy throughout.  In either family the residue map to
-F2 reads off the low bit, and a payload is a unit iff that bit is set.
+of u^i) for the polynomial family.  All ring arithmetic is on payloads:
+the ChainRing handle has scalar ops, which tests use as the reference,
+and vectorised variants on numpy arrays, so group-algebra code stays in
+numpy throughout.  RingElem only tags a range-checked payload with its
+ring (``ring.elem``), for the group-algebra calls that take a ring
+scalar.  In either family the residue map to F2 reads off the low bit,
+and a payload is a unit iff that bit is set.
 """
 
 from __future__ import annotations
@@ -111,10 +114,7 @@ class ChainRing:
             out ^= term
         return out
 
-    # -- residue field and lifting -------------------------------------
-
-    def residue(self, a: int) -> int:
-        return a & 1
+    # -- integers and the uniformizer ----------------------------------
 
     def from_int(self, k: int) -> int:
         """Payload of the image of the integer k under the unique map Z -> R."""
@@ -142,11 +142,6 @@ class ChainRing:
             return np.bitwise_and(np.add(A, B, out=out), mask, out=out)
         return np.bitwise_xor(A, B, out=out)
 
-    def neg_arr(self, A):
-        if self.family == FAMILY_INT:
-            return (-A.astype(np.int64)) % self.size
-        return A
-
     def sub_arr(self, A, B):
         if self.family == FAMILY_INT:
             return (A.astype(np.int64) - B) % self.size
@@ -167,29 +162,10 @@ class ChainRing:
     def scalar_mul_arr(self, c: int, A):
         return self.mul_arr(np.asarray(c, dtype=np.uint32), A)
 
-    # -- elements and enumeration --------------------------------------
+    # -- elements and printing -----------------------------------------
 
     def elem(self, payload: int) -> RingElem:
         return RingElem(self, payload & self.mask)
-
-    @property
-    def zero(self):
-        return self.elem(0)
-
-    @property
-    def one(self):
-        return self.elem(1)
-
-    @property
-    def s(self):
-        return self.elem(self.uniformizer_payload())
-
-    def elements(self):
-        """All 2^t elements, in payload order."""
-        return [self.elem(a) for a in range(self.size)]
-
-    def units(self):
-        return [self.elem(a) for a in range(1, self.size, 2)]
 
     def str_payload(self, a: int) -> str:
         if self.family == FAMILY_INT:
@@ -205,7 +181,7 @@ class ChainRing:
 
 @dataclass(frozen=True)
 class RingElem:
-    """One element of a chain ring; immutable payload wrapper."""
+    """A payload tagged with its ring; arithmetic goes through ChainRing."""
 
     ring: ChainRing
     payload: int
@@ -213,55 +189,6 @@ class RingElem:
     def __post_init__(self):
         if not 0 <= self.payload < self.ring.size:
             raise ValueError(f"payload {self.payload} out of range for {self.ring.designator()}")
-
-    def _coerce(self, other):
-        if isinstance(other, RingElem):
-            if other.ring != self.ring:
-                raise ValueError("mixed rings")
-            return other.payload
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        p = self._coerce(other)
-        if p is NotImplemented:
-            return NotImplemented
-        return RingElem(self.ring, self.ring.add(self.payload, p))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        p = self._coerce(other)
-        if p is NotImplemented:
-            return NotImplemented
-        return RingElem(self.ring, self.ring.sub(self.payload, p))
-
-    def __neg__(self):
-        return RingElem(self.ring, self.ring.neg(self.payload))
-
-    def __mul__(self, other):
-        p = self._coerce(other)
-        if p is NotImplemented:
-            return NotImplemented
-        return RingElem(self.ring, self.ring.mul(self.payload, p))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        return RingElem(self.ring, self.ring.pow(self.payload, e))
-
-    def is_unit(self) -> bool:
-        return self.ring.is_unit(self.payload)
-
-    def is_zero(self) -> bool:
-        return self.payload == 0
-
-    def __str__(self):
-        return self.ring.str_payload(self.payload)
-
-    def __repr__(self):
-        return f"RingElem({self.ring.designator()}, {self})"
 
 
 F2 = ChainRing(FAMILY_INT, 1)

@@ -184,6 +184,8 @@ def cmd_code(args) -> int:
     except ValueError:
         raise UsageError(f"bad block label {args.block!r}") from None
     split = _split_tag(args.split)
+    if not 0 <= args.k <= ring.t:
+        raise UsageError(f"need 0 <= k <= {ring.t}")
     records = primitive_family(spec, ring)
     matches = [r for r in records if r.block == block and r.split == split]
     if len(matches) != 1:
@@ -192,8 +194,6 @@ def cmd_code(args) -> int:
             " multi-index blocks need --split"
         )
     rec = matches[0]
-    if not 0 <= args.k <= ring.t:
-        raise UsageError(f"need 0 <= k <= {ring.t}")
     comp = CodeComponent(rec.element, rec.block, rec.split, args.k)
     alg = GroupAlgebra(ring, spec)
     report = analyze_code(alg, [comp], args.budget)

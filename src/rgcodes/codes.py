@@ -6,9 +6,11 @@ Word counts follow the closed form |<s^k e>| = 2^((t-k) d) with d the
 F2-dimension of the component of e; minimum weights have closed forms
 for components whose block has at most one nonzero index, and
 lower/upper bounds otherwise, all through one per-component path
-(_weigh).  A split component's only probe is its generator s^k e: the
-products s^k (1 - g_1)...(1 - g_l) hat(H) are nonzero in the components of
-all its block's members, so are words of none (see weight_probes).
+(_weigh).  When a direct sum fits the budget it is walked once, and each
+member's words are read off the sum's rows (CodewordSet.summands).  A
+split component's only probe is its generator s^k e: the products
+s^k (1 - g_1)...(1 - g_l) hat(H) are nonzero in the components of all its
+block's members, so are words of none (see weight_probes).
 
 Enumeration is the independent check: the module is materialised by
 additive closure, walking the generators g s^k e (all group translates,
@@ -64,16 +66,24 @@ class CodeComponent:
 
 
 def check_components(alg: GroupAlgebra, components):
-    """Shared-algebra, idempotency and pairwise-orthogonality checks."""
+    """Shared-algebra, idempotency and orthogonality checks.
+
+    Orthogonality is tested against the running sum, e_i (e_1 + ... +
+    e_{i-1}) = 0, in m - 1 products.  For idempotents this is pairwise
+    orthogonality: if e_1..e_{i-1} are pairwise orthogonal, their sum S
+    is idempotent with e_j S = e_j, so e_i S = 0 gives
+    e_i e_j = e_i (S e_j) = (e_i S) e_j = 0; conversely e_i S = sum_j e_i e_j.
+    """
+    total = None
     for c in components:
-        if c.element.algebra != alg:
+        e = c.element
+        if e.algebra != alg:
             raise ValueError("component from a different algebra")
-        if not c.element.is_idempotent():
+        if not e.is_idempotent():
             raise ValueError("component element is not idempotent")
-    for i in range(len(components)):
-        for j in range(i + 1, len(components)):
-            if not (components[i].element * components[j].element).is_zero():
-                raise ValueError("component idempotents are not orthogonal")
+        if total is not None and not (e * total).is_zero():
+            raise ValueError("component idempotents are not orthogonal")
+        total = e if total is None else total + e
 
 
 def component_dimension(spec: GroupSpec, block) -> int:
@@ -133,6 +143,21 @@ class CodewordSet:
             return None
         pos = idxs[np.argmin(w[idxs])]
         return int(w[pos]), AlgebraElem(self.algebra, self.rows[pos].copy())
+
+    def summands(self, sizes):
+        """Each summand's own walk, as a view of the rows of a walked direct sum.
+
+        With summand sizes s_1, s_2, ..., row i_1 + s_1 (i_2 + s_2 (...)) is
+        the sum of word i_j of each summand's own walk: a batch adds a word
+        of the current summand to the rows so far, and as the sum is direct,
+        each lookup decides as it would in that summand's own walk.  So
+        summand j's words are rows 0, P, 2P, ... with P = s_1 ... s_{j-1}.
+        """
+        out, stride = [], 1
+        for size in sizes:
+            out.append(CodewordSet(self.algebra, self.rows[::stride][:size]))
+            stride *= size
+        return out
 
 
 def _key_constants(words: int) -> np.ndarray:
@@ -445,7 +470,12 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
             if min_weight is not None:
                 attained = min_weight == lower
     elif live:
-        parts = [_weigh(alg, c, budget) for c in live]
+        if size > budget:
+            own = [None] * len(components)
+        else:  # each component's own words are a view of the enumerated sum
+            sizes = [code_size(alg, [c]) for c in components]
+            own = [w.min_nonzero() for w in words.summands(sizes)]
+        parts = [_weigh(alg, c, budget, g) for c, g in zip(components, own) if c.k < ring.t]
         if got is not None:
             min_weight, witness = got
             weight_method = "enumeration"

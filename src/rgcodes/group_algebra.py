@@ -3,11 +3,13 @@
 The factor orders q_i = p_i^{n_i} are pairwise coprime, so G is cyclic,
 generated by a = a_1 ... a_r of order n, and RG = R[x]/(x^n - 1).  An
 element is a dense payload vector of length n whose position k holds the
-coefficient of a^k; products, shifts, subgroup sums and exponent scaling
+coefficient of a^k; products, shifts, subgroup hats and exponent scaling
 all work on this one axis.  The factor grid, where (e_1, ..., e_r) names
 a_1^{e_1} ... a_r^{e_r}, is a view kept inside this module: multi-indices
-enter through ``arith.crt_index`` and ``support``/``pairs`` list them in
-grid order through the per-group permutation ``grid_order``.
+enter through ``arith.crt_index`` and ``pairs`` lists them in grid order
+through the per-group permutation ``grid_order``.  A subgroup is named by
+its levels, one per factor (see ``hat``).  Sums and differences take two
+elements of one algebra; a ring scalar enters through ``scalar_mul``.
 
 Multiplication is cyclic convolution, exact in the ring.  A product whose
 sparser operand has at most SHIFT_ADD_MAX_TERMS nonzero terms (monomials,
@@ -22,7 +24,6 @@ Elements are immutable; every operation allocates a fresh array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,37 +35,6 @@ from .chain_ring import F2, FAMILY_POLY, ChainRing, RingElem
 # formed by shift-and-add, any other by FFT.  Crossover measured at
 # n = 15..495: 3 to 4 terms over z2, z4 and z8, 4 to 6 over f2u2 and f2u3.
 SHIFT_ADD_MAX_TERMS = 4
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """Subgroup prod_i <a_i^{d_i}> with d_i = p_i^{level_i}.
-
-    level_i = 0 keeps the whole i-th factor, level_i = n_i cuts it down
-    to the identity (the generator exponent d_i = q_i is a full turn).
-    """
-
-    group: GroupSpec
-    levels: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(int(l) for l in self.levels))
-        if len(self.levels) != self.group.r:
-            raise ValueError("one level per group factor")
-        for l, n in zip(self.levels, self.group.exponents):
-            if not 0 <= l <= n:
-                raise ValueError(f"level {l} out of range 0..{n}")
-
-    @property
-    def gen_exponents(self):
-        return tuple(p**l for p, l in zip(self.group.primes, self.levels))
-
-    @property
-    def size(self):
-        out = 1
-        for p, n, l in zip(self.group.primes, self.group.exponents, self.levels):
-            out *= p ** (n - l)
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -115,13 +85,7 @@ class GroupAlgebra:
 
     def monomial(self, multi, coeff=1) -> AlgebraElem:
         arr = np.zeros(self.n, dtype=self.ring.dtype)
-        if isinstance(coeff, RingElem):
-            if coeff.ring != self.ring:
-                raise ValueError("coefficient from the wrong ring")
-            payload = coeff.payload
-        else:
-            payload = self.ring.from_int(int(coeff))
-        arr[self._flat(multi)] = payload
+        arr[self._flat(multi)] = _payload(self.ring, coeff)
         return AlgebraElem(self, arr)
 
     def generator_power(self, i: int, e: int = 1) -> AlgebraElem:
@@ -130,16 +94,18 @@ class GroupAlgebra:
         multi[i] = e % self.shape[i]
         return self.monomial(tuple(multi))
 
-    def hat(self, subgroup) -> AlgebraElem:
-        """|H|^{-1} sum of the elements of H; requires |H| odd (it is)."""
-        if not isinstance(subgroup, Subgroup):
-            subgroup = Subgroup(self.group, tuple(subgroup))
-        if subgroup.group != self.group:
-            raise ValueError("subgroup of a different group")
-        inv = self.ring.inv(self.ring.from_int(subgroup.size))
-        # H is cyclic, generated by a^D with D = prod d_i: a^k lies in H iff D | k
+    def hat(self, levels) -> AlgebraElem:
+        """|H|^{-1} times the sum of H = prod_i <a_i^{p_i^level_i}>.
+
+        level_i = 0 keeps the whole i-th factor, level_i = n_i cuts it down
+        to the identity.  H is cyclic, generated by a^D with
+        D = prod_i p_i^level_i, so a^k lies in H iff D | k, and |H| = n/D
+        is odd, hence a unit in R.
+        """
+        levels = self.group.check_levels(levels)
+        d = math.prod(p**l for p, l in zip(self.group.primes, levels))
         arr = np.zeros(self.n, dtype=self.ring.dtype)
-        arr[:: math.prod(subgroup.gen_exponents)] = inv
+        arr[::d] = self.ring.inv(self.ring.from_int(self.n // d))
         return AlgebraElem(self, arr)
 
     def factor_hat(self, i: int, level: int) -> AlgebraElem:
@@ -148,16 +114,19 @@ class GroupAlgebra:
         levels[i] = level
         return self.hat(tuple(levels))
 
-    def from_pairs(self, pairs) -> AlgebraElem:
-        arr = np.zeros(self.n, dtype=self.ring.dtype)
-        for multi, payload in pairs:
-            arr[self._flat(multi)] = payload & self.ring.mask
-        return AlgebraElem(self, arr)
-
     def _flat(self, multi) -> int:
         if len(multi) != self.group.r:
             raise ValueError("wrong multi-index length")
         return crt_index(tuple(int(e) for e in multi), self.group)
+
+
+def _payload(ring: ChainRing, c) -> int:
+    """Payload of a ring scalar: a RingElem of this ring, or an integer's image."""
+    if isinstance(c, RingElem):
+        if c.ring != ring:
+            raise ValueError("scalar from the wrong ring")
+        return c.payload
+    return ring.from_int(int(c))
 
 
 def _shift_add_product(ring: ChainRing, a, b):
@@ -221,10 +190,6 @@ class AlgebraElem:
         alg = self.algebra
         return self.coeffs[grid_order(alg.group)].reshape(alg.shape)
 
-    def support(self):
-        """Sorted multi-indices of the nonzero coefficients."""
-        return [tuple(idx) for idx in np.argwhere(self._grid()).tolist()]
-
     def weight(self) -> int:
         return int(np.count_nonzero(self.coeffs))
 
@@ -242,9 +207,6 @@ class AlgebraElem:
         ring = self.algebra.ring
         return [[list(multi), ring.str_payload(payload)] for multi, payload in self.pairs()]
 
-    def coeff(self, multi) -> RingElem:
-        return self.algebra.ring.elem(int(self.coeffs[self.algebra._flat(multi)]))
-
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other) -> None:
@@ -252,48 +214,24 @@ class AlgebraElem:
             raise ValueError("operands from different algebras")
 
     def __add__(self, other):
-        if isinstance(other, (int, RingElem)):
-            other = self.algebra.monomial((0,) * self.algebra.group.r, other)
         self._check(other)
         ring = self.algebra.ring
         return AlgebraElem(self.algebra, ring.add_arr(self.coeffs, other.coeffs))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        ring = self.algebra.ring
-        return AlgebraElem(self.algebra, ring.neg_arr(self.coeffs).astype(ring.dtype))
-
     def __sub__(self, other):
-        if isinstance(other, (int, RingElem)):
-            other = self.algebra.monomial((0,) * self.algebra.group.r, other)
         self._check(other)
         ring = self.algebra.ring
         return AlgebraElem(self.algebra, ring.sub_arr(self.coeffs, other.coeffs).astype(ring.dtype))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scalar_mul(self, c) -> AlgebraElem:
         ring = self.algebra.ring
-        if isinstance(c, RingElem):
-            if c.ring != ring:
-                raise ValueError("scalar from the wrong ring")
-            payload = c.payload
-        else:
-            payload = ring.from_int(int(c))
-        return AlgebraElem(self.algebra, ring.scalar_mul_arr(payload, self.coeffs))
+        return AlgebraElem(self.algebra, ring.scalar_mul_arr(_payload(ring, c), self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, RingElem)):
             return self.scalar_mul(other)
         self._check(other)
         return self._convolve(other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, RingElem)):
-            return self.scalar_mul(other)
-        return NotImplemented
 
     def _convolve(self, other) -> AlgebraElem:
         alg = self.algebra

@@ -44,19 +44,9 @@ class IdempotentRecord:
         }
 
 
-def _check_block(alg: GroupAlgebra, block) -> tuple:
-    block = tuple(int(j) for j in block)
-    if len(block) != alg.group.r:
-        raise ValueError("one block index per group factor")
-    for j, n in zip(block, alg.group.exponents):
-        if not 0 <= j <= n:
-            raise ValueError(f"block index {j} out of range 0..{n}")
-    return block
-
-
 def block_idempotent(alg: GroupAlgebra, block) -> AlgebraElem:
     """Product of per-factor hat differences; the component sum for the block."""
-    block = _check_block(alg, block)
+    block = alg.group.check_levels(block)
     out = None
     for i, j in enumerate(block):
         if j == 0:
@@ -105,7 +95,7 @@ def split_block(alg: GroupAlgebra, block) -> list:
 
 def _split_from(alg: GroupAlgebra, block, whole: AlgebraElem) -> list:
     """split_block, given the block idempotent `whole`."""
-    block = _check_block(alg, block)
+    block = alg.group.check_levels(block)
     idx = _split_indices(alg, block)
     members = [whole]
     if len(idx) >= 2:
@@ -122,14 +112,14 @@ def _split_from(alg: GroupAlgebra, block, whole: AlgebraElem) -> list:
 # name, so these names stay until its list of traced functions changes.
 def split_block_2(alg: GroupAlgebra, block):
     """The two primitive summands of a block with exactly two nonzero indices."""
-    if len(_split_indices(alg, _check_block(alg, block))) != 2:
+    if len(_split_indices(alg, alg.group.check_levels(block))) != 2:
         raise ValueError("block must have exactly two nonzero indices")
     return tuple(split_block(alg, block))
 
 
 def split_block_3(alg: GroupAlgebra, block):
     """The four primitive summands of a block with exactly three nonzero indices."""
-    if len(_split_indices(alg, _check_block(alg, block))) != 3:
+    if len(_split_indices(alg, alg.group.check_levels(block))) != 3:
         raise ValueError("block must have exactly three nonzero indices")
     return tuple(split_block(alg, block))
 
@@ -141,7 +131,7 @@ def u_product_pair(alg: GroupAlgebra, block) -> AlgebraElem:
     primitive exactly when l = 2 (for l = 3 it is a sum of three of the
     split_block summands).
     """
-    block = _check_block(alg, block)
+    block = alg.group.check_levels(block)
     idx = _split_indices(alg, block)
     if len(idx) < 2:
         raise ValueError("block must have at least two nonzero indices")
@@ -203,15 +193,16 @@ def primitive_family(spec: GroupSpec, ring: ChainRing):
 
 
 def verify_family(elems, alg: GroupAlgebra) -> dict:
-    """Completeness checks for a family of elements of the given algebra."""
+    """Completeness checks for a family of elements of the given algebra.
+
+    Orthogonality is tested against the running sum, e_i (e_1 + ... +
+    e_{i-1}) = 0, in m - 1 products; codes.check_components proves that
+    this is pairwise orthogonality whenever every member is idempotent.
+    """
     idempotent = all(e.is_idempotent() for e in elems)
-    orthogonal = all(
-        (elems[i] * elems[j]).is_zero()
-        for i in range(len(elems))
-        for j in range(i + 1, len(elems))
-    )
-    total = alg.zero()
-    for e in elems:
+    total, orthogonal = alg.zero(), True
+    for i, e in enumerate(elems):
+        orthogonal = orthogonal and (i == 0 or (e * total).is_zero())
         total = total + e
     return {
         "idempotent": idempotent,

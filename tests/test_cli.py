@@ -99,6 +99,18 @@ def test_code_unknown_member_exit_1(capsys):
     assert rc == 1
 
 
+def test_code_bad_arguments_exit_before_family(capsys, monkeypatch):
+    """A bad --k or --block is a usage error before the family is built."""
+    def boom(*a, **kw):
+        raise AssertionError("primitive_family ran before the arguments were checked")
+
+    monkeypatch.setattr(cli, "primitive_family", boom)
+    for block, k in (("1,0", "9"), ("1,0", "-1"), ("1,x", "0")):
+        rc, _ = run(capsys, "code", "--ring", "z4", "--group", "3^1,5^1",
+                    "--block", block, "--k", k)
+        assert rc == 1, (block, k)
+
+
 def test_code_budget_exit_3(capsys, monkeypatch):
     def boom(*a, **kw):
         raise BudgetExceeded(1 << 40, 1 << 20)

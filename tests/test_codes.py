@@ -189,6 +189,25 @@ def test_multiples_over_z65536(k):
     assert np.array_equal(enumerate_codewords(alg, [comp]).rows, reference_rows(alg, [comp]))
 
 
+def test_in_budget_sum_walked_once(monkeypatch):
+    """A direct sum that fits the budget is enumerated once; its split member
+    is weighed from the sum's rows, not walked again."""
+    calls = []
+    walk = codes.enumerate_codewords
+
+    def counted(alg, comps, budget):
+        calls.append(len(comps))
+        return walk(alg, comps, budget)
+
+    monkeypatch.setattr(codes, "enumerate_codewords", counted)
+    alg = GroupAlgebra(Z4, C15)
+    comps = [_component(C15, Z4, (1, 1), "(1)", 1), _component(C15, Z4, (1, 0), None, 0)]
+    rep = analyze_code(alg, comps)
+    assert calls == [2]
+    assert rep.size == 256 and rep.weight_method == "enumeration"
+    assert rep.min_weight == 6 and rep.min_component_weight == 8
+
+
 def test_direct_sum():
     alg = GroupAlgebra(Z4, C15)
     c1 = _component(C15, Z4, (0, 1), None, 0)
@@ -236,6 +255,16 @@ def test_zero_generator_raises():
     for block, split in [((1, 1), "(1)"), ((1, 0), None)]:
         with pytest.raises(InvariantError, match="zero generator"):
             analyze_code(alg, [CodeComponent(alg.zero(), block, split, 0)], budget=1)
+
+
+def test_check_components_rejects_non_adjacent_overlap():
+    """Members 1 and 3 overlap, every other pair is orthogonal."""
+    alg = GroupAlgebra(Z4, C15)
+    a, b, c = (_component(C15, Z4, block, None, 0) for block in [(0, 0), (1, 0), (0, 1)])
+    overlap = CodeComponent(a.element + c.element, (0, 1), None, 0)
+    check_components(alg, [a, b, c])
+    with pytest.raises(ValueError, match="not orthogonal"):
+        check_components(alg, [a, b, overlap])
 
 
 def test_component_validation():
@@ -330,6 +359,23 @@ def small_codes(draw):
 def test_enumeration_matches_reference(case):
     alg, comps = case
     assert np.array_equal(enumerate_codewords(alg, comps).rows, reference_rows(alg, comps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_codes())
+def test_summands_are_own_walks(case):
+    """Each summand view of an enumerated sum is that member's own walk, row
+    for row, and the sum's rows are the ring sums of the members' words."""
+    alg, comps = case
+    ring, n = alg.ring, alg.n
+    words = enumerate_codewords(alg, comps)
+    views = words.summands([code_size(alg, [c]) for c in comps])
+    for comp, view in zip(comps, views):
+        assert np.array_equal(view.rows, enumerate_codewords(alg, [comp]).rows)
+    sums = views[0].rows
+    for view in views[1:]:  # row i_1 + s_1 i_2 is word i_1 plus word i_2
+        sums = ring.add_arr(view.rows[:, None, :], sums[None, :, :]).reshape(-1, n)
+    assert np.array_equal(sums, words.rows)
 
 
 def test_enumeration_survives_key_collisions(monkeypatch):

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgcodes.arith import GroupSpec, InvariantError, crt_multi
+from rgcodes.arith import GroupSpec, InvariantError, crt_index, crt_multi
 from rgcodes.chain_ring import F2, parse_ring
-from rgcodes.group_algebra import AlgebraElem, GroupAlgebra, Subgroup
+from rgcodes.group_algebra import AlgebraElem, GroupAlgebra
 
 C3 = GroupSpec((3,), (1,))
 C15 = GroupSpec((3, 5), (1, 1))
@@ -20,23 +20,35 @@ C45 = GroupSpec((3, 5), (2, 1))
 Z4 = parse_ring("z4")
 
 
+def from_pairs(alg, pairs):
+    """Element from (multi-index, payload) pairs: the inverse of pairs()."""
+    coeffs = np.zeros(alg.n, dtype=alg.ring.dtype)
+    for multi, payload in pairs:
+        coeffs[crt_index(tuple(multi), alg.group)] = payload
+    return alg.element(coeffs)
+
+
+def support(x):
+    return [multi for multi, _ in x.pairs()]
+
+
 def test_subgroup_lattice():
-    sub = Subgroup(C15, (0, 0))
-    assert sub.size == 15 and sub.gen_exponents == (1, 1)
-    assert Subgroup(C15, (1, 0)).size == 5
-    assert Subgroup(C15, (1, 1)).size == 1
-    nine = GroupSpec((3,), (2,))
-    assert Subgroup(nine, (1,)).size == 3
+    """hat(levels) spreads |H|^-1 over H = prod_i <a_i^{p_i^level_i}>."""
+    alg = GroupAlgebra(Z4, C15)
+    assert alg.hat((0, 0)).weight() == 15
+    assert alg.hat((1, 0)).weight() == 5
+    assert alg.hat((1, 1)) == alg.one()
+    assert GroupAlgebra(Z4, GroupSpec((3,), (2,))).hat((1,)).weight() == 3
     with pytest.raises(ValueError):
-        Subgroup(C15, (2, 0))
+        alg.hat((2, 0))
     with pytest.raises(ValueError):
-        Subgroup(C15, (0,))
+        alg.hat((0,))
 
 
 def test_monomials_and_identity():
     alg = GroupAlgebra(Z4, C15)
     g = alg.generator_power(0)
-    assert g.weight() == 1 and g.coeff((1, 0)).payload == 1
+    assert g.pairs() == [((1, 0), 1)]
     assert alg.one() == alg.monomial((0, 0))
     assert (g * alg.one()) == g
     assert alg.zero().is_zero()
@@ -49,14 +61,14 @@ def test_square_of_one_plus_g():
     alg = GroupAlgebra(Z4, C3)
     x = alg.one() + alg.generator_power(0)
     sq = x * x
-    assert sq == alg.from_pairs([((0,), 1), ((1,), 2), ((2,), 1)])
+    assert sq == from_pairs(alg, [((0,), 1), ((1,), 2), ((2,), 1)])
 
 
 def test_hat_whole_group_anchor():
     # 3^{-1} = 3 in Z4, so hat(C3) = 3 + 3a + 3a^2
     alg = GroupAlgebra(Z4, C3)
     h = alg.hat((0,))
-    assert h == alg.from_pairs([((0,), 3), ((1,), 3), ((2,), 3)])
+    assert h == from_pairs(alg, [((0,), 3), ((1,), 3), ((2,), 3)])
     assert h.is_idempotent()
 
 
@@ -66,14 +78,14 @@ def test_hat_idempotent_everywhere():
         for levels in [(0, 0), (1, 0), (0, 1), (1, 1)]:
             h = alg.hat(levels)
             assert h.is_idempotent()
-            assert h.weight() == Subgroup(C15, levels).size
+            assert h.weight() == 15 // math.prod(p**l for p, l in zip(C15.primes, levels))
 
 
 def test_factor_hat():
     alg = GroupAlgebra(Z4, C15)
     # <a_1> embedded with the identity of the second factor
     h = alg.factor_hat(0, 0)
-    assert h.support() == [(0, 0), (1, 0), (2, 0)]
+    assert support(h) == [(0, 0), (1, 0), (2, 0)]
     assert h.is_idempotent()
     assert alg.factor_hat(0, 1) == alg.monomial((0, 0), 1)
 
@@ -98,7 +110,7 @@ def test_exponent_view_roundtrip():
     alg = GroupAlgebra(Z4, C15)
     rng = random.Random(11)
     x = alg.element([rng.randrange(4) for _ in range(15)])
-    assert alg.from_pairs(x.pairs()) == x
+    assert from_pairs(alg, x.pairs()) == x
     # a^k lands at position k of the view
     v = alg.monomial(crt_multi(7, C15)).coeffs
     assert v[7] == 1 and v.sum() == 1
@@ -126,16 +138,16 @@ def test_layout_boundary(data):
 
     assert alg.monomial(x) * alg.monomial(y) == alg.monomial(
         tuple((a + b) % q for a, b, q in zip(x, y, qs)))
-    assert alg.monomial(x).support() == [x]
+    assert support(alg.monomial(x)) == [x]
 
-    support = data.draw(st.lists(multi, min_size=1, max_size=8, unique=True), label="support")
-    pairs = [(e, data.draw(st.integers(1, alg.ring.mask), label="payload")) for e in support]
-    assert alg.from_pairs(pairs).pairs() == sorted(pairs)
+    where = data.draw(st.lists(multi, min_size=1, max_size=8, unique=True), label="support")
+    pairs = [(e, data.draw(st.integers(1, alg.ring.mask), label="payload")) for e in where]
+    assert from_pairs(alg, pairs).pairs() == sorted(pairs)
 
     levels = data.draw(st.tuples(*(st.integers(0, e) for e in spec.exponents)), label="levels")
     want = [e for e in product(*map(range, qs))
             if all(ei % p**l == 0 for ei, p, l in zip(e, spec.primes, levels))]
-    assert alg.hat(levels).support() == want
+    assert support(alg.hat(levels)) == want
 
     m = data.draw(st.integers(1, 2 * spec.n).filter(lambda v: math.gcd(v, spec.n) == 1), label="m")
     assert alg.monomial(x).scale_exponents(m) == alg.monomial(
@@ -233,12 +245,12 @@ def test_pow_matches_repeated_mul(monkeypatch):
 def test_translate_and_scale():
     alg = GroupAlgebra(Z4, C15)
     # scaling exponents by a unit permutes coefficients
-    y = alg.from_pairs([((1, 2), 3), ((0, 1), 1)])
+    y = from_pairs(alg, [((1, 2), 3), ((0, 1), 1)])
     z = y.scale_exponents(2)
-    assert z.coeff((2, 4)).payload == 3 and z.coeff((0, 2)).payload == 1
+    assert z.pairs() == [((0, 2), 1), ((2, 4), 3)]
     assert y.scale_exponents(1) == y
     # m = 2 is an automorphism: multiplicative on products
-    a, b = alg.hat((0, 1)), alg.from_pairs([((1, 0), 2), ((2, 3), 1)])
+    a, b = alg.hat((0, 1)), from_pairs(alg, [((1, 0), 2), ((2, 3), 1)])
     assert (a * b).scale_exponents(2) == a.scale_exponents(2) * b.scale_exponents(2)
 
 
@@ -249,9 +261,9 @@ def test_scale_exponents_against_loop():
         alg = GroupAlgebra(Z4, spec)
         x = alg.element([rng.randrange(4) for _ in range(alg.n)])
         for m in (1, 2, 4, -1, alg.n + 2):
-            want = alg.from_pairs(
+            want = from_pairs(alg, [
                 (tuple(m * e % q for e, q in zip(multi, spec.factor_orders)), c)
-                for multi, c in x.pairs())
+                for multi, c in x.pairs()])
             assert x.scale_exponents(m) == want
 
 
@@ -268,24 +280,23 @@ def test_reduce_and_lift_roundtrip():
 
 def test_scalar_multiplication():
     alg = GroupAlgebra(Z4, C3)
-    x = alg.from_pairs([((0,), 1), ((1,), 3)])
-    assert x.scalar_mul(2) == alg.from_pairs([((0,), 2), ((1,), 2)])
+    x = from_pairs(alg, [((0,), 1), ((1,), 3)])
+    assert x.scalar_mul(2) == from_pairs(alg, [((0,), 2), ((1,), 2)])
     assert x * 2 == x.scalar_mul(2)
     assert x.scalar_mul(0).is_zero()
 
 
 def test_support_weight_pairs():
     alg = GroupAlgebra(Z4, C15)
-    x = alg.from_pairs([((2, 3), 2), ((0, 0), 1)])
+    x = from_pairs(alg, [((2, 3), 2), ((0, 0), 1)])
     assert x.weight() == 2
-    assert x.support() == [(0, 0), (2, 3)]
+    assert support(x) == [(0, 0), (2, 3)]
     assert x.pairs() == [((0, 0), 1), ((2, 3), 2)]
-    assert x.coeff((1, 1)).is_zero()
 
 
 def test_str_readable():
     alg = GroupAlgebra(Z4, C3)
-    x = alg.from_pairs([((0,), 2), ((1,), 1)])
+    x = from_pairs(alg, [((0,), 2), ((1,), 1)])
     assert str(x) == "2 + a1"
     assert str(alg.zero()) == "0"
 

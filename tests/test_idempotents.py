@@ -38,8 +38,8 @@ def test_c3_family_over_z4():
     alg = GroupAlgebra(Z4, C3)
     fam = primitive_family(C3, Z4)
     elems = [r.element for r in fam]
-    assert elems[0] == alg.from_pairs([((0,), 3), ((1,), 3), ((2,), 3)])
-    assert elems[1] == alg.from_pairs([((0,), 2), ((1,), 1), ((2,), 1)])
+    assert elems[0] == alg.element([3, 3, 3])
+    assert elems[1] == alg.element([2, 1, 1])
     assert [r.block for r in fam] == [(0,), (1,)]
     assert all(r.split is None for r in fam)
 
@@ -49,7 +49,7 @@ def test_u_element_supports():
     for p, want in [(3, {0, 1}), (5, {1, 4}), (11, {0, 1, 3, 4, 5, 9})]:
         alg = GroupAlgebra(F2, GroupSpec((p,), (1,)))
         u = u_element(alg, 0, 1)
-        assert {m[0] for m in u.support()} == want
+        assert {m[0] for m, _ in u.pairs()} == want
 
 
 def test_block_idempotents_partition_unity():
@@ -126,6 +126,15 @@ def test_primitive_family_verifies():
         alg = GroupAlgebra(ring, C15)
         checks = verify_family([r.element for r in fam], alg)
         assert all(checks.values()), checks
+
+
+def test_verify_family_flags_non_adjacent_overlap():
+    """Members 1 and 3 overlap, every other pair is orthogonal: the running
+    sum catches what a check of adjacent pairs alone would miss."""
+    alg = GroupAlgebra(Z4, C15)
+    e = [r.element for r in primitive_family(C15, Z4)]
+    checks = verify_family([e[0], e[1], e[0] + e[2]], alg)
+    assert checks["idempotent"] and not checks["orthogonal"]
 
 
 def test_family_sizes():
