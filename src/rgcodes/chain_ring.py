@@ -11,15 +11,19 @@ for the modular family, the coefficient bit-vector (bit i = coefficient
 of u^i) for the polynomial family.  All ring arithmetic is on payloads:
 the ChainRing handle has scalar ops, which tests use as the reference,
 and vectorised variants on numpy arrays, so group-algebra code stays in
-numpy throughout.  RingElem only tags a range-checked payload with its
-ring (``ring.elem``), for the group-algebra calls that take a ring
-scalar.  In either family the residue map to F2 reads off the low bit,
-and a payload is a unit iff that bit is set.
+numpy throughout.  Payload arrays also have a bit-plane form (to_planes,
+from_planes), in which addition is XOR for F2[u]/(u^t) and a ripple-carry
+adder for Z/2^t (add_planes); codeword enumeration stores words that way.
+RingElem only tags a range-checked payload with its ring (``ring.elem``),
+for the group-algebra calls that take a ring scalar.  In either family
+the residue map to F2 reads off the low bit, and a payload is a unit iff
+that bit is set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,8 +148,41 @@ class ChainRing:
 
     def sub_arr(self, A, B):
         if self.family == FAMILY_INT:
-            return (A.astype(np.int64) - B) % self.size
+            # exact: 2^t divides the modulus of the payload dtype
+            return (A - B) & np.asarray(self.mask, dtype=self.dtype)
         return A ^ B
+
+    # -- bit-planes ----------------------------------------------------
+    # A payload array of shape (..., n) as planes of shape (..., t, ceil(n/8))
+    # uint8: plane i packs bit i of every coefficient, eight to a byte.
+
+    @cached_property
+    def _plane_bits(self):
+        """The payload of bit i, at index i, in the payload dtype."""
+        bits = 1 << np.arange(self.t, dtype=self.dtype)
+        bits.setflags(write=False)
+        return bits
+
+    def to_planes(self, A):
+        # packbits packs every nonzero entry as a set bit
+        return np.packbits(A[..., None, :] & self._plane_bits[:, None], axis=-1)
+
+    def from_planes(self, P, n: int):
+        bits = np.unpackbits(P, axis=-1, count=n)
+        return np.einsum("...ij,i->...j", bits, self._plane_bits)
+
+    def add_planes(self, A, B, out=None):
+        """add_arr on bit-planes; out must not overlap A or B."""
+        out = np.bitwise_xor(A, B, out=out)
+        if self.family == FAMILY_INT:
+            # ripple carry: the carry out of plane i is the majority of its
+            # two bits and the carry into it, and the last one is dropped
+            carry = None
+            for i in range(self.t - 1):
+                a, b = A[..., i, :], B[..., i, :]
+                carry = a & b if carry is None else a & b | carry & (a | b)
+                out[..., i + 1, :] ^= carry
+        return out
 
     def mul_arr(self, A, B):
         A32 = np.asarray(A, dtype=np.uint32)

@@ -16,12 +16,15 @@ Enumeration is the independent check: the module is materialised by
 additive closure, walking the generators g s^k e (all group translates,
 all ring multiples) and growing the word set coset by coset.  One pass
 suffices because the module is the sum of the cyclic submodules
-generated by the walked elements.  Words are found through sorted 64-bit
-row keys, and every key hit is confirmed by comparing rows.  Nothing in
-the enumeration consults the count or weight formulas beyond an up-front
-budget gate and the size of its row buffer (a closure that outgrows it
-or falls short of it raises), so agreement between the two is evidence,
-not construction.
+generated by the walked elements.  Each word is stored as t bit-planes
+(plane i packs bit i of every coefficient), so a row of z4 at n = 165 is
+48 bytes, adding a coset representative is plane arithmetic
+(ChainRing.add_planes) and a weight is the popcount of the OR of the
+planes.  Words are found through sorted 64-bit row keys, and every key hit
+is confirmed by comparing rows.  Nothing in the enumeration consults the
+count or weight formulas beyond an up-front budget gate and the size of
+its row buffer (a closure that outgrows it or falls short of it raises),
+so agreement between the two is evidence, not construction.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .chain_ring import ChainRing
 from .group_algebra import AlgebraElem, GroupAlgebra, grid_order
 
 DEFAULT_BUDGET = 1 << 20
+_SLICE = 1 << 14  # words per slice when weighing or decoding a CodewordSet
 
 
 class BudgetExceeded(Exception):
@@ -119,21 +123,39 @@ def code_size(alg: GroupAlgebra, components) -> int:
 
 
 class CodewordSet:
-    """Materialised code: one payload row per word, zero word first."""
+    """Materialised code: one row of bit-planes per word, zero word first.
 
-    def __init__(self, alg: GroupAlgebra, rows: np.ndarray):
+    planes has shape (words, t, ceil(n/8)) (ChainRing.to_planes); a word's
+    weight is the popcount of the OR of its planes.  rows decodes every word
+    into a (words, n) payload array.
+    """
+
+    def __init__(self, alg: GroupAlgebra, planes: np.ndarray):
         self.algebra = alg
-        rows.setflags(write=False)
-        self.rows = rows
+        planes.setflags(write=False)
+        self.planes = planes
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.planes)
+
+    @property
+    def rows(self) -> np.ndarray:
+        ring, n = self.algebra.ring, self.algebra.n
+        out = np.empty((len(self), n), dtype=ring.dtype)
+        for i in range(0, len(self), _SLICE):  # bounds the unpacked bits
+            out[i : i + _SLICE] = ring.from_planes(self.planes[i : i + _SLICE], n)
+        return out
 
     def weights(self) -> np.ndarray:
-        # in slices, so the nonzero mask never spans the whole row store
-        step = 1 << 14
-        return np.concatenate([np.count_nonzero(self.rows[i : i + step], axis=1)
-                               for i in range(0, len(self.rows), step)])
+        # in slices, so the OR of the planes never spans the whole row store
+        out = []
+        for i in range(0, len(self), _SLICE):
+            planes = self.planes[i : i + _SLICE]
+            support = planes[:, 0]
+            for j in range(1, planes.shape[1]):
+                support = support | planes[:, j]
+            out.append(np.add.reduce(np.bitwise_count(support), axis=1, dtype=np.intp))
+        return np.concatenate(out)
 
     def min_nonzero(self):
         """(weight, word) over the nonzero words; None for the zero code."""
@@ -142,7 +164,8 @@ class CodewordSet:
         if idxs.size == 0:
             return None
         pos = idxs[np.argmin(w[idxs])]
-        return int(w[pos]), AlgebraElem(self.algebra, self.rows[pos].copy())
+        word = self.algebra.ring.from_planes(self.planes[pos], self.algebra.n)
+        return int(w[pos]), AlgebraElem(self.algebra, word)
 
     def summands(self, sizes):
         """Each summand's own walk, as a view of the rows of a walked direct sum.
@@ -155,7 +178,7 @@ class CodewordSet:
         """
         out, stride = [], 1
         for size in sizes:
-            out.append(CodewordSet(self.algebra, self.rows[::stride][:size]))
+            out.append(CodewordSet(self.algebra, self.planes[::stride][:size]))
             stride *= size
         return out
 
@@ -171,14 +194,18 @@ def _key_constants(words: int) -> np.ndarray:
 class _RowIndex:
     """Rows in one preallocated buffer, found through a sorted array of 64-bit keys.
 
-    A row's key is the sum of its words (zero-padded to whole uint64s) times
-    fixed odd constants, mod 2^64.  Every key hit is confirmed against the
-    stored row, so a collision costs time and never changes an answer.
+    A row is a word's t bit-planes of ceil(n/8) bytes each, back to back and
+    zero-padded to whole uint64s (planes is the (rows, t, ceil(n/8)) view).
+    A row's key is the sum of its uint64 words times fixed odd constants,
+    mod 2^64.  Every key hit is confirmed against the stored row, so a
+    collision costs time and never changes an answer.
     """
 
-    def __init__(self, capacity: int, n: int, dtype):
-        pad = -n % (8 // np.dtype(dtype).itemsize)
-        self.buf = np.zeros((capacity, n + pad), dtype=dtype)  # row 0: the zero word
+    def __init__(self, capacity: int, ring: ChainRing, n: int):
+        self.ring = ring
+        width = ring.t * -(-n // 8)
+        self.buf = np.zeros((capacity, -(-width // 8) * 8), dtype=np.uint8)  # row 0: the zero word
+        self.planes = self.buf[:, :width].reshape(capacity, ring.t, -1)
         self.words = self.buf.view(np.uint64)
         self.consts = _key_constants(self.words.shape[1])
         self.keys = np.zeros(1, dtype=np.uint64)  # sorted; keys[0] = 0 is the zero row's
@@ -186,9 +213,10 @@ class _RowIndex:
         self.size = 1
 
     def contains(self, rows) -> np.ndarray:
-        """Membership of each of the given (unpadded) rows."""
-        q = np.zeros((len(rows), self.buf.shape[1]), dtype=self.buf.dtype)
-        q[:, : rows.shape[1]] = rows
+        """Membership of each of the given payload rows."""
+        width = self.planes[0].size
+        q = np.zeros((len(rows), self.buf.shape[1]), dtype=np.uint8)
+        q[:, :width] = self.ring.to_planes(rows).reshape(len(rows), width)
         q = q.view(np.uint64)
         qk = q @ self.consts
         last = self.keys.searchsorted(qk, side="right") - 1  # the last key <= qk
@@ -203,9 +231,11 @@ class _RowIndex:
         """Merge the keys of rows size..stop-1 into the sorted index."""
         new = self.words[self.size : stop] @ self.consts
         order = np.argsort(new)
-        at = self.keys.searchsorted(new[order])
-        self.keys = np.insert(self.keys, at, new[order])
-        self.index = np.insert(self.index, at, order + self.size)
+        keys = np.concatenate([self.keys, new[order]])
+        # two sorted runs, which a stable sort (timsort) merges in linear time
+        merge = np.argsort(keys, kind="stable")
+        self.keys = keys[merge]
+        self.index = np.concatenate([self.index, order + self.size])[merge]
         self.size = stop
 
 
@@ -229,7 +259,7 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
         raise BudgetExceeded(predicted, budget)
 
     ring, n = alg.ring, alg.n
-    store = _RowIndex(predicted, n, ring.dtype)
+    store = _RowIndex(predicted, ring, n)
     for comp in components:
         base = comp.element.scalar_mul(ring.elem(ring.s_pow_payload(comp.k)))
         if base.is_zero():
@@ -240,7 +270,7 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
         # every multiple's translate by a^k is a slice of this doubled copy
         doubled = np.concatenate([mults, mults], axis=1)
         windows = np.lib.stride_tricks.sliding_window_view(doubled[0], n)
-        chunk = max(1, (1 << 16) // store.buf[0].nbytes)  # translates per lookup
+        chunk = max(1, (1 << 16) // mults[0].nbytes)  # translates per lookup
 
         # translates by a^k in multi-index order of the group element: the
         # order fixes the row order, and so the reported witness.  The first
@@ -265,14 +295,14 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
                 raise BudgetExceeded(total, budget)
             if total > predicted:
                 raise InvariantError("closure outgrows the size formula")
-            for i, rep in enumerate(reps, 1):
-                batch = store.buf[i * size : (i + 1) * size, :n]
-                ring.add_arr(store.buf[:size, :n], rep, out=batch)
+            for i, rep in enumerate(ring.to_planes(np.array(reps)), 1):
+                batch = store.planes[i * size : (i + 1) * size]
+                ring.add_planes(store.planes[:size], rep, out=batch)
             store.index_rows(total)
 
     if store.size != predicted:
         raise InvariantError("closure disagrees with the size formula")
-    return CodewordSet(alg, store.buf[:, :n])
+    return CodewordSet(alg, store.planes)
 
 
 # -- closed forms and bounds ------------------------------------------

@@ -221,7 +221,7 @@ class AlgebraElem:
     def __sub__(self, other):
         self._check(other)
         ring = self.algebra.ring
-        return AlgebraElem(self.algebra, ring.sub_arr(self.coeffs, other.coeffs).astype(ring.dtype))
+        return AlgebraElem(self.algebra, ring.sub_arr(self.coeffs, other.coeffs))
 
     def scalar_mul(self, c) -> AlgebraElem:
         ring = self.algebra.ring

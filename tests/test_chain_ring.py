@@ -2,6 +2,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rgcodes.arith import InvariantError
 from rgcodes.chain_ring import F2, FAMILY_INT, FAMILY_POLY, ChainRing, RingElem, parse_ring
@@ -132,8 +135,7 @@ def test_ideal_chain():
 
 def test_array_ops_match_scalar():
     rng = random.Random(7)
-    for name in ("z4", "z8", "f2u2", "f2u3"):
-        ring = parse_ring(name)
+    for ring in (ChainRing(family, t) for family in (FAMILY_INT, FAMILY_POLY) for t in range(1, 17)):
         a = np.array([rng.randrange(ring.size) for _ in range(64)], dtype=ring.dtype)
         b = np.array([rng.randrange(ring.size) for _ in range(64)], dtype=ring.dtype)
         want_add = [ring.add(int(x), int(y)) for x, y in zip(a, b)]
@@ -142,8 +144,39 @@ def test_array_ops_match_scalar():
         assert ring.add_arr(a, b).tolist() == want_add
         assert ring.mul_arr(a, b).tolist() == want_mul
         assert ring.sub_arr(a, b).tolist() == want_sub
+        # the array ops stay in the payload dtype
+        for got in (ring.add_arr(a, b), ring.mul_arr(a, b), ring.sub_arr(a, b)):
+            assert got.dtype == ring.dtype
         c = rng.randrange(ring.size)
         assert ring.scalar_mul_arr(c, a).tolist() == [ring.mul(c, int(x)) for x in a]
+
+
+@st.composite
+def payload_pairs(draw):
+    """A ring of either family with t in 1..16 and two (3, n) payload arrays."""
+    ring = ChainRing(draw(st.sampled_from([FAMILY_INT, FAMILY_POLY])), draw(st.integers(1, 16)))
+    n = draw(st.sampled_from([1, 7, 8, 9, 15, 63, 65, 165]))
+    rows = hnp.arrays(ring.dtype, (3, n), elements=st.integers(0, ring.mask))
+    A, B = draw(rows), draw(rows)
+    # one row whose sum carries through every bit: (2^t - 1) + 1
+    A[0], B[0] = ring.mask, 1
+    return ring, A, B
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload_pairs())
+def test_bit_planes_round_trip_and_add(case):
+    ring, A, B = case
+    n = A.shape[1]
+    P = ring.to_planes(A)
+    assert P.shape == (3, ring.t, -(-n // 8)) and P.dtype == np.uint8
+    assert np.array_equal(ring.from_planes(P, n), A) and ring.from_planes(P, n).dtype == ring.dtype
+    got = ring.add_planes(P, ring.to_planes(B))
+    assert np.array_equal(ring.from_planes(got, n), ring.add_arr(A, B))
+    # one word's planes broadcast over the rows, written into a given buffer
+    out = np.empty_like(P)
+    ring.add_planes(P, ring.to_planes(B[1]), out=out)
+    assert np.array_equal(ring.from_planes(out, n), ring.add_arr(A, B[1]))
 
 
 def test_str_payload():

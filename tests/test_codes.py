@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rgcodes import codes
 from rgcodes.arith import GroupSpec, InvariantError
-from rgcodes.chain_ring import parse_ring
+from rgcodes.chain_ring import FAMILY_INT, ChainRing, parse_ring
 from rgcodes.codes import (
     BudgetExceeded,
     CodeComponent,
@@ -389,6 +389,30 @@ def test_enumeration_survives_key_collisions(monkeypatch):
         alg = GroupAlgebra(ring, spec)
         comps = [_component(spec, ring, *pick) for pick in picks]
         assert np.array_equal(enumerate_codewords(alg, comps).rows, reference_rows(alg, comps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_codes())
+def test_weights_count_nonzero_coefficients(case):
+    """The popcount of the OR of a word's bit-planes is its Hamming weight,
+    over the whole set and over the strided summand views."""
+    alg, comps = case
+    words = enumerate_codewords(alg, comps)
+    for view in [words, *words.summands([code_size(alg, [c]) for c in comps])]:
+        assert np.array_equal(view.weights(), np.count_nonzero(view.rows, axis=1))
+
+
+def test_row_width():
+    """A row of t bit-planes is no wider than a payload row padded to whole
+    uint64s for t <= 8, and at most one uint64 wider for t <= 16."""
+    for t in range(1, 17):
+        ring = ChainRing(FAMILY_INT, t)
+        itemsize = np.dtype(ring.dtype).itemsize
+        for n in range(1, 496):
+            packed = codes._RowIndex(1, ring, n).buf[0].nbytes
+            payload = -(-n * itemsize // 8) * 8
+            assert packed <= payload + (0 if t <= 8 else 8)
+    assert codes._RowIndex(1, Z4, 165).buf[0].nbytes == 48  # against 168 as payload bytes
 
 
 @pytest.mark.parametrize("factor", [0.5, 2])
