@@ -17,7 +17,8 @@ adder for Z/2^t (add_planes); codeword enumeration stores words that way.
 RingElem only tags a range-checked payload with its ring (``ring.elem``),
 for the group-algebra calls that take a ring scalar.  In either family
 the residue map to F2 reads off the low bit, and a payload is a unit iff
-that bit is set.
+that bit is set; so a payload with v trailing zero bits is s^v times
+the unit payload >> v, and s^v divides a payload iff its low v bits are 0.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 Commands: validate, idempotents, code, table, selftest.  Output is JSON
 by default (deterministic: fixed key order, no timestamps), with csv and
-text renderings for quick reading.  Exit codes: 0 success, 1 usage or
-parse error, 2 validation failure, 3 enumeration budget exceeded,
-4 a mathematical invariant failed (a bug, not a bad input).
+text renderings for quick reading.  Exit codes: 0 success, 1 usage,
+parse or output-file error, 2 validation failure, 3 enumeration budget
+exceeded, 4 a mathematical invariant failed (a bug, not a bad input).
 """
 
 from __future__ import annotations
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
             "selftest": cmd_selftest,
         }[args.command]
         return handler(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValidationError as exc:

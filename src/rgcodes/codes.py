@@ -18,12 +18,12 @@ all ring multiples) and growing the word set coset by coset.  One pass
 suffices because the module is the sum of the cyclic submodules
 generated by the walked elements.  Each word is stored as t bit-planes
 (plane i packs bit i of every coefficient), so a row of z4 at n = 165 is
-48 bytes, adding a coset representative is plane arithmetic
+42 bytes, adding a coset representative is plane arithmetic
 (ChainRing.add_planes) and a weight is the popcount of the OR of the
-planes.  Words are found through sorted 64-bit row keys, and every key hit
-is confirmed by comparing rows.  Nothing in the enumeration consults the
+planes.  Membership is exact: the words so far are also kept as an
+R-span in Howell form (_Span).  Nothing in the enumeration consults the
 count or weight formulas beyond an up-front budget gate and the size of
-its row buffer (a closure that outgrows it or falls short of it raises),
+its row array (a closure that outgrows it or falls short of it raises),
 so agreement between the two is evidence, not construction.
 """
 
@@ -125,8 +125,9 @@ def code_size(alg: GroupAlgebra, components) -> int:
 class CodewordSet:
     """Materialised code: one row of bit-planes per word, zero word first.
 
-    planes has shape (words, t, ceil(n/8)) (ChainRing.to_planes); a word's
-    weight is the popcount of the OR of its planes.  rows decodes every word
+    planes has shape (words, t, ceil(n/8)) (ChainRing.to_planes), so a word
+    takes t * ceil(n/8) bytes with no padding; a word's weight is the
+    popcount of the OR of its planes.  rows decodes every word
     into a (words, n) payload array.
     """
 
@@ -183,60 +184,53 @@ class CodewordSet:
         return out
 
 
-def _key_constants(words: int) -> np.ndarray:
-    """One odd 64-bit multiplier per uint64 word of a row (splitmix64 outputs)."""
-    x = np.arange(1, words + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ x >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ x >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
-    return x ^ x >> np.uint64(31) | np.uint64(1)
+class _Span:
+    """The R-span of the vectors added so far, in Howell form.
 
-
-class _RowIndex:
-    """Rows in one preallocated buffer, found through a sorted array of 64-bit keys.
-
-    A row is a word's t bit-planes of ceil(n/8) bytes each, back to back and
-    zero-padded to whole uint64s (planes is the (rows, t, ceil(n/8)) view).
-    A row's key is the sum of its uint64 words times fixed odd constants,
-    mod 2^64.  Every key hit is confirmed against the stored row, so a
-    collision costs time and never changes an answer.
+    Each row is 0 before its pivot column p and s^v at p, one row per pivot
+    column, and s^(t-v) times a row is in the span of the rows with later
+    pivots (the Howell property).  So a span element that is 0 before
+    column j is a combination of the rows with pivots j or later, and
+    subtracting (x_p >> v) * row in pivot order (s^v divides x_p iff its
+    low v bits are 0; see chain_ring) leaves a zero residue exactly for the
+    span's elements.
     """
 
-    def __init__(self, capacity: int, ring: ChainRing, n: int):
+    def __init__(self, ring: ChainRing):
         self.ring = ring
-        width = ring.t * -(-n // 8)
-        self.buf = np.zeros((capacity, -(-width // 8) * 8), dtype=np.uint8)  # row 0: the zero word
-        self.planes = self.buf[:, :width].reshape(capacity, ring.t, -1)
-        self.words = self.buf.view(np.uint64)
-        self.consts = _key_constants(self.words.shape[1])
-        self.keys = np.zeros(1, dtype=np.uint64)  # sorted; keys[0] = 0 is the zero row's
-        self.index = np.zeros(1, dtype=np.intp)   # row of each key
-        self.size = 1
+        self.rows = {}  # pivot column -> (v, row)
 
-    def contains(self, rows) -> np.ndarray:
-        """Membership of each of the given payload rows."""
-        width = self.planes[0].size
-        q = np.zeros((len(rows), self.buf.shape[1]), dtype=np.uint8)
-        q[:, :width] = self.ring.to_planes(rows).reshape(len(rows), width)
-        q = q.view(np.uint64)
-        qk = q @ self.consts
-        last = self.keys.searchsorted(qk, side="right") - 1  # the last key <= qk
-        hit = (self.words[self.index[last]] == q).all(axis=1)
-        # a key shared by other rows: compare the query with each of them
-        for i in np.flatnonzero(~hit & (self.keys[last] == qk)).tolist():
-            first = self.keys.searchsorted(qk[i])
-            hit[i] = (self.words[self.index[first : last[i]]] == q[i]).all(axis=1).any()
-        return hit
+    def reduce(self, X):
+        """Residues of X (..., n): each is its row of X minus a span element,
+        and is 0 iff that row is in the span."""
+        ring = self.ring
+        for p in sorted(self.rows):
+            v, row = self.rows[p]
+            X = ring.sub_arr(X, ring.mul_arr(X[..., p, None] >> v, row))
+        return X
 
-    def index_rows(self, stop: int):
-        """Merge the keys of rows size..stop-1 into the sorted index."""
-        new = self.words[self.size : stop] @ self.consts
-        order = np.argsort(new)
-        keys = np.concatenate([self.keys, new[order]])
-        # two sorted runs, which a stable sort (timsort) merges in linear time
-        merge = np.argsort(keys, kind="stable")
-        self.keys = keys[merge]
-        self.index = np.concatenate([self.index, order + self.size])[merge]
-        self.size = stop
+    def add(self, x):
+        """Grow the span by R x, keeping the Howell property."""
+        ring, t = self.ring, self.ring.t
+        todo = [x]
+        while todo:
+            x = todo.pop()
+            while x.any():
+                p = int(np.flatnonzero(x)[0])
+                a = int(x[p])
+                w = (a & -a).bit_length() - 1  # a = s^w times a unit
+                v, row = self.rows.get(p, (t, None))
+                if w >= v:
+                    x = ring.sub_arr(x, ring.scalar_mul_arr(a >> v, row))
+                    continue
+                if a >> w != 1:  # make the pivot s^w
+                    x = ring.scalar_mul_arr(ring.inv(a >> w), x)
+                self.rows[p] = (w, x)
+                if row is not None:  # s^v at p is now a multiple of s^w
+                    todo.append(row)
+                if (x & ((1 << w) - 1)).any():  # else s^(t-w) x = 0
+                    todo.append(ring.scalar_mul_arr(ring.s_pow_payload(t - w), x))
+                break
 
 
 def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) -> CodewordSet:
@@ -249,60 +243,62 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
     deduplication is needed beyond the membership test, and a single pass
     over the generators reaches the full sum of cyclic submodules.
 
-    Rows go, in that order, into one buffer of the predicted size and are
-    looked up by key (_RowIndex).  The walk always visits every generator:
-    a closure that outgrows the buffer or falls short of it raises.
+    Rows go, in that order, into one array of the predicted size; W is also
+    kept as an R-span (_Span), which answers membership exactly.  The walk
+    always visits every generator: a closure that outgrows the array or
+    falls short of it raises.
     """
     check_components(alg, components)
     predicted = code_size(alg, components)
     if predicted > budget:
         raise BudgetExceeded(predicted, budget)
 
-    ring, n = alg.ring, alg.n
-    store = _RowIndex(predicted, ring, n)
+    ring, n, t = alg.ring, alg.n, alg.ring.t
+    planes = np.zeros((predicted, t, -(-n // 8)), dtype=np.uint8)  # row 0: the zero word
+    size, span = 1, _Span(ring)
     for comp in components:
         base = comp.element.scalar_mul(ring.elem(ring.s_pow_payload(comp.k)))
         if base.is_zero():
             continue
         # the distinct nonzero multiples c * base in payload order of c: c * s^k e
         # depends only on c mod s^(t-k), as e has a unit coefficient
-        mults = ring.mul_arr(np.arange(1, 1 << (ring.t - comp.k))[:, None], base.coeffs)
+        mults = ring.mul_arr(np.arange(1, 1 << (t - comp.k))[:, None], base.coeffs)
         # every multiple's translate by a^k is a slice of this doubled copy
         doubled = np.concatenate([mults, mults], axis=1)
-        windows = np.lib.stride_tricks.sliding_window_view(doubled[0], n)
-        chunk = max(1, (1 << 16) // mults[0].nbytes)  # translates per lookup
+        # the powers s^j base (j < t - k) are the multiples c = 2^j
+        powers = np.lib.stride_tricks.sliding_window_view(
+            doubled[(1 << np.arange(t - comp.k)) - 1], n, axis=1)
+        chunk = max(1, (1 << 16) // (len(powers) * mults[0].nbytes))  # translates per lookup
 
-        # translates by a^k in multi-index order of the group element: the
-        # order fixes the row order, and so the reported witness.  The first
-        # multiple's translates are looked up a chunk at a time; once one is
-        # in W, so is every multiple (W is a module), and W only grows
+        # translates b = a^k base in multi-index order of the group element:
+        # the order fixes the row order, and so the reported witness.
+        # {c : c b in W} is an ideal (s^m), so the cosets W + c b are those of
+        # c < 2^m, and m counts the powers of b outside W.  A translate with
+        # m = 0 stays in W (W only grows) and is dropped
         todo = grid_order(alg.group)
         while todo.size:
-            fresh = np.flatnonzero(~store.contains(windows[n - todo[:chunk]]))
+            head = todo[:chunk]
+            res = span.reduce(powers[:, n - head])
+            ms = res.any(axis=2).sum(axis=0)
+            fresh = np.flatnonzero(ms)
+            todo = np.concatenate([head[fresh[1:]], todo[chunk:]])
             if not fresh.size:
-                todo = todo[chunk:]
                 continue
-            k, todo = int(todo[fresh[0]]), todo[fresh[0] + 1 :]
-            shifted = doubled[:, n - k : 2 * n - k]
-            # coset representatives among the multiples, distinct modulo W
-            reps = [shifted[0]]
-            for j in np.flatnonzero(~store.contains(shifted[1:])).tolist():
-                if not store.contains(ring.sub_arr(shifted[j + 1], np.array(reps))).any():
-                    reps.append(shifted[j + 1])
-            size = store.size
-            total = size * (1 + len(reps))
+            k, m = int(head[fresh[0]]), int(ms[fresh[0]])
+            total = size << m
             if total > budget:
                 raise BudgetExceeded(total, budget)
             if total > predicted:
                 raise InvariantError("closure outgrows the size formula")
-            for i, rep in enumerate(ring.to_planes(np.array(reps)), 1):
-                batch = store.planes[i * size : (i + 1) * size]
-                ring.add_planes(store.planes[:size], rep, out=batch)
-            store.index_rows(total)
+            span.add(res[0, fresh[0]].copy())
+            reps = ring.to_planes(doubled[: (1 << m) - 1, n - k : 2 * n - k])
+            for i, rep in enumerate(reps, 1):
+                ring.add_planes(planes[:size], rep, out=planes[i * size : (i + 1) * size])
+            size = total
 
-    if store.size != predicted:
+    if size != predicted:
         raise InvariantError("closure disagrees with the size formula")
-    return CodewordSet(alg, store.planes)
+    return CodewordSet(alg, planes)
 
 
 # -- closed forms and bounds ------------------------------------------

@@ -182,6 +182,16 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["valid"] is True
 
 
+def test_out_file_unwritable_exit_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    rc = cli.main(["validate", "--group", "3^1", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "x.json" in captured.err
+    assert not target.exists()
+
+
 def test_invariant_failure_exit_4(capsys, monkeypatch):
     """A closed form that repeats a member fails the oracle check: exit 4."""
     real = idempotents._split_from

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rgcodes import codes
 from rgcodes.arith import GroupSpec, InvariantError
-from rgcodes.chain_ring import FAMILY_INT, ChainRing, parse_ring
+from rgcodes.chain_ring import parse_ring
 from rgcodes.codes import (
     BudgetExceeded,
     CodeComponent,
@@ -340,7 +340,7 @@ REFERENCE_LIMIT_BITS = 12  # codes of at most 4096 words
 def small_codes(draw):
     """1-3 distinct family members with k chosen so that |C| <= 2^12."""
     spec = draw(st.sampled_from([C15, GroupSpec((3, 5), (2, 1))]))
-    # z512 stores payloads as uint16, so rows are padded inside a uint64 word
+    # z512 stores payloads as uint16 and words as nine bit-planes
     ring = parse_ring(draw(st.sampled_from(["z2", "z4", "z8", "f2u2", "f2u3", "z512"])))
     fam = primitive_family(spec, ring)
     members = draw(st.lists(st.integers(0, len(fam) - 1), min_size=1, max_size=3, unique=True))
@@ -378,19 +378,6 @@ def test_summands_are_own_walks(case):
     assert np.array_equal(sums, words.rows)
 
 
-def test_enumeration_survives_key_collisions(monkeypatch):
-    """With every key equal, each lookup falls back on comparing rows."""
-    monkeypatch.setattr(codes, "_key_constants", lambda words: np.zeros(words, dtype=np.uint64))
-    spec45 = GroupSpec((3, 5), (2, 1))
-    for spec, ring_name, picks in [(C15, "z4", [((0, 1), None, 0), ((1, 0), None, 1)]),
-                                   (C15, "f2u3", [((1, 1), "(2)", 2)]),
-                                   (spec45, "z512", [((2, 0), None, 8)])]:
-        ring = parse_ring(ring_name)
-        alg = GroupAlgebra(ring, spec)
-        comps = [_component(spec, ring, *pick) for pick in picks]
-        assert np.array_equal(enumerate_codewords(alg, comps).rows, reference_rows(alg, comps))
-
-
 @settings(max_examples=40, deadline=None)
 @given(small_codes())
 def test_weights_count_nonzero_coefficients(case):
@@ -402,17 +389,67 @@ def test_weights_count_nonzero_coefficients(case):
         assert np.array_equal(view.weights(), np.count_nonzero(view.rows, axis=1))
 
 
+# -- the span behind the walk's membership test ------------------------
+
+
+def span_closure(ring, rows):
+    """Every R-combination of the rows, as a set of row bytes."""
+    words = np.zeros((1, rows.shape[1]), dtype=ring.dtype)
+    for row in rows:
+        mults = ring.mul_arr(np.arange(ring.size)[:, None], row)
+        words = np.unique(ring.add_arr(words[:, None], mults[None]).reshape(-1, len(row)), axis=0)
+    return {w.tobytes() for w in words}, words
+
+
+def _valuation(ring, row):
+    nonzero = [int(x) for x in row if x]
+    return min(((x & -x).bit_length() - 1 for x in nonzero), default=ring.t)
+
+
+@st.composite
+def small_spans(draw):
+    """1-3 rows of length n <= 4, scaled by s until their span has at most
+    2^12 words (|R x| <= 2^(t - v) for v the least valuation in x), and
+    some query vectors."""
+    ring = parse_ring(draw(st.sampled_from(["z2", "z4", "z8", "z512", "f2u2", "f2u3"])))
+    n = draw(st.integers(1, 4))
+    vectors = st.lists(st.integers(0, ring.mask), min_size=n, max_size=n)
+    rows = np.array(draw(st.lists(vectors, min_size=1, max_size=3)), dtype=ring.dtype)
+    s = ring.uniformizer_payload()
+    while sum(ring.t - _valuation(ring, row) for row in rows) > REFERENCE_LIMIT_BITS:
+        j = min(range(len(rows)), key=lambda j: _valuation(ring, rows[j]))
+        rows[j] = ring.scalar_mul_arr(s, rows[j])
+    queries = np.array(draw(st.lists(vectors, min_size=1, max_size=8)), dtype=ring.dtype)
+    return ring, rows, queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_spans())
+def test_span_matches_closure(case):
+    """A residue of reduce is zero exactly for the span's elements, and
+    every residue differs from its query by a span element."""
+    ring, rows, queries = case
+    span = codes._Span(ring)
+    for row in rows:  # as in the walk: add the residue of a new vector
+        span.add(span.reduce(row))
+    members, words = span_closure(ring, rows)
+    X = np.concatenate([words, queries])
+    res = span.reduce(X)
+    for x, r in zip(X, res):
+        assert (not r.any()) == (x.tobytes() in members)
+        assert ring.sub_arr(x, r).tobytes() in members
+
+
 def test_row_width():
-    """A row of t bit-planes is no wider than a payload row padded to whole
-    uint64s for t <= 8, and at most one uint64 wider for t <= 16."""
-    for t in range(1, 17):
-        ring = ChainRing(FAMILY_INT, t)
-        itemsize = np.dtype(ring.dtype).itemsize
-        for n in range(1, 496):
-            packed = codes._RowIndex(1, ring, n).buf[0].nbytes
-            payload = -(-n * itemsize // 8) * 8
-            assert packed <= payload + (0 if t <= 8 else 8)
-    assert codes._RowIndex(1, Z4, 165).buf[0].nbytes == 48  # against 168 as payload bytes
+    """A word is stored as t bit-planes of ceil(n/8) bytes, with no padding."""
+    spec165 = GroupSpec((3, 5, 11), (1, 1, 1))
+    for spec, ring_name, k in [(C15, "z512", 8), (C15, "f2u3", 2), (spec165, "z4", 1)]:
+        ring = parse_ring(ring_name)
+        comp = _component(spec, ring, (0,) * len(spec.primes), None, k)
+        words = enumerate_codewords(GroupAlgebra(ring, spec), [comp])
+        assert words.planes.shape[1:] == (ring.t, -(-spec.n // 8))
+        assert words.planes.flags.c_contiguous  # not a view into wider rows
+    assert words.planes[0].nbytes == 42  # z4 at n = 165, against 165 as payload bytes
 
 
 @pytest.mark.parametrize("factor", [0.5, 2])
