@@ -8,7 +8,7 @@ brute-force enumeration.
 """
 
 from .arith import GroupSpec, InvariantError, parse_group, validate_group
-from .chain_ring import F2, ChainRing, RingElem, parse_ring
+from .chain_ring import F2, ChainRing, parse_ring
 from .group_algebra import AlgebraElem, GroupAlgebra
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "validate_group",
     "F2",
     "ChainRing",
-    "RingElem",
     "parse_ring",
     "AlgebraElem",
     "GroupAlgebra",

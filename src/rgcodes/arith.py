@@ -13,7 +13,7 @@ A group element a_1^{e_1} ... a_r^{e_r} is identified with its exponent
 vector (e_1, ..., e_r); the single generator a = a_1 ... a_r has order n,
 and the exponent k of a^k corresponds to the vector via
 ``crt_index``/``crt_multi``.  Everything here is exact integer
-arithmetic at desk scale (trial division, iterated multiplication).
+arithmetic at desk scale (trial division, modular powers).
 """
 
 from __future__ import annotations
@@ -72,19 +72,20 @@ def euler_phi(m: int) -> int:
 
 
 def mult_ord(b: int, m: int) -> int:
-    """Multiplicative order of b modulo m; requires gcd(b, m) = 1."""
+    """Multiplicative order of b modulo m; requires gcd(b, m) = 1.
+
+    The order divides phi(m): starting there, divide by each prime q of
+    phi(m) while b^(order/q) = 1 (mod m).
+    """
     if m < 2:
         raise ValueError("modulus must be >= 2")
     if math.gcd(b, m) != 1:
         raise ValueError(f"{b} is not a unit mod {m}")
-    x = b % m
-    h = 1
-    while x != 1:
-        x = x * b % m
-        h += 1
-        if h > m:
-            raise InvariantError(f"{b} has no finite order mod {m}")
-    return h
+    order = euler_phi(m)
+    for q in factorize(order):
+        while order % q == 0 and pow(b, order // q, m) == 1:
+            order //= q
+    return order
 
 
 @dataclass(frozen=True)

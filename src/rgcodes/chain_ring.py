@@ -14,11 +14,12 @@ and vectorised variants on numpy arrays, so group-algebra code stays in
 numpy throughout.  Payload arrays also have a bit-plane form (to_planes,
 from_planes), in which addition is XOR for F2[u]/(u^t) and a ripple-carry
 adder for Z/2^t (add_planes); codeword enumeration stores words that way.
-RingElem only tags a range-checked payload with its ring (``ring.elem``),
-for the group-algebra calls that take a ring scalar.  In either family
-the residue map to F2 reads off the low bit, and a payload is a unit iff
-that bit is set; so a payload with v trailing zero bits is s^v times
-the unit payload >> v, and s^v divides a payload iff its low v bits are 0.
+A ring scalar is its payload wherever the package takes one
+(AlgebraElem.scalar_mul); from_int gives an integer's image and
+s_pow_payload the power s^k.  In either family the residue map to F2
+reads off the low bit, and a payload is a unit iff that bit is set; so a
+payload with v trailing zero bits is s^v times the unit payload >> v,
+and s^v divides a payload iff its low v bits are 0.
 """
 
 from __future__ import annotations
@@ -200,10 +201,7 @@ class ChainRing:
     def scalar_mul_arr(self, c: int, A):
         return self.mul_arr(np.asarray(c, dtype=np.uint32), A)
 
-    # -- elements and printing -----------------------------------------
-
-    def elem(self, payload: int) -> RingElem:
-        return RingElem(self, payload & self.mask)
+    # -- printing ------------------------------------------------------
 
     def str_payload(self, a: int) -> str:
         if self.family == FAMILY_INT:
@@ -215,18 +213,6 @@ class ChainRing:
             if (a >> i) & 1:
                 terms.append("1" if i == 0 else ("u" if i == 1 else f"u^{i}"))
         return "+".join(terms)
-
-
-@dataclass(frozen=True)
-class RingElem:
-    """A payload tagged with its ring; arithmetic goes through ChainRing."""
-
-    ring: ChainRing
-    payload: int
-
-    def __post_init__(self):
-        if not 0 <= self.payload < self.ring.size:
-            raise ValueError(f"payload {self.payload} out of range for {self.ring.designator()}")
 
 
 F2 = ChainRing(FAMILY_INT, 1)

@@ -2,7 +2,9 @@
 
 Commands: validate, idempotents, code, table, selftest.  Output is JSON
 by default (deterministic: fixed key order, no timestamps), with csv and
-text renderings for quick reading.  Exit codes: 0 success, 1 usage,
+text renderings for quick reading.  An --out file is created or
+truncated before the work, as a shell redirect would be, so a path that
+cannot be written fails at once.  Exit codes: 0 success, 1 usage,
 parse or output-file error, 2 validation failure, 3 enumeration budget
 exceeded, 4 a mathematical invariant failed (a bug, not a bad input).
 """
@@ -87,11 +89,7 @@ def build_parser() -> _Parser:
 
 
 def _write(text: str, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    (out or sys.stdout).write(text)
 
 
 def _emit(payload: dict, fmt: str, out, csv_rows=None, text_lines=None):
@@ -262,7 +260,7 @@ def cmd_table(args) -> int:
     for block, split in row_specs:
         rec = by_label[(block, split)]
         words = code_size_formula(spec, ring, block, k)
-        gen_weight = rec.element.scalar_mul(ring.elem(ring.s_pow_payload(k))).weight()
+        comp = CodeComponent(rec.element, block, split, k)
         entry = {
             "code": label_for(block, split),
             "block": list(block),
@@ -277,7 +275,6 @@ def cmd_table(args) -> int:
             entry["lower_bound"] = None
             entry["upper_bound"] = None
         else:
-            comp = CodeComponent(rec.element, block, split, k)
             rep = analyze_code(alg, [comp], args.budget)
             if rep.size != words:
                 raise InvariantError(f"row {block}: code size {rep.size} != formula {words}")
@@ -285,7 +282,7 @@ def cmd_table(args) -> int:
             entry["weight_method"] = rep.weight_method
             entry["lower_bound"] = rep.lower_bound
             entry["upper_bound"] = rep.upper_bound
-        entry["generator_weight"] = gen_weight
+        entry["generator_weight"] = comp.generator.weight()
         rows.append(entry)
 
     payload = {
@@ -336,6 +333,9 @@ def main(argv=None) -> int:
             "table": cmd_table,
             "selftest": cmd_selftest,
         }[args.command]
+        if getattr(args, "out", None):  # the path becomes the open file
+            with open(args.out, "w") as args.out:
+                return handler(args)
         return handler(args)
     except (UsageError, ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)

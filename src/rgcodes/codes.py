@@ -6,9 +6,12 @@ Word counts follow the closed form |<s^k e>| = 2^((t-k) d) with d the
 F2-dimension of the component of e; minimum weights have closed forms
 for components whose block has at most one nonzero index, and
 lower/upper bounds otherwise, all through one per-component path
-(_weigh).  When a direct sum fits the budget it is walked once, and each
-member's words are read off the sum's rows (CodewordSet.summands).  A
-split component's only probe is its generator s^k e: the products
+(_weigh).  Each component forms its generator s^k e once
+(CodeComponent.generator).  analyze_code weighs every code as a direct
+sum, one component being a sum of one: when the sum fits the budget it
+is walked once, and each member's words are read off the sum's rows
+(CodewordSet.summands).  A split component's only probe is its
+generator: the products
 s^k (1 - g_1)...(1 - g_l) hat(H) are nonzero in the components of all its
 block's members, so are words of none (see weight_probes).
 
@@ -30,13 +33,14 @@ so agreement between the two is evidence, not construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .arith import GroupSpec, InvariantError
 from .chain_ring import ChainRing
-from .group_algebra import AlgebraElem, GroupAlgebra, grid_order
+from .group_algebra import AlgebraElem, GroupAlgebra, _family_certificate, grid_order
 
 DEFAULT_BUDGET = 1 << 20
 _SLICE = 1 << 14  # words per slice when weighing or decoding a CodewordSet
@@ -65,29 +69,23 @@ class CodeComponent:
         if not 0 <= self.k <= t:
             raise ValueError(f"need 0 <= k <= {t}, got k={self.k}")
 
+    @cached_property
+    def generator(self) -> AlgebraElem:
+        """s^k e, the generator of the code."""
+        return self.element.scalar_mul(self.element.algebra.ring.s_pow_payload(self.k))
+
     def label_dict(self):
         return {"block": list(self.block), "split": self.split, "k": self.k}
 
 
 def check_components(alg: GroupAlgebra, components):
-    """Shared-algebra, idempotency and orthogonality checks.
-
-    Orthogonality is tested against the running sum, e_i (e_1 + ... +
-    e_{i-1}) = 0, in m - 1 products.  For idempotents this is pairwise
-    orthogonality: if e_1..e_{i-1} are pairwise orthogonal, their sum S
-    is idempotent with e_j S = e_j, so e_i S = 0 gives
-    e_i e_j = e_i (S e_j) = (e_i S) e_j = 0; conversely e_i S = sum_j e_i e_j.
-    """
-    total = None
-    for c in components:
-        e = c.element
-        if e.algebra != alg:
-            raise ValueError("component from a different algebra")
-        if not e.is_idempotent():
-            raise ValueError("component element is not idempotent")
-        if total is not None and not (e * total).is_zero():
-            raise ValueError("component idempotents are not orthogonal")
-        total = e if total is None else total + e
+    """Shared-algebra, idempotency and orthogonality checks
+    (group_algebra._family_certificate)."""
+    idempotent, orthogonal, _ = _family_certificate([c.element for c in components], alg)
+    if not idempotent:
+        raise ValueError("component element is not idempotent")
+    if not orthogonal:
+        raise ValueError("component idempotents are not orthogonal")
 
 
 def component_dimension(spec: GroupSpec, block) -> int:
@@ -257,7 +255,7 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
     planes = np.zeros((predicted, t, -(-n // 8)), dtype=np.uint8)  # row 0: the zero word
     size, span = 1, _Span(ring)
     for comp in components:
-        base = comp.element.scalar_mul(ring.elem(ring.s_pow_payload(comp.k)))
+        base = comp.generator
         if base.is_zero():
             continue
         # the distinct nonzero multiples c * base in payload order of c: c * s^k e
@@ -356,10 +354,9 @@ def weight_probes(alg: GroupAlgebra, comp: CodeComponent):
     nonzero in RGe' for all 2^(l-1) >= 2 members e', while a word of
     <s^k e> vanishes in every other member's component.
     """
-    ring = alg.ring
     spec = alg.group
     out = []
-    gen = comp.element.scalar_mul(ring.elem(ring.s_pow_payload(comp.k)))
+    gen = comp.generator
     if not gen.is_zero():
         out.append(gen)
 
@@ -397,32 +394,20 @@ class CodeReport:
     components: list
     size: int
     size_method: str  # formula | both-agree
-    min_weight: int | None
-    weight_method: str  # formula | enumeration | bounds-only | undefined
-    lower_bound: int | None
-    upper_bound: int | None
-    lower_bound_attained: bool | None
-    witness: AlgebraElem | None
-    min_component_weight: int | None
-    sum_matches_component_min: bool | None
+    min_weight: int | None = None
+    weight_method: str = "undefined"  # formula | enumeration | bounds-only | undefined
+    lower_bound: int | None = None
+    upper_bound: int | None = None
+    lower_bound_attained: bool | None = None
+    witness: AlgebraElem | None = None
+    min_component_weight: int | None = None
+    sum_matches_component_min: bool | None = None
 
     def to_json_dict(self):
-        witness = None if self.witness is None else self.witness.json_terms()
-        return {
-            "ring": self.ring,
-            "group": self.group,
-            "components": self.components,
-            "size": self.size,
-            "size_method": self.size_method,
-            "min_weight": self.min_weight,
-            "weight_method": self.weight_method,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "lower_bound_attained": self.lower_bound_attained,
-            "witness": witness,
-            "min_component_weight": self.min_component_weight,
-            "sum_matches_component_min": self.sum_matches_component_min,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.witness is not None:
+            out["witness"] = self.witness.json_terms()
+        return out
 
 
 def _weigh(alg: GroupAlgebra, comp: CodeComponent, budget: int, got=None):
@@ -458,74 +443,50 @@ def _weigh(alg: GroupAlgebra, comp: CodeComponent, budget: int, got=None):
 
 
 def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) -> CodeReport:
-    """Size and minimum weight with enumeration cross-checks where affordable."""
-    ring, spec = alg.ring, alg.group
-    size = code_size(alg, components)
-    live = [c for c in components if c.k < ring.t]
-    got = None  # enumerated (weight, word) of a live code
-    size_method = "formula"
+    """Size and minimum weight with enumeration cross-checks where affordable.
+
+    Every code is weighed as a direct sum; a single component is a sum of
+    one, and its component's weight facts are the code's.
+    """
+    ring, size = alg.ring, code_size(alg, components)
+    rep = CodeReport(ring.designator(), alg.group.designator(),
+                     [c.label_dict() for c in components], size, "formula")
+    own = [None] * len(components)  # each component's enumerated (weight, word)
+    got = None  # the sum's
     if size > budget:
         check_components(alg, components)  # enumeration checks them itself
     else:
         words = enumerate_codewords(alg, components, budget)
         if len(words) != size:
             raise InvariantError("enumeration disagrees with the size formula")
-        size_method = "both-agree"
-        if live:
-            got = words.min_nonzero()
-            if got is None:
-                raise InvariantError("a live code enumerated no nonzero word")
+        rep.size_method = "both-agree"
+        own = [w.min_nonzero() for w in words.summands([code_size(alg, [c]) for c in components])]
+        got = own[0] if len(own) == 1 else words.min_nonzero()
+    parts = [_weigh(alg, c, budget, g) for c, g in zip(components, own) if c.k < ring.t]
+    if not parts:
+        return rep
+    if got is None and rep.size_method == "both-agree":
+        raise InvariantError("a live code enumerated no nonzero word")
 
-    min_weight = None
-    weight_method = "undefined"
-    lower = upper = None
-    attained = None
-    witness = None
-    min_comp = None
-    sum_matches = None
-
-    if live and len(components) == 1:
-        min_weight, lower, best, got = _weigh(alg, components[0], budget, got)
-        if lower is None:
-            weight_method, witness = "formula", best[1]
+    lightest = min((best for _, _, best, _ in parts), key=lambda b: b[0])
+    rep.weight_method = "bounds-only" if got is None else "enumeration"
+    rep.witness = (lightest if got is None else got)[1]
+    if len(components) == 1:
+        rep.min_weight, rep.lower_bound = parts[0][:2]
+        if rep.lower_bound is None:  # closed form
+            rep.weight_method, rep.witness = "formula", lightest[1]
         else:
-            upper, witness = best
-            weight_method = "bounds-only"
-            if got is not None:
-                weight_method, witness = "enumeration", got[1]
-            if min_weight is not None:
-                attained = min_weight == lower
-    elif live:
-        if size > budget:
-            own = [None] * len(components)
-        else:  # each component's own words are a view of the enumerated sum
-            sizes = [code_size(alg, [c]) for c in components]
-            own = [w.min_nonzero() for w in words.summands(sizes)]
-        parts = [_weigh(alg, c, budget, g) for c, g in zip(components, own) if c.k < ring.t]
-        if got is not None:
-            min_weight, witness = got
-            weight_method = "enumeration"
+            rep.upper_bound = lightest[0]
+            if rep.min_weight is not None:
+                rep.lower_bound_attained = rep.min_weight == rep.lower_bound
+    else:
+        if got is None:
+            rep.upper_bound = lightest[0]
         else:
-            upper, witness = min((best for _, _, best, _ in parts), key=lambda x: x[0])
-            weight_method = "bounds-only"
+            rep.min_weight = got[0]
         exact = [part[0] for part in parts]
         if None not in exact:
-            min_comp = min(exact)
-            if min_weight is not None:
-                sum_matches = min_weight == min_comp
-
-    return CodeReport(
-        ring=ring.designator(),
-        group=spec.designator(),
-        components=[c.label_dict() for c in components],
-        size=size,
-        size_method=size_method,
-        min_weight=min_weight,
-        weight_method=weight_method,
-        lower_bound=lower,
-        upper_bound=upper,
-        lower_bound_attained=attained,
-        witness=witness,
-        min_component_weight=min_comp,
-        sum_matches_component_min=sum_matches,
-    )
+            rep.min_component_weight = min(exact)
+            if got is not None:
+                rep.sum_matches_component_min = got[0] == rep.min_component_weight
+    return rep

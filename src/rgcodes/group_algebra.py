@@ -8,8 +8,11 @@ all work on this one axis.  The factor grid, where (e_1, ..., e_r) names
 a_1^{e_1} ... a_r^{e_r}, is a view kept inside this module: multi-indices
 enter through ``arith.crt_index`` and ``pairs`` lists them in grid order
 through the per-group permutation ``grid_order``.  A subgroup is named by
-its levels, one per factor (see ``hat``).  Sums and differences take two
-elements of one algebra; a ring scalar enters through ``scalar_mul``.
+its levels, one per factor (see ``hat``).  Sums, differences and products
+take two elements of one algebra; a ring scalar enters as its payload
+through ``scalar_mul``, and ``element`` takes payloads in [0, 2^t) only.
+_family_certificate tests a family for idempotency and orthogonality in
+one place, for both idempotents.verify_family and codes.check_components.
 
 Multiplication is cyclic convolution, exact in the ring.  A product whose
 sparser operand has at most SHIFT_ADD_MAX_TERMS nonzero terms (monomials,
@@ -29,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import GroupSpec, InvariantError, crt_index, crt_multi
-from .chain_ring import F2, FAMILY_POLY, ChainRing, RingElem
+from .chain_ring import F2, FAMILY_POLY, ChainRing
 
 # A product whose sparser operand has at most this many nonzero terms is
 # formed by shift-and-add, any other by FFT.  Crossover measured at
@@ -72,10 +75,10 @@ class GroupAlgebra:
 
     def element(self, coeffs) -> AlgebraElem:
         """Element from n payloads; coeffs[k] is the coefficient of a^k."""
-        arr = np.array(coeffs, dtype=self.ring.dtype).reshape(self.n)
-        if arr.size and int(arr.max()) >= self.ring.size:
-            raise ValueError("coefficient payload out of range")
-        return AlgebraElem(self, arr)
+        arr = np.asarray(coeffs)
+        if arr.dtype.kind not in "iu" or not 0 <= arr.min() <= arr.max() < self.ring.size:
+            raise ValueError(f"coefficient payloads must be integers in [0, {self.ring.size})")
+        return AlgebraElem(self, arr.astype(self.ring.dtype).reshape(self.n))
 
     def zero(self) -> AlgebraElem:
         return AlgebraElem(self, np.zeros(self.n, dtype=self.ring.dtype))
@@ -83,9 +86,9 @@ class GroupAlgebra:
     def one(self) -> AlgebraElem:
         return self.monomial((0,) * self.group.r)
 
-    def monomial(self, multi, coeff=1) -> AlgebraElem:
+    def monomial(self, multi) -> AlgebraElem:
         arr = np.zeros(self.n, dtype=self.ring.dtype)
-        arr[self._flat(multi)] = _payload(self.ring, coeff)
+        arr[self._flat(multi)] = 1
         return AlgebraElem(self, arr)
 
     def generator_power(self, i: int, e: int = 1) -> AlgebraElem:
@@ -120,13 +123,22 @@ class GroupAlgebra:
         return crt_index(tuple(int(e) for e in multi), self.group)
 
 
-def _payload(ring: ChainRing, c) -> int:
-    """Payload of a ring scalar: a RingElem of this ring, or an integer's image."""
-    if isinstance(c, RingElem):
-        if c.ring != ring:
-            raise ValueError("scalar from the wrong ring")
-        return c.payload
-    return ring.from_int(int(c))
+def _family_certificate(elems, alg: GroupAlgebra):
+    """(all idempotent, orthogonal, sum) for elements of alg, in 2m - 1 products.
+
+    Orthogonality is tested against the running sum, e_i (e_1 + ... +
+    e_{i-1}) = 0.  For idempotents this is pairwise orthogonality: if
+    e_1..e_{i-1} are pairwise orthogonal, their sum S is idempotent with
+    e_j S = e_j, so e_i S = 0 gives e_i e_j = e_i (S e_j) = (e_i S) e_j = 0;
+    conversely e_i S = sum_j e_i e_j.  Each test stops at its first failure.
+    """
+    idempotent = orthogonal = True
+    total = alg.zero()
+    for i, e in enumerate(elems):
+        idempotent = idempotent and e.is_idempotent()
+        orthogonal = orthogonal and (i == 0 or (e * total).is_zero())
+        total = total + e
+    return idempotent, orthogonal, total
 
 
 def _shift_add_product(ring: ChainRing, a, b):
@@ -223,13 +235,14 @@ class AlgebraElem:
         ring = self.algebra.ring
         return AlgebraElem(self.algebra, ring.sub_arr(self.coeffs, other.coeffs))
 
-    def scalar_mul(self, c) -> AlgebraElem:
+    def scalar_mul(self, payload: int) -> AlgebraElem:
+        """The ring scalar with this payload, in [0, 2^t), times self."""
         ring = self.algebra.ring
-        return AlgebraElem(self.algebra, ring.scalar_mul_arr(_payload(ring, c), self.coeffs))
+        if not (isinstance(payload, int) and 0 <= payload < ring.size):
+            raise ValueError(f"a scalar payload is an int in [0, {ring.size}), got {payload!r}")
+        return AlgebraElem(self.algebra, ring.scalar_mul_arr(payload, self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, RingElem)):
-            return self.scalar_mul(other)
         self._check(other)
         return self._convolve(other)
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 from .arith import GroupSpec, InvariantError, block_labels, require_valid
 from .chain_ring import F2, ChainRing
 from .f2_oracle import component_count_formula, primitive_idempotents_f2
-from .group_algebra import AlgebraElem, GroupAlgebra
+from .group_algebra import AlgebraElem, GroupAlgebra, _family_certificate
 
 
 @dataclass(frozen=True)
@@ -193,17 +193,9 @@ def primitive_family(spec: GroupSpec, ring: ChainRing):
 
 
 def verify_family(elems, alg: GroupAlgebra) -> dict:
-    """Completeness checks for a family of elements of the given algebra.
-
-    Orthogonality is tested against the running sum, e_i (e_1 + ... +
-    e_{i-1}) = 0, in m - 1 products; codes.check_components proves that
-    this is pairwise orthogonality whenever every member is idempotent.
-    """
-    idempotent = all(e.is_idempotent() for e in elems)
-    total, orthogonal = alg.zero(), True
-    for i, e in enumerate(elems):
-        orthogonal = orthogonal and (i == 0 or (e * total).is_zero())
-        total = total + e
+    """Completeness checks for a family of elements of the given algebra
+    (idempotency and orthogonality: group_algebra._family_certificate)."""
+    idempotent, orthogonal, total = _family_certificate(elems, alg)
     return {
         "idempotent": idempotent,
         "orthogonal": orthogonal,

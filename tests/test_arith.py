@@ -1,3 +1,6 @@
+import math
+import time
+
 import pytest
 
 from rgcodes.arith import (
@@ -40,6 +43,29 @@ def test_mult_ord():
     assert mult_ord(2, 15) == 4
     with pytest.raises(ValueError):
         mult_ord(6, 15)  # not a unit
+
+
+def mult_ord_by_steps(b, m):
+    """Reference: step through the powers of b until one is 1 (mod m)."""
+    x, h = b % m, 1
+    while x != 1:
+        x, h = x * b % m, h + 1
+    return h
+
+
+def test_mult_ord_matches_stepping():
+    for m in range(2, 3000):
+        for b in (2, 3, 5, 7, 10):
+            if math.gcd(b, m) == 1:
+                assert mult_ord(b, m) == mult_ord_by_steps(b, m), (b, m)
+
+
+def test_validate_large_prime_is_fast():
+    """ord mod p^2 comes from the primes of phi(p^2), not from p^2 steps."""
+    start = time.perf_counter()
+    assert not validate_group(parse_group("999983^1")).ok
+    assert validate_group(parse_group("100003^1")).ok
+    assert time.perf_counter() - start < 5
 
 
 def test_mult_ord_matches_phi_over_two_power():

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rgcodes.arith import InvariantError
-from rgcodes.chain_ring import F2, FAMILY_INT, FAMILY_POLY, ChainRing, RingElem, parse_ring
+from rgcodes.arith import GroupSpec, InvariantError
+from rgcodes.chain_ring import F2, FAMILY_INT, FAMILY_POLY, ChainRing, parse_ring
+from rgcodes.group_algebra import GroupAlgebra
 
 
 def lift_bit(b):
@@ -188,10 +189,12 @@ def test_str_payload():
 
 
 def test_element_enumeration():
-    """ring.elem tags each payload in [0, 2^t) with its ring, and nothing else."""
+    """A ring scalar is its payload: scalar_mul takes each payload in [0, 2^t),
+    and nothing else."""
     z4 = parse_ring("z4")
-    assert [z4.elem(a).payload for a in range(z4.size)] == [0, 1, 2, 3]
-    assert z4.elem(z4.uniformizer_payload()) == RingElem(z4, 2)
+    one = GroupAlgebra(z4, GroupSpec((3,), (1,))).one()
+    assert [int(one.scalar_mul(a).coeffs[0]) for a in range(z4.size)] == [0, 1, 2, 3]
+    assert one.scalar_mul(z4.uniformizer_payload()).coeffs[0] == 2
     for bad in (-1, 4):
         with pytest.raises(ValueError):
-            RingElem(z4, bad)
+            one.scalar_mul(bad)

@@ -182,13 +182,21 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["valid"] is True
 
 
-def test_out_file_unwritable_exit_1(tmp_path, capsys):
+def test_out_file_unwritable_exit_1(tmp_path, capsys, monkeypatch):
+    """An unwritable --out fails before any work, as a shell redirect would."""
+    def boom(*args):
+        raise AssertionError("primitive_family called before --out was opened")
+
+    monkeypatch.setattr(cli, "primitive_family", boom)
     target = tmp_path / "missing" / "x.json"
-    rc = cli.main(["validate", "--group", "3^1", "--out", str(target)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "x.json" in captured.err
+    for argv in (["validate", "--group", "3^1"],
+                 ["idempotents", "--ring", "z4", "--group", "3^1,5^1"],
+                 ["table", "--ring", "z4", "--group", "3^1,5^1,11^1", "--k", "1"]):
+        rc = cli.main([*argv, "--out", str(target)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "x.json" in captured.err
     assert not target.exists()
 
 

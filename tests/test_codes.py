@@ -144,8 +144,7 @@ def walk_leaves(alg, comp):
         p, nn, j = spec.primes[i], spec.exponents[i], comp.block[i]
         exps = [c * p ** (j - 1) % p**nn for c in range(p ** (nn - j + 1)) if c % p]
         leaves = [acc * (alg.one() - alg.generator_power(i, e)) for acc in leaves for e in exps]
-    s_k = ring.elem(ring.s_pow_payload(comp.k))
-    return [leaf.scalar_mul(s_k) for leaf in leaves]
+    return [leaf.scalar_mul(ring.s_pow_payload(comp.k)) for leaf in leaves]
 
 
 @pytest.mark.parametrize("spec", [C15, GroupSpec((3, 5), (2, 1)), GroupSpec((3, 5, 11), (1, 1, 1))],
@@ -161,7 +160,8 @@ def test_split_walk_yields_no_codeword(spec):
                 comp = CodeComponent(rec.element, rec.block, rec.split, k)
                 for leaf in walk_leaves(alg, comp):
                     assert not leaf.is_zero() and leaf * comp.element != leaf
-                gen = comp.element.scalar_mul(ring.elem(ring.s_pow_payload(k)))
+                gen = comp.element.scalar_mul(ring.s_pow_payload(k))
+                assert comp.generator == gen
                 assert min_weight_upper_bound(alg, comp)[0] == gen.weight()
 
 
@@ -305,7 +305,7 @@ def reference_rows(alg, components):
     rows = np.zeros((1, alg.n), dtype=ring.dtype)
     seen = {rows[0].tobytes()}
     for comp in components:
-        base = comp.element.scalar_mul(ring.elem(ring.s_pow_payload(comp.k)))
+        base = comp.element.scalar_mul(ring.s_pow_payload(comp.k))
         if base.is_zero():
             continue
         mults, mult_seen = [], set()

@@ -87,7 +87,7 @@ def test_factor_hat():
     h = alg.factor_hat(0, 0)
     assert support(h) == [(0, 0), (1, 0), (2, 0)]
     assert h.is_idempotent()
-    assert alg.factor_hat(0, 1) == alg.monomial((0, 0), 1)
+    assert alg.factor_hat(0, 1) == alg.monomial((0, 0))
 
 
 def test_from_exponent():
@@ -282,8 +282,28 @@ def test_scalar_multiplication():
     alg = GroupAlgebra(Z4, C3)
     x = from_pairs(alg, [((0,), 1), ((1,), 3)])
     assert x.scalar_mul(2) == from_pairs(alg, [((0,), 2), ((1,), 2)])
-    assert x * 2 == x.scalar_mul(2)
     assert x.scalar_mul(0).is_zero()
+    assert x.scalar_mul(Z4.from_int(-1)) == from_pairs(alg, [((0,), 3), ((1,), 1)])
+    for bad in (-1, 4, 1.5, "2"):  # a scalar is a payload in [0, 2^t)
+        with pytest.raises(ValueError):
+            x.scalar_mul(bad)
+    with pytest.raises(ValueError):
+        x * 2  # an int is not an algebra element
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring=st.sampled_from([parse_ring(r) for r in ("z2", "z4", "z512", "f2u2", "f2u3", "f2u9")]),
+       payload=st.one_of(st.integers(-2**70, 2**70), st.integers(-2, 600),
+                         st.floats(allow_nan=False, allow_infinity=False)))
+def test_element_payloads_validated(ring, payload):
+    """element takes integer payloads in [0, 2^t) and raises ValueError for any other."""
+    alg = GroupAlgebra(ring, C3)
+    if isinstance(payload, int) and 0 <= payload < ring.size:
+        assert alg.element([1, payload, 0]).coeffs.tolist() == [1, payload, 0]
+        assert alg.element(np.array([1, payload, 0])).coeffs[1] == payload
+    else:
+        with pytest.raises(ValueError):
+            alg.element([1, payload, 0])
 
 
 def test_support_weight_pairs():

@@ -1,7 +1,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "rgcodes"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rgcodes"
 
 
 def test_no_assert_statements_in_src():
@@ -13,3 +14,11 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert sorted(SRC.glob("*.py")) and not found, found
+
+
+def test_readme_library_example(capsys):
+    """The README's library example runs and prints what its comment says."""
+    section = (ROOT / "README.md").read_text().split("## Library entry points", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "256 8\n"
