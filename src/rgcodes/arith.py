@@ -7,7 +7,8 @@ the order n = q_1 ... q_r satisfies three hypotheses: the p_i are odd,
 distinct primes, 2 is a primitive root modulo p_i^2 (and hence modulo
 every power of p_i), and gcd(p_i - 1, p_j - 1) = 2 for i != j.
 ``validate_group`` checks all of them and reports each violation by
-name.
+name; ``require_valid`` raises ``InvalidGroup``, a ValueError, listing
+them (the CLI exits 2 on it).
 
 A group element a_1^{e_1} ... a_r^{e_r} is identified with its exponent
 vector (e_1, ..., e_r); the single generator a = a_1 ... a_r has order n,
@@ -35,15 +36,12 @@ class InvariantError(Exception):
     """
 
 
+class InvalidGroup(ValueError):
+    """A group fails the hypotheses that validate_group checks."""
+
+
 def is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p >= 3 and p % 2 == 1 and factorize(p) == {p: 1}
 
 
 def factorize(m: int) -> dict:
@@ -169,15 +167,16 @@ def validate_group(spec: GroupSpec) -> GroupValidation:
 
     # 2 must generate the units modulo p^2; since the unit groups mod p^m
     # are cyclic, that makes 2 a primitive root mod every power of p.  The
-    # power actually used is checked as well, belt and braces.
+    # power actually used is checked as well, belt and braces.  2 generates
+    # the units mod p^e iff 2^(phi/q) != 1 for each prime q of
+    # phi = p^(e-1) (p - 1): the primes of p - 1, and p itself when e >= 2.
     for p, n in zip(spec.primes, spec.exponents):
         if not is_odd_prime(p):
             continue
-        for m in sorted({p * p, p**n}):
-            try:
-                ok = mult_ord(2, m) == euler_phi(m)
-            except ValueError:
-                ok = False
+        for e in sorted({2, n}):
+            m, phi = p**e, p ** (e - 1) * (p - 1)
+            qs = set(factorize(p - 1)) | ({p} if e >= 2 else set())
+            ok = all(pow(2, phi // q, m) != 1 for q in qs)
             detail = f"ord_{m}(2) {'=' if ok else '!='} phi({m})"
             checks.append((f"two-primitive-mod-{m}", ok, detail))
 
@@ -198,7 +197,7 @@ def validate_group(spec: GroupSpec) -> GroupValidation:
 def require_valid(spec: GroupSpec):
     report = validate_group(spec)
     if not report.ok:
-        raise ValueError(f"group {spec} fails: " + "; ".join(report.failures))
+        raise InvalidGroup(f"group {spec} fails: " + "; ".join(report.failures))
 
 
 def cyclotomic_cosets(n: int):
@@ -222,20 +221,20 @@ def cyclotomic_cosets(n: int):
 
 
 def crt_index(multi, spec: GroupSpec) -> int:
-    """Exponent k with a^k = a_1^{e_1} ... a_r^{e_r}, for a = a_1 ... a_r."""
+    """Exponent k with a^k = a_1^{e_1} ... a_r^{e_r}, for a = a_1 ... a_r:
+    the k with k = e_i (mod q_i) for every i."""
     n = spec.n
     k = 0
     for e, q in zip(multi, spec.factor_orders):
         if not 0 <= e < q:
             raise ValueError(f"exponent {e} out of range for factor order {q}")
-        k += e * (n // q)
+        k += e * (n // q) * pow(n // q, -1, q)
     return k % n
 
 
 def crt_multi(k: int | np.ndarray, spec: GroupSpec) -> tuple:
     """Inverse of crt_index: the exponent vector of a^k, elementwise for an array k."""
-    n = spec.n
-    return tuple(k * pow(n // q, -1, q) % q for q in spec.factor_orders)
+    return tuple(k % q for q in spec.factor_orders)
 
 
 def block_labels(spec: GroupSpec):

@@ -5,8 +5,10 @@ by default (deterministic: fixed key order, no timestamps), with csv and
 text renderings for quick reading.  An --out file is created or
 truncated before the work, as a shell redirect would be, so a path that
 cannot be written fails at once.  Exit codes: 0 success, 1 usage,
-parse or output-file error, 2 validation failure, 3 enumeration budget
-exceeded, 4 a mathematical invariant failed (a bug, not a bad input).
+parse or output-file error, 2 validation failure (validate's report, or
+arith.InvalidGroup from require_valid), 3 enumeration budget exceeded, 4
+a mathematical invariant failed (a bug, not a bad input).  Every code
+report, the table's closed-form rows included, comes from analyze_code.
 """
 
 from __future__ import annotations
@@ -18,16 +20,9 @@ import json
 import re
 import sys
 
-from .arith import InvariantError, parse_group, validate_group
+from .arith import InvalidGroup, InvariantError, parse_group, require_valid, validate_group
 from .chain_ring import FAMILY_INT, parse_ring
-from .codes import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    CodeComponent,
-    analyze_code,
-    code_size_formula,
-    min_weight_formula,
-)
+from .codes import DEFAULT_BUDGET, BudgetExceeded, CodeComponent, analyze_code
 from .group_algebra import GroupAlgebra
 from .idempotents import primitive_family, verify_family
 
@@ -39,10 +34,6 @@ EXIT_INVARIANT = 4
 
 
 class UsageError(Exception):
-    pass
-
-
-class ValidationError(Exception):
     pass
 
 
@@ -133,7 +124,7 @@ def cmd_validate(args) -> int:
 def cmd_idempotents(args) -> int:
     ring = parse_ring(args.ring)
     spec = parse_group(args.group)
-    _require_valid_or_exit(spec)
+    require_valid(spec)
     records = primitive_family(spec, ring)
     alg = GroupAlgebra(ring, spec)
     checks = verify_family([r.element for r in records], alg)
@@ -158,12 +149,6 @@ def cmd_idempotents(args) -> int:
     return EXIT_OK
 
 
-def _require_valid_or_exit(spec):
-    report = validate_group(spec)
-    if not report.ok:
-        raise ValidationError(f"group {spec} is invalid: " + "; ".join(report.failures))
-
-
 def _split_tag(raw):
     if raw is None:
         return None
@@ -176,7 +161,7 @@ def _split_tag(raw):
 def cmd_code(args) -> int:
     ring = parse_ring(args.ring)
     spec = parse_group(args.group)
-    _require_valid_or_exit(spec)
+    require_valid(spec)
     try:
         block = tuple(int(x) for x in args.block.split(","))
     except ValueError:
@@ -221,7 +206,7 @@ def cmd_table(args) -> int:
         raise UsageError("the table is defined over the ring z4")
     if spec.primes != (3, 5, 11):
         raise UsageError("the table needs a group 3^n1,5^n2,11^n3")
-    _require_valid_or_exit(spec)
+    require_valid(spec)
     if not 0 <= args.k < ring.t:
         raise UsageError("need 0 <= k < 2")
     k = args.k
@@ -259,31 +244,22 @@ def cmd_table(args) -> int:
     rows = []
     for block, split in row_specs:
         rec = by_label[(block, split)]
-        words = code_size_formula(spec, ring, block, k)
         comp = CodeComponent(rec.element, block, split, k)
-        entry = {
+        # budget 0: a closed-form row is not enumerated ((0,0,1) has 2^20 words at k = 0)
+        rep = analyze_code(alg, [comp], args.budget if split else 0)
+        rows.append({
             "code": label_for(block, split),
             "block": list(block),
             "split": split,
             "k": k,
-            "words": words,
+            "words": rep.size,
             "paper_blank": split is not None,
-        }
-        if split is None:
-            entry["weight"] = min_weight_formula(spec, block)
-            entry["weight_method"] = "formula"
-            entry["lower_bound"] = None
-            entry["upper_bound"] = None
-        else:
-            rep = analyze_code(alg, [comp], args.budget)
-            if rep.size != words:
-                raise InvariantError(f"row {block}: code size {rep.size} != formula {words}")
-            entry["weight"] = rep.min_weight
-            entry["weight_method"] = rep.weight_method
-            entry["lower_bound"] = rep.lower_bound
-            entry["upper_bound"] = rep.upper_bound
-        entry["generator_weight"] = comp.generator.weight()
-        rows.append(entry)
+            "weight": rep.min_weight,
+            "weight_method": rep.weight_method,
+            "lower_bound": rep.lower_bound,
+            "upper_bound": rep.upper_bound,
+            "generator_weight": comp.generator.weight(),
+        })
 
     payload = {
         "ring": ring.designator(),
@@ -337,12 +313,12 @@ def main(argv=None) -> int:
             with open(args.out, "w") as args.out:
                 return handler(args)
         return handler(args)
+    except InvalidGroup as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except (UsageError, ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

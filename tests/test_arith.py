@@ -68,6 +68,22 @@ def test_validate_large_prime_is_fast():
     assert time.perf_counter() - start < 5
 
 
+def test_primitivity_matches_order():
+    """validate_group's test of 2 against the primes of phi(p^e) agrees with
+    ord_m(2) = phi(m) for every odd prime p < 3000, e <= 3, p^e <= 10^8."""
+    cases = 0
+    for p in filter(is_odd_prime, range(3, 3000)):
+        for e in (1, 2, 3):
+            if p**e > 10**8:
+                continue
+            cases += 1
+            for name, ok, _ in validate_group(GroupSpec((p,), (e,))).checks:
+                if name.startswith("two-primitive-mod-"):
+                    m = int(name.rsplit("-", 1)[1])
+                    assert ok == (mult_ord(2, m) == euler_phi(m)), (p, e, m)
+    assert cases == 947
+
+
 def test_mult_ord_matches_phi_over_two_power():
     # for every supported modulus, ord_m(2) = phi(m) / 2^(r-1)
     for m in (15, 33, 55, 165, 45, 99):
@@ -155,6 +171,13 @@ def test_crt_roundtrip():
     assert crt_multi(8, spec) == tuple(
         (x + y) % q for x, y, q in zip(e1, e7, spec.factor_orders)
     )
+
+
+def test_crt_layout_puts_a_at_one():
+    """Position k holds a^k for a = a_1 ... a_r, so a itself sits at 1."""
+    for spec in (GroupSpec((3, 5), (1, 1)), GroupSpec((3, 5, 11), (2, 1, 1))):
+        assert crt_index((1,) * spec.r, spec) == 1
+        assert crt_multi(1, spec) == (1,) * spec.r
 
 
 def test_block_labels():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from rgcodes import cli, idempotents
+from rgcodes import cli, codes, idempotents
 from rgcodes.codes import BudgetExceeded
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -235,3 +235,51 @@ def test_frozen_cli_digests(capsys):
         rc, out = run(capsys, *argv)
         assert rc == 0
         assert workloads.digest(out.encode()) == frozen[workloads.command_key(argv)], argv
+
+
+# workloads.digest of stdout in csv and text, per command
+RENDERING_DIGESTS = {
+    ("table", "--ring", "z4", "--group", "3^1,5^1,11^1", "--k", "0"):
+        ("59d982315414ef1c", "59996e17d205f7f8"),
+    ("code", "--ring", "z4", "--group", "3^1,5^1", "--block", "1,1", "--split", "1", "--k", "0"):
+        ("9c6956dc98107559", "ca8b4370f93b8676"),
+    ("idempotents", "--ring", "z4", "--group", "3^1,5^1"):
+        ("510a4f5016de118c", "f9b840f68053d473"),
+}
+
+
+def test_csv_and_text_digests(capsys):
+    """The csv and text renderings of table, code and idempotents are pinned."""
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for argv, digests in RENDERING_DIGESTS.items():
+        for fmt, want in zip(("csv", "text"), digests):
+            rc, out = run(capsys, *argv, "--format", fmt)
+            assert rc == 0
+            assert workloads.digest(out.encode()) == want, (argv, fmt)
+
+
+def test_table_paper_rows_are_checked(capsys, monkeypatch):
+    """The closed-form rows of the table pass the probe check: a wrong formula exits 4."""
+    real = codes.min_weight_formula
+
+    def off_by_one(spec, block):
+        w = real(spec, block)
+        return None if w is None else w + 1
+
+    monkeypatch.setattr(codes, "min_weight_formula", off_by_one)
+    monkeypatch.setattr(cli, "min_weight_formula", off_by_one, raising=False)
+    rc = cli.main(["table", "--ring", "z4", "--group", "3^1,5^1,11^1", "--k", "0"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert "no probe attains the formula" in captured.err
+
+
+def test_invalid_group_exit_2_before_usage_errors(capsys):
+    """require_valid's InvalidGroup exits 2, ahead of the bad block label."""
+    rc = cli.main(["code", "--ring", "z4", "--group", "7^1", "--block", "x", "--k", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: group 7^1 fails: two-primitive-mod-7")
