@@ -248,22 +248,23 @@ def parse_group(text: str) -> GroupSpec:
     tokens = [tok.strip() for tok in text.strip().split(",")]
     if not tokens or any(not tok for tok in tokens):
         raise ValueError(f"bad group designator {text!r}")
-    primes, exps = [], []
+    primes, exps, order = [], [], 1
     for tok in tokens:
         base, _, exp = tok.partition("^")
         if not base.isdigit() or (_ and not exp.isdigit()):
             raise ValueError(f"bad group token {tok!r}")
         p = int(base)
         e = int(exp) if exp else 1
-        if not is_odd_prime(p):
-            raise ValueError(f"group token {tok!r}: base must be an odd prime")
         if e < 1:
             raise ValueError(f"group token {tok!r}: exponent must be >= 1")
+        # bounded before any work: trial division of p, the power p^e
+        if p > MAX_ORDER or e > MAX_ORDER.bit_length() or order * p**e > MAX_ORDER:
+            raise ValueError(f"group token {tok!r}: group order exceeds the limit {MAX_ORDER}")
+        order *= p**e
+        if not is_odd_prime(p):
+            raise ValueError(f"group token {tok!r}: base must be an odd prime")
         if primes and p <= primes[-1]:
             raise ValueError("primes must be strictly increasing")
         primes.append(p)
         exps.append(e)
-    spec = GroupSpec(tuple(primes), tuple(exps))
-    if spec.n > MAX_ORDER:
-        raise ValueError(f"group order {spec.n} exceeds the limit {MAX_ORDER}")
-    return spec
+    return GroupSpec(tuple(primes), tuple(exps))

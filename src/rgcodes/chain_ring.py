@@ -16,10 +16,11 @@ from_planes), in which addition is XOR for F2[u]/(u^t) and a ripple-carry
 adder for Z/2^t (add_planes); codeword enumeration stores words that way.
 A ring scalar is its payload wherever the package takes one
 (AlgebraElem.scalar_mul); from_int gives an integer's image and
-s_pow_payload the power s^k.  In either family the residue map to F2
-reads off the low bit, and a payload is a unit iff that bit is set; so a
-payload with v trailing zero bits is s^v times the unit payload >> v,
-and s^v divides a payload iff its low v bits are 0.
+s_pow_payload the power s^k (the payload 1 << k, 0 at k = t).  In
+either family the residue map to F2 reads off the low bit, and a payload
+is a unit iff that bit is set; so a payload with v trailing zero bits is
+s^v times the unit payload >> v, and s^v divides a payload iff its low v
+bits are 0.
 """
 
 from __future__ import annotations
@@ -91,18 +92,6 @@ class ChainRing:
             i += 1
         return acc & self.mask
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            raise ValueError("negative exponent")
-        out = self.one_payload
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
     def is_unit(self, a: int) -> bool:
         # units are exactly the payloads with nonzero residue
         return bool(a & 1)
@@ -128,17 +117,12 @@ class ChainRing:
             return k & self.mask
         return k & 1
 
-    @property
-    def one_payload(self):
-        return 1
-
-    def uniformizer_payload(self) -> int:
-        return 2 & self.mask  # 0 when t = 1, as (s) = (0) in F2
-
     def s_pow_payload(self, k: int) -> int:
+        """Payload of s^k: 2^k in Z/2^t and u^k in F2[u]/(u^t), both the
+        bit 1 << k; 0 at k = t, and s = 0 over F2."""
         if not 0 <= k <= self.t:
             raise ValueError(f"need 0 <= k <= {self.t}, got {k}")
-        return self.pow(self.uniformizer_payload(), k)
+        return (1 << k) & self.mask
 
     # -- vectorised payload arithmetic ---------------------------------
 

@@ -5,9 +5,10 @@ by default (deterministic: fixed key order, no timestamps), with csv and
 text renderings for quick reading.  An --out file is created or
 truncated before the work, as a shell redirect would be, so a path that
 cannot be written fails at once.  Exit codes: 0 success, 1 usage,
-parse or output-file error, 2 validation failure (validate's report, or
-arith.InvalidGroup from require_valid), 3 enumeration budget exceeded, 4
-a mathematical invariant failed (a bug, not a bad input).  Every code
+parse or output-file error, 2 a group outside the hypotheses (validate's
+report, or arith.InvalidGroup), 3 enumeration budget exceeded or out of
+memory in an allocation the budget admitted, 4 a mathematical invariant
+failed (a bug, not a bad input).  Every code
 report, the table's closed-form rows included, comes from analyze_code.
 """
 
@@ -57,7 +58,6 @@ def build_parser() -> _Parser:
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("validate", help="check the group-order hypotheses")
-    p.add_argument("--ring", help="optional ring designator, parsed for errors")
     common(p, ring=False)
 
     p = sub.add_parser("idempotents", help="emit the full primitive idempotent family")
@@ -73,8 +73,7 @@ def build_parser() -> _Parser:
     common(p, budget=True)
     p.add_argument("--k", type=int, required=True, help="power of the uniformizer (0 or 1)")
 
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_parser("selftest", help="run the acceptance suite")
 
     return parser
 
@@ -100,8 +99,6 @@ def _emit(payload: dict, fmt: str, out, csv_rows=None, text_lines=None):
 
 
 def cmd_validate(args) -> int:
-    if getattr(args, "ring", None):
-        parse_ring(args.ring)
     spec = parse_group(args.group)
     report = validate_group(spec)
     payload = {
@@ -124,8 +121,7 @@ def cmd_validate(args) -> int:
 def cmd_idempotents(args) -> int:
     ring = parse_ring(args.ring)
     spec = parse_group(args.group)
-    require_valid(spec)
-    records = primitive_family(spec, ring)
+    records = primitive_family(spec, ring)  # raises InvalidGroup for a bad group
     alg = GroupAlgebra(ring, spec)
     checks = verify_family([r.element for r in records], alg)
     payload = {
@@ -195,8 +191,16 @@ def cmd_code(args) -> int:
     return EXIT_OK
 
 
-def _hat_label(i, power):
-    return f"h(a{i + 1}^{power})" if power > 1 else f"h(a{i + 1})"
+# The paper's worked example: (block, split, generator label) at j_i = 1.
+# cmd_table admits only z4 and the primes (3, 5, 11), so these are its rows.
+TABLE_ROWS = (
+    ((0, 0, 0), None, "h(a1)h(a2)h(a3)"),
+    ((1, 0, 0), None, "(h(a1^3)-h(a1))h(a2)h(a3)"),
+    ((0, 1, 0), None, "(h(a2^5)-h(a2))h(a1)h(a3)"),
+    ((0, 0, 1), None, "(h(a3^11)-h(a3))h(a1)h(a2)"),
+    ((1, 1, 0), "(1)", "e(1)[u1u2+u1^2u2^2]h(a3)"),
+    ((1, 1, 1), "(1)", "e(1)[u1u2u3+u1^2u2^2u3^2]"),
+)
 
 
 def cmd_table(args) -> int:
@@ -210,45 +214,17 @@ def cmd_table(args) -> int:
     if not 0 <= args.k < ring.t:
         raise UsageError("need 0 <= k < 2")
     k = args.k
-    # rows instantiate the table layout at j_i = 1
-    js = (1, 1, 1)
     alg = GroupAlgebra(ring, spec)
     records = primitive_family(spec, ring)
     by_label = {(r.block, r.split): r for r in records}
-
-    def label_for(block, split):
-        hats = []
-        for i, j in enumerate(block):
-            if j == 0:
-                hats.append(_hat_label(i, 1))
-        if split is None:
-            deltas = [
-                f"({_hat_label(i, spec.primes[i] ** j)}-{_hat_label(i, spec.primes[i] ** (j - 1))})"
-                for i, j in enumerate(block) if j > 0
-            ]
-            body = "".join(deltas + hats)
-        else:
-            us = "".join(f"u{i + 1}" for i, j in enumerate(block) if j > 0)
-            sq = "".join(f"u{i + 1}^2" for i, j in enumerate(block) if j > 0)
-            body = f"e{split}[{us}+{sq}]" + "".join(hats)
-        return f"<s^{k} {body}>"
-
-    row_specs = [
-        ((0, 0, 0), None),
-        ((js[0], 0, 0), None),
-        ((0, js[1], 0), None),
-        ((0, 0, js[2]), None),
-        ((js[0], js[1], 0), "(1)"),
-        ((js[0], js[1], js[2]), "(1)"),
-    ]
     rows = []
-    for block, split in row_specs:
+    for block, split, label in TABLE_ROWS:
         rec = by_label[(block, split)]
         comp = CodeComponent(rec.element, block, split, k)
         # budget 0: a closed-form row is not enumerated ((0,0,1) has 2^20 words at k = 0)
         rep = analyze_code(alg, [comp], args.budget if split else 0)
         rows.append({
-            "code": label_for(block, split),
+            "code": f"<s^{k} {label}>",
             "block": list(block),
             "split": split,
             "k": k,
@@ -265,7 +241,7 @@ def cmd_table(args) -> int:
         "ring": ring.designator(),
         "group": spec.designator(),
         "k": k,
-        "j": list(js),
+        "j": [1, 1, 1],
         "rows": rows,
     }
     csv_rows = [
@@ -292,7 +268,7 @@ def cmd_table(args) -> int:
 def cmd_selftest(args) -> int:
     from .selftest import run_all
 
-    results = run_all(budget=args.budget)
+    results = run_all()
     return EXIT_OK if all(r.ok for r in results) else EXIT_USAGE
 
 
@@ -319,8 +295,8 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceeded, MemoryError) as exc:  # MemoryError: an allocation the budget admitted
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except InvariantError as exc:
         print(f"error: invariant violated: {exc}", file=sys.stderr)

@@ -416,11 +416,11 @@ class CodeReport:
 def _weigh(alg: GroupAlgebra, comp: CodeComponent, budget: int, got=None):
     """Weight of one live component's code <s^k e>, cross-checked.
 
-    Returns (exact, lower, best, got): the exact minimum weight or None, the
-    lower bound (None where the closed form applies), the lightest probe as
-    (weight, word), and the enumerated (weight, word) or None.  An
-    enumeration the caller already holds comes in as got; otherwise a code
-    without a closed form is enumerated here if it fits the budget.
+    Returns (exact, lower, best): the exact minimum weight or None, the
+    lower bound (None where the closed form applies), and the lightest
+    probe as (weight, word).  An enumeration the caller already holds
+    comes in as got, as (weight, word); otherwise a code without a closed
+    form is enumerated here if it fits the budget.
     """
     spec = alg.group
     best = min_weight_upper_bound(alg, comp)
@@ -432,17 +432,17 @@ def _weigh(alg: GroupAlgebra, comp: CodeComponent, budget: int, got=None):
             raise InvariantError("no probe attains the formula")
         if got is not None and got[0] != formula:
             raise InvariantError("enumeration disagrees with formula")
-        return formula, None, best, got
+        return formula, None, best
     lower = min_weight_lower_bound(spec, comp.block, comp.split)
     if got is None and code_size_formula(spec, alg.ring, comp.block, comp.k) <= budget:
         got = enumerate_codewords(alg, [comp], budget).min_nonzero()
     if got is None:
-        return (lower if best[0] == lower else None), lower, best, None
+        return (lower if best[0] == lower else None), lower, best
     if got[0] < lower:
         raise InvariantError("enumerated weight beats the lower bound")
     if got[0] > best[0]:
         raise InvariantError("enumerated weight exceeds a probe's weight")
-    return got[0], lower, best, got
+    return got[0], lower, best
 
 
 def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) -> CodeReport:
@@ -469,7 +469,7 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
     if got is None and rep.size_method == "both-agree":
         raise InvariantError("a live code enumerated no nonzero word")
 
-    lightest = min((best for _, _, best, _ in parts), key=lambda b: b[0])
+    lightest = min((best for _, _, best in parts), key=lambda b: b[0])
     rep.weight_method = "bounds-only" if got is None else "enumeration"
     rep.witness = (lightest if got is None else got)[1]
     if len(components) == 1:

@@ -13,7 +13,9 @@ all coset sums fully splits the identity.
 This construction never touches the closed-form products used
 elsewhere, so it serves as the ground truth they are compared against.
 The number of components is also predicted by a closed formula in the
-factor exponents n_i.
+factor exponents n_i.  primitive_idempotents_f2 validates the group
+before its first product; idempotents.primitive_family relies on that
+check and makes none of its own.
 """
 
 from __future__ import annotations
@@ -29,13 +31,9 @@ from .chain_ring import F2
 from .group_algebra import AlgebraElem, GroupAlgebra
 
 
-def f2_algebra(spec: GroupSpec) -> GroupAlgebra:
-    return GroupAlgebra(F2, spec)
-
-
 def coset_sums(spec: GroupSpec):
     """(coset, sum over the coset of a^k) pairs, cosets by least member."""
-    alg = f2_algebra(spec)
+    alg = GroupAlgebra(F2, spec)
     out = []
     for coset in cyclotomic_cosets(spec.n):
         arr = np.zeros(alg.n, dtype=np.uint8)
@@ -48,7 +46,7 @@ def coset_sums(spec: GroupSpec):
 def primitive_idempotents_f2(spec: GroupSpec):
     """All primitive idempotents of F2 G, sorted by least support exponent."""
     require_valid(spec)
-    alg = f2_algebra(spec)
+    alg = GroupAlgebra(F2, spec)
     working = [alg.one()]
     for _, c in coset_sums(spec):
         refined = []
@@ -58,15 +56,11 @@ def primitive_idempotents_f2(spec: GroupSpec):
                 if not piece.is_zero():
                     refined.append(piece)
         working = refined
-    # one pass splits completely; order deterministically for callers
-    working.sort(key=_support_min_exponent)
+    # one pass splits completely; order by least support exponent for callers
+    working.sort(key=lambda e: int(np.flatnonzero(e.coeffs)[0]))
     if len(working) != component_count_formula(spec):
         raise InvariantError("oracle family size disagrees with the count formula")
     return tuple(working)
-
-
-def _support_min_exponent(e: AlgebraElem) -> int:
-    return int(np.flatnonzero(e.coeffs)[0])
 
 
 def component_count_formula(spec: GroupSpec) -> int:

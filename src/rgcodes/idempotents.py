@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import GroupSpec, InvariantError, block_labels, require_valid
+from .arith import GroupSpec, InvariantError, block_labels
 from .chain_ring import F2, ChainRing
 from .f2_oracle import component_count_formula, primitive_idempotents_f2
 from .group_algebra import AlgebraElem, GroupAlgebra, _family_certificate
@@ -153,8 +153,6 @@ def lift_idempotent(f: AlgebraElem, ring: ChainRing) -> AlgebraElem:
         raise ValueError("expects an idempotent over F2")
     if not f.is_idempotent():
         raise ValueError("element is not idempotent")
-    if ring == F2:
-        return f
     w = f.lift_to(ring) ** (1 << (ring.t - 1))
     if not w.is_idempotent() or w.reduce_f2() != f:
         raise InvariantError("the lift is not an idempotent reducing to f")
@@ -170,9 +168,9 @@ def primitive_family(spec: GroupSpec, ring: ChainRing):
     oracle primitive and the member idempotent over R, which makes it the
     unique lift; a block's members must sum to its block idempotent, and
     the family must use every oracle primitive.  A failed check raises
-    InvariantError.
+    InvariantError.  The oracle validates the group, so a group that fails
+    the hypotheses raises arith.InvalidGroup before any product is formed.
     """
-    require_valid(spec)
     alg = GroupAlgebra(ring, spec)
     unused = {f.coeffs.tobytes(): f for f in primitive_idempotents_f2(spec)}
     records = []

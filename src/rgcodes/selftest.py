@@ -2,8 +2,10 @@
 
 Each criterion function is self-contained and returns a CriterionResult;
 ``run_all`` executes them in order and prints one pass/fail line per
-criterion.  The pytest acceptance module wraps the same functions, so
-``rgcodes selftest`` and the test suite agree by construction.
+criterion.  Every enumeration runs at the word budget
+codes.DEFAULT_BUDGET.  The pytest acceptance module wraps the same
+functions, so ``rgcodes selftest`` and the test suite agree by
+construction.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def criterion_formula_vs_oracle():
     return _timed("formula-vs-oracle", 10.0, run)
 
 
-def criterion_word_counts(budget):
+def criterion_word_counts():
     """Enumerated cardinality equals 2^((t-k) d) at n = 15 over z4."""
 
     def run():
@@ -152,16 +154,16 @@ def criterion_word_counts(budget):
             for k in (0, 1):
                 comp = CodeComponent(rec.element, rec.block, rec.split, k)
                 want = code_size_formula(spec, ring, rec.block, k)
-                got = len(enumerate_codewords(alg, [comp], budget))
+                got = len(enumerate_codewords(alg, [comp]))
                 if got != want:
                     return False, f"block {rec.block} k={k}: {got} != {want}"
                 sizes.append(want)
         return True, f"10 codes enumerated, sizes {sorted(set(sizes))}"
 
-    return _timed("word-counts", 60.0, lambda: run())
+    return _timed("word-counts", 60.0, run)
 
 
-def criterion_min_weights(budget):
+def criterion_min_weights():
     """Enumerated minimum weights 15/10/6 at n = 15, equal for k = 0 and 1."""
 
     def run():
@@ -175,7 +177,7 @@ def criterion_min_weights(budget):
             per_k = []
             for k in (0, 1):
                 comp = CodeComponent(rec.element, rec.block, rec.split, k)
-                got = enumerate_codewords(alg, [comp], budget).min_nonzero()
+                got = enumerate_codewords(alg, [comp]).min_nonzero()
                 if got is None or got[0] != expected:
                     return False, f"block {block} k={k}: weight {got} != {expected}"
                 per_k.append(got[0])
@@ -186,7 +188,7 @@ def criterion_min_weights(budget):
     return _timed("min-weights", None, run)
 
 
-def criterion_bound_sandwich(budget):
+def criterion_bound_sandwich():
     """Split code at n = 15: lower bound 4 <= enumerated weight <= probe bound."""
 
     def run():
@@ -198,7 +200,7 @@ def criterion_bound_sandwich(budget):
             if r.block == (1, 1) and r.split == "(1)"
         )
         comp = CodeComponent(rec.element, rec.block, rec.split, 0)
-        rep = analyze_code(alg, [comp], budget)
+        rep = analyze_code(alg, [comp])
         if rep.lower_bound != 4:
             return False, f"lower bound {rep.lower_bound} != 4"
         if rep.min_weight is None or rep.weight_method != "enumeration":
@@ -233,7 +235,7 @@ def criterion_order_identity():
     return _timed("order-identity", None, run)
 
 
-def criterion_example_table(budget):
+def criterion_example_table():
     """The table command reproduces the frozen counts and fills the blank cells."""
 
     def run():
@@ -241,10 +243,7 @@ def criterion_example_table(budget):
 
         buf = io.StringIO()
         with redirect_stdout(buf):
-            rc = cli_main([
-                "table", "--ring", "z4", "--group", "3^1,5^1,11^1",
-                "--k", "1", "--budget", str(budget),
-            ])
+            rc = cli_main(["table", "--ring", "z4", "--group", "3^1,5^1,11^1", "--k", "1"])
         if rc != 0:
             return False, f"table command exited {rc}"
         rows = json.loads(buf.getvalue())["rows"]
@@ -269,7 +268,7 @@ def criterion_example_table(budget):
     return _timed("example-table", 300.0, run)
 
 
-def criterion_properties(budget):
+def criterion_properties():
     """Hats idempotent, ring axioms (randomized), Frobenius fixing, determinism."""
 
     def run():
@@ -345,20 +344,20 @@ def criterion_properties(budget):
     return _timed("property-suite", None, run)
 
 
-def run_all(budget=1 << 20, print_fn=print):
+def run_all():
     results = [
         criterion_component_counts(),
         criterion_lifting(),
         criterion_formula_vs_oracle(),
-        criterion_word_counts(budget),
-        criterion_min_weights(budget),
-        criterion_bound_sandwich(budget),
+        criterion_word_counts(),
+        criterion_min_weights(),
+        criterion_bound_sandwich(),
         criterion_order_identity(),
-        criterion_example_table(budget),
-        criterion_properties(budget),
+        criterion_example_table(),
+        criterion_properties(),
     ]
     for res in results:
-        print_fn(res.line())
+        print(res.line())
     passed = sum(r.ok for r in results)
-    print_fn(f"{passed}/{len(results)} criteria passed")
+    print(f"{passed}/{len(results)} criteria passed")
     return results

@@ -7,8 +7,6 @@ single pass/fail line, and asserts the result, so `pytest -v` and
 
 from rgcodes import selftest
 
-BUDGET = 1 << 20
-
 
 def _check(result):
     print(result.line())
@@ -32,17 +30,17 @@ def test_criterion_3_formulas_vs_oracle():
 
 def test_criterion_4_word_counts():
     """Enumerated code sizes equal 2^((t-k)d) for all components at n = 15."""
-    _check(selftest.criterion_word_counts(BUDGET))
+    _check(selftest.criterion_word_counts())
 
 
 def test_criterion_5_minimum_weights():
     """Exact weights 15/10/6 at n = 15, independent of k."""
-    _check(selftest.criterion_min_weights(BUDGET))
+    _check(selftest.criterion_min_weights())
 
 
 def test_criterion_6_bound_sandwich():
     """Split-code weight sits between the lower bound 4 and the probe bound."""
-    _check(selftest.criterion_bound_sandwich(BUDGET))
+    _check(selftest.criterion_bound_sandwich())
 
 
 def test_criterion_7_order_identity():
@@ -52,9 +50,9 @@ def test_criterion_7_order_identity():
 
 def test_criterion_8_example_table():
     """Table rows reproduce the frozen counts; blank cells get filled."""
-    _check(selftest.criterion_example_table(BUDGET))
+    _check(selftest.criterion_example_table())
 
 
 def test_criterion_9_property_suite():
     """Hat idempotency, ring axioms, Frobenius fixing, JSON determinism."""
-    _check(selftest.criterion_properties(BUDGET))
+    _check(selftest.criterion_properties())

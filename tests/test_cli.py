@@ -1,13 +1,17 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from rgcodes import cli, codes, idempotents
+from rgcodes import arith, cli, codes, f2_oracle, idempotents
 from rgcodes.codes import BudgetExceeded
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def run(capsys, *argv):
@@ -121,6 +125,50 @@ def test_code_budget_exit_3(capsys, monkeypatch):
     assert rc == 3
 
 
+def test_out_of_memory_exit_3(capsys, monkeypatch):
+    """An allocation the word budget admitted but memory cannot hold exits 3."""
+    def boom(*a, **kw):
+        raise MemoryError("Unable to allocate 42.0 TiB")
+
+    monkeypatch.setattr(cli, "analyze_code", boom)
+    rc = cli.main(["code", "--ring", "z4", "--group", "3^1,5^1",
+                   "--block", "0,0", "--k", "0"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 42.0 TiB\n"
+
+
+@pytest.mark.parametrize("group", ["2305843009213693951^1", "3^99999999999", "3^9999999"])
+def test_group_order_bounded_before_work(group):
+    """An order past MAX_ORDER is refused before trial division or p^e."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rgcodes.cli", "validate", "--group", group],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "group order exceeds the limit" in proc.stderr
+
+
+def test_one_group_check_per_command(capsys, monkeypatch):
+    """idempotents validates its group once, in the oracle; code validates it
+    once more up front, so that a bad group exits 2 before usage errors."""
+    calls = []
+    real = arith.validate_group
+    monkeypatch.setattr(arith, "validate_group", lambda spec: calls.append(spec) or real(spec))
+    for argv, want in (
+        (["idempotents", "--ring", "z4", "--group", "3^1"], 1),
+        (["code", "--ring", "z4", "--group", "3^1", "--block", "0", "--k", "0"], 2),
+    ):
+        idempotents.primitive_family.cache_clear()
+        f2_oracle.primitive_idempotents_f2.cache_clear()
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert len(calls) == want, argv
+
+
 def test_budget_must_be_nonnegative(capsys):
     code = ("code", "--ring", "z4", "--group", "3^1,5^1", "--block", "1,1",
             "--split", "1", "--k", "0")
@@ -129,7 +177,6 @@ def test_budget_must_be_nonnegative(capsys):
     rc, _ = run(capsys, "table", "--ring", "z4", "--group", "3^1,5^1,11^1",
                 "--k", "0", "--budget", "-1")
     assert rc == 1
-    assert cli.main(["selftest", "--budget", "-1"]) == 1
     # 0 is legal: nothing is enumerated, the size comes from the formula
     rc, out = run(capsys, *code, "--budget", "0")
     assert rc == 0

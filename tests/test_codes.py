@@ -415,7 +415,7 @@ def small_spans(draw):
     n = draw(st.integers(1, 4))
     vectors = st.lists(st.integers(0, ring.mask), min_size=n, max_size=n)
     rows = np.array(draw(st.lists(vectors, min_size=1, max_size=3)), dtype=ring.dtype)
-    s = ring.uniformizer_payload()
+    s = ring.s_pow_payload(1)
     while sum(ring.t - _valuation(ring, row) for row in rows) > REFERENCE_LIMIT_BITS:
         j = min(range(len(rows)), key=lambda j: _valuation(ring, rows[j]))
         rows[j] = ring.scalar_mul_arr(s, rows[j])

@@ -1,12 +1,13 @@
 import numpy as np
 
 from rgcodes.arith import GroupSpec, cyclotomic_cosets
+from rgcodes.chain_ring import F2
 from rgcodes.f2_oracle import (
     component_count_formula,
     coset_sums,
-    f2_algebra,
     primitive_idempotents_f2,
 )
+from rgcodes.group_algebra import GroupAlgebra
 
 C15 = GroupSpec((3, 5), (1, 1))
 
@@ -59,7 +60,7 @@ def test_primitive_count_matches_formula():
 
 def test_family_is_complete_orthogonal():
     prims = primitive_idempotents_f2(C15)
-    alg = f2_algebra(C15)
+    alg = GroupAlgebra(F2, C15)
     total = alg.zero()
     for e in prims:
         assert e.is_idempotent() and not e.is_zero()
@@ -90,7 +91,7 @@ def test_module_dimensions_match_degrees():
     prims = primitive_idempotents_f2(C15)
     dims = sorted(module_dimension_f2(e) for e in prims)
     assert dims == [1, 2, 4, 4, 4]
-    assert module_dimension_f2(f2_algebra(C15).one()) == 15
+    assert module_dimension_f2(GroupAlgebra(F2, C15).one()) == 15
 
 
 def test_sorted_deterministic():
@@ -98,4 +99,4 @@ def test_sorted_deterministic():
     b = primitive_idempotents_f2(GroupSpec((3, 5), (1, 1)))
     assert list(a) == list(b)  # same spec, same tuple, cached
     # first member is the whole-group hat (support exponent 0)
-    assert a[0] == f2_algebra(C15).hat((0, 0))
+    assert a[0] == GroupAlgebra(F2, C15).hat((0, 0))
