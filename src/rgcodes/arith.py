@@ -20,6 +20,7 @@ arithmetic at desk scale (trial division, modular powers).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -250,11 +251,12 @@ def parse_group(text: str) -> GroupSpec:
         raise ValueError(f"bad group designator {text!r}")
     primes, exps, order = [], [], 1
     for tok in tokens:
-        base, _, exp = tok.partition("^")
-        if not base.isdigit() or (_ and not exp.isdigit()):
+        m = re.fullmatch(r"0*([0-9]+)(?:\^0*([0-9]+))?", tok)  # ASCII digits
+        if m is None:
             raise ValueError(f"bad group token {tok!r}")
-        p = int(base)
-        e = int(exp) if exp else 1
+        # int() reads no digit string longer than MAX_ORDER's: that one is past every bound
+        p, e = (int(d) if len(d) <= len(str(MAX_ORDER)) else MAX_ORDER + 1
+                for d in (m[1], m[2] or "1"))
         if e < 1:
             raise ValueError(f"group token {tok!r}: exponent must be >= 1")
         # bounded before any work: trial division of p, the power p^e

@@ -20,11 +20,14 @@ s_pow_payload the power s^k (the payload 1 << k, 0 at k = t).  In
 either family the residue map to F2 reads off the low bit, and a payload
 is a unit iff that bit is set; so a payload with v trailing zero bits is
 s^v times the unit payload >> v, and s^v divides a payload iff its low v
-bits are 0.
+bits are 0.  mul_arr takes a scalar payload for either operand, and inv
+is one formula for both families: the units form a group of order
+2^(t-1), so 1/a = a^(2^(t-1) - 1).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -99,14 +102,11 @@ class ChainRing:
     def inv(self, a: int) -> int:
         if not self.is_unit(a):
             raise ValueError(f"{self.str_payload(a)} is not a unit in {self.designator()}")
-        if self.family == FAMILY_INT:
-            return pow(a, -1, self.size)
-        # a = 1 + m with m nilpotent, so 1/a = 1 + m + m^2 + ... + m^(t-1)
-        m = a ^ 1
-        out, term = 1, 1
+        # the units form a group of order 2^(t-1) in both families, so
+        # 1/a = a^(2^(t-1) - 1) = a a^2 ... a^(2^(t-2))
+        out = 1
         for _ in range(self.t - 1):
-            term = self.mul(term, m)
-            out ^= term
+            out, a = self.mul(out, a), self.mul(a, a)
         return out
 
     # -- integers and the uniformizer ----------------------------------
@@ -126,11 +126,10 @@ class ChainRing:
 
     # -- vectorised payload arithmetic ---------------------------------
 
-    def add_arr(self, A, B, out=None):
+    def add_arr(self, A, B):
         if self.family == FAMILY_INT:
-            mask = np.asarray(self.mask, dtype=self.dtype)
-            return np.bitwise_and(np.add(A, B, out=out), mask, out=out)
-        return np.bitwise_xor(A, B, out=out)
+            return (A + B) & np.asarray(self.mask, dtype=self.dtype)
+        return A ^ B
 
     def sub_arr(self, A, B):
         if self.family == FAMILY_INT:
@@ -182,9 +181,6 @@ class ChainRing:
             out &= self.mask
         return out.astype(self.dtype)
 
-    def scalar_mul_arr(self, c: int, A):
-        return self.mul_arr(np.asarray(c, dtype=np.uint32), A)
-
     # -- printing ------------------------------------------------------
 
     def str_payload(self, a: int) -> str:
@@ -205,18 +201,17 @@ F2 = ChainRing(FAMILY_INT, 1)
 def parse_ring(text: str) -> ChainRing:
     """Parse a ring designator: z2, z4, z8, ... or f2u2, f2u3, ..."""
     text = text.strip().lower()
-    if text.startswith("f2u"):
-        tail = text[3:]
-        if not tail.isdigit():
-            raise ValueError(f"bad ring designator {text!r}")
-        return ChainRing(FAMILY_POLY, int(tail))
-    if text.startswith("z"):
-        tail = text[1:]
-        if not tail.isdigit():
-            raise ValueError(f"bad ring designator {text!r}")
-        m = int(tail)
-        t = m.bit_length() - 1
-        if m < 2 or (1 << t) != m:
-            raise ValueError(f"ring size must be a power of two, got {text!r}")
-        return ChainRing(FAMILY_INT, t)
-    raise ValueError(f"bad ring designator {text!r}")
+    m = re.fullmatch(r"(z|f2u)0*([0-9]+)", text)  # ASCII digits
+    if m is None:
+        raise ValueError(f"bad ring designator {text!r}")
+    prefix, digits = m.groups()
+    # no longer than the largest size 2^_MAX_T or index _MAX_T, before int()
+    if len(digits) > len(str(1 << _MAX_T if prefix == "z" else _MAX_T)):
+        raise ValueError(f"nilpotency index must be in 1..{_MAX_T}, got {text!r}")
+    value = int(digits)
+    if prefix == "f2u":
+        return ChainRing(FAMILY_POLY, value)
+    t = value.bit_length() - 1
+    if value < 2 or (1 << t) != value:
+        raise ValueError(f"ring size must be a power of two, got {text!r}")
+    return ChainRing(FAMILY_INT, t)

@@ -8,15 +8,15 @@ cannot be written fails at once.  Exit codes: 0 success, 1 usage,
 parse or output-file error, 2 a group outside the hypotheses (validate's
 report, or arith.InvalidGroup), 3 enumeration budget exceeded or out of
 memory in an allocation the budget admitted, 4 a mathematical invariant
-failed (a bug, not a bad input).  Every code
-report, the table's closed-form rows included, comes from analyze_code.
+failed (a bug, not a bad input); selftest exits 1 when a criterion
+fails.  Every code report, the table's closed-form rows included, comes
+from analyze_code, and a csv row is one of a command's records.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import re
 import sys
@@ -78,24 +78,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write(text: str, out):
-    (out or sys.stdout).write(text)
+def _cell(value):
+    """A csv cell: a list, such as a block vector, joined with commas."""
+    return ",".join(map(str, value)) if isinstance(value, list) else value
 
 
-def _emit(payload: dict, fmt: str, out, csv_rows=None, text_lines=None):
-    if fmt == "json":
-        _write(json.dumps(payload, indent=2) + "\n", out)
-    elif fmt == "csv":
-        if csv_rows is None:
-            raise UsageError("csv output is not available for this command")
-        header, rows = csv_rows
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+def _emit(args, payload: dict, header, records, lines):
+    """Write payload as JSON, records as csv rows of the header's keys, or lines."""
+    out = args.out or sys.stdout
+    if args.format == "json":
+        out.write(json.dumps(payload, indent=2) + "\n")
+    elif args.format == "csv":
+        writer = csv.writer(out)
         writer.writerow(header)
-        writer.writerows(rows)
-        _write(buf.getvalue(), out)
+        writer.writerows([_cell(r[h]) for h in header] for r in records)
     else:
-        _write("\n".join(text_lines or [json.dumps(payload)]) + "\n", out)
+        out.write("\n".join(lines) + "\n")
 
 
 def cmd_validate(args) -> int:
@@ -109,12 +107,11 @@ def cmd_validate(args) -> int:
             for name, ok, detail in report.checks
         ],
     }
-    rows = [[c["name"], c["ok"], c["detail"]] for c in payload["conditions"]]
     lines = [f"group {spec}: {'valid' if report.ok else 'INVALID'}"] + [
         f"  [{'ok' if ok else 'FAIL'}] {name}: {detail}"
         for name, ok, detail in report.checks
     ]
-    _emit(payload, args.format, args.out, (["name", "ok", "detail"], rows), lines)
+    _emit(args, payload, ["name", "ok", "detail"], payload["conditions"], lines)
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
@@ -131,17 +128,13 @@ def cmd_idempotents(args) -> int:
         "records": [r.to_json_dict() for r in records],
         "checks": checks,
     }
-    rows = [
-        [",".join(map(str, r.block)), r.split or "", r.method, r.element.weight()]
-        for r in records
-    ]
+    rows = [{**d, "weight": r.element.weight()} for d, r in zip(payload["records"], records)]
     lines = [f"{len(records)} primitive idempotents of {ring.designator()}[{spec}]"] + [
         f"  block ({','.join(map(str, r.block))}) split {r.split or '-'} "
         f"method {r.method} weight {r.element.weight()}"
         for r in records
     ] + [f"checks: {checks}"]
-    _emit(payload, args.format, args.out,
-          (["block", "split", "method", "weight"], rows), lines)
+    _emit(args, payload, ["block", "split", "method", "weight"], rows, lines)
     return EXIT_OK
 
 
@@ -165,29 +158,21 @@ def cmd_code(args) -> int:
     split = _split_tag(args.split)
     if not 0 <= args.k <= ring.t:
         raise UsageError(f"need 0 <= k <= {ring.t}")
-    records = primitive_family(spec, ring)
-    matches = [r for r in records if r.block == block and r.split == split]
-    if len(matches) != 1:
+    rec = {(r.block, r.split): r for r in primitive_family(spec, ring)}.get((block, split))
+    if rec is None:
         raise UsageError(
             f"no family member with block {block} split {split};"
             " multi-index blocks need --split"
         )
-    rec = matches[0]
     comp = CodeComponent(rec.element, rec.block, rec.split, args.k)
     alg = GroupAlgebra(ring, spec)
     report = analyze_code(alg, [comp], args.budget)
     payload = report.to_json_dict()
-    rows = [[
-        payload["ring"], payload["group"], ",".join(map(str, rec.block)),
-        rec.split or "", args.k, payload["size"], payload["size_method"],
-        payload["min_weight"], payload["lower_bound"], payload["upper_bound"],
-        payload["weight_method"],
-    ]]
     lines = [f"{key}: {payload[key]}" for key in payload if key != "witness"]
-    _emit(payload, args.format, args.out,
-          (["ring", "group", "block", "split", "k", "size", "size_method",
-            "min_weight", "lower_bound", "upper_bound", "weight_method"], rows),
-          lines)
+    _emit(args, payload,
+          ["ring", "group", "block", "split", "k", "size", "size_method",
+           "min_weight", "lower_bound", "upper_bound", "weight_method"],
+          [{**payload, **payload["components"][0]}], lines)
     return EXIT_OK
 
 
@@ -244,12 +229,6 @@ def cmd_table(args) -> int:
         "j": [1, 1, 1],
         "rows": rows,
     }
-    csv_rows = [
-        [r["code"], ",".join(map(str, r["block"])), r["split"] or "", r["k"],
-         r["words"], r["weight"], r["weight_method"], r["lower_bound"],
-         r["upper_bound"], r["generator_weight"], r["paper_blank"]]
-        for r in rows
-    ]
     width = max(len(r["code"]) for r in rows)
     lines = [f"ring {payload['ring']}, group {payload['group']}, k={k}"] + [
         f"  {r['code']:<{width}}  words {r['words']:>8}  weight "
@@ -258,10 +237,10 @@ def cmd_table(args) -> int:
         + ("  (blank in source table)" if r["paper_blank"] else "")
         for r in rows
     ]
-    _emit(payload, args.format, args.out,
-          (["code", "block", "split", "k", "words", "weight", "weight_method",
-            "lower_bound", "upper_bound", "generator_weight", "paper_blank"],
-           csv_rows), lines)
+    _emit(args, payload,
+          ["code", "block", "split", "k", "words", "weight", "weight_method",
+           "lower_bound", "upper_bound", "generator_weight", "paper_blank"],
+          rows, lines)
     return EXIT_OK
 
 

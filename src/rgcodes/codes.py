@@ -6,7 +6,9 @@ Word counts follow the closed form |<s^k e>| = 2^((t-k) d) with d the
 F2-dimension of the component of e; minimum weights have closed forms
 for components whose block has at most one nonzero index, and
 lower/upper bounds otherwise, all through one per-component path
-(_weigh).  Each component forms its generator s^k e once
+(_weigh).  Each closed form is a function of the block's l nonzero
+indices and D = prod_i p_i^j_i (_block_order).  Each component
+forms its generator s^k e once
 (CodeComponent.generator).  analyze_code weighs every code as a direct
 sum, one component being a sum of one: when the sum fits the budget it
 is walked once, and each member's words are read off the sum's rows
@@ -38,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import GroupSpec, InvariantError
+from .arith import GroupSpec, InvariantError, euler_phi
 from .chain_ring import ChainRing
 from .group_algebra import AlgebraElem, GroupAlgebra, _family_certificate, grid_order
 
@@ -88,16 +90,18 @@ def check_components(alg: GroupAlgebra, components):
         raise ValueError("component idempotents are not orthogonal")
 
 
+def _block_order(spec: GroupSpec, block):
+    """(l, D) for a block (j_1, ..., j_r): l nonzero indices, D = prod_i p_i^j_i;
+    n/D is the order of the block's subgroup H = prod_i <a_i^(p_i^j_i)>."""
+    powers = [p**j for p, j in zip(spec.primes, block) if j > 0]
+    return len(powers), math.prod(powers)
+
+
 def component_dimension(spec: GroupSpec, block) -> int:
-    """F2-dimension of one primitive component of the given block."""
-    deltas = []
-    for p, j in zip(spec.primes, block):
-        if j > 0:
-            deltas.append(p**j - p ** (j - 1))
-    if not deltas:
-        return 1
-    num = math.prod(deltas)
-    den = 1 << (len(deltas) - 1)
+    """F2-dimension of one primitive component of the given block: the
+    block's phi(D) dimensions shared by its 2^(l-1) members (one if l = 0)."""
+    l, d = _block_order(spec, block)
+    num, den = euler_phi(d), 1 << max(l - 1, 0)
     if num % den:
         raise InvariantError(f"block {tuple(block)}: dimension {num}/{den} is not an integer")
     return num // den
@@ -219,15 +223,15 @@ class _Span:
                 w = (a & -a).bit_length() - 1  # a = s^w times a unit
                 v, row = self.rows.get(p, (t, None))
                 if w >= v:
-                    x = ring.sub_arr(x, ring.scalar_mul_arr(a >> v, row))
+                    x = ring.sub_arr(x, ring.mul_arr(a >> v, row))
                     continue
                 if a >> w != 1:  # make the pivot s^w
-                    x = ring.scalar_mul_arr(ring.inv(a >> w), x)
+                    x = ring.mul_arr(ring.inv(a >> w), x)
                 self.rows[p] = (w, x)
                 if row is not None:  # s^v at p is now a multiple of s^w
                     todo.append(row)
                 if (x & ((1 << w) - 1)).any():  # else s^(t-w) x = 0
-                    todo.append(ring.scalar_mul_arr(ring.s_pow_payload(t - w), x))
+                    todo.append(ring.mul_arr(ring.s_pow_payload(t - w), x))
                 break
 
 
@@ -303,41 +307,24 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
 
 
 def min_weight_formula(spec: GroupSpec, block):
-    """Exact minimum weight for blocks with at most one nonzero index.
+    """Exact minimum weight 2^l n/D for blocks with l <= 1 nonzero indices.
 
-    All-zero block: |G|.  Single nonzero index i1 at level j: twice the
-    product of the other factor orders times p_i1^(n_i1 - j).  Returns
+    All-zero block: |G|.  Single nonzero index: twice |H| = n/D.  Returns
     None for blocks that split (no closed form).
     """
-    nonzero = [i for i, j in enumerate(block) if j > 0]
-    if not nonzero:
-        return spec.n
-    if len(nonzero) > 1:
-        return None
-    (i1,) = nonzero
-    out = 2
-    for i, (p, n) in enumerate(zip(spec.primes, spec.exponents)):
-        out *= p ** (n - block[i1]) if i == i1 else p**n
-    return out
+    l, d = _block_order(spec, block)
+    return (spec.n // d) << l if l <= 1 else None
 
 
 def min_weight_lower_bound(spec: GroupSpec, block, split):
-    """Lower bound for a split component (>= 2 nonzero block indices).
+    """Lower bound for a split component (l >= 2 nonzero block indices).
 
-    Scaled from the subgroup prod <a_i^{p_i^{j_i}}> over the split
-    indices: factor 4 for two indices, 2^(l-1) for l >= 3.
+    Scaled from |H| = n/D: factor 4 for two indices, 2^(l-1) for l >= 3.
     """
-    if split is None:
+    l, d = _block_order(spec, block)
+    if split is None or l < 2:
         raise ValueError("component is not a split of a multi-index block")
-    nonzero = [i for i, j in enumerate(block) if j > 0]
-    l = len(nonzero)
-    if l < 2:
-        raise ValueError("component is not a split of a multi-index block")
-    base = 1
-    for i, (p, n) in enumerate(zip(spec.primes, spec.exponents)):
-        base *= p ** (n - block[i]) if i in nonzero else p**n
-    factor = 4 if l == 2 else 1 << (l - 1)
-    return factor * base
+    return (spec.n // d) << (2 if l == 2 else l - 1)
 
 
 def weight_probes(alg: GroupAlgebra, comp: CodeComponent):

@@ -1,10 +1,11 @@
 """The group algebra RG for a chain ring R and an abelian group G.
 
 The factor orders q_i = p_i^{n_i} are pairwise coprime, so G is cyclic,
-generated by a = a_1 ... a_r of order n, and RG = R[x]/(x^n - 1).  An
-element is a dense payload vector of length n whose position k holds the
-coefficient of a^k; products, shifts, subgroup hats and exponent scaling
-all work on this one axis.  The factor grid, where (e_1, ..., e_r) names
+generated by a = a_1 ... a_r of order n, and RG = R[x]/(x^n - 1), a
+value: the frozen pair (ring, group).  An element is a dense payload
+vector of length n whose position k holds the coefficient of a^k;
+products, shifts, subgroup hats and exponent scaling all work on this
+one axis.  The factor grid, where (e_1, ..., e_r) names
 a_1^{e_1} ... a_r^{e_r}, is a view kept inside this module: multi-indices
 enter through ``arith.crt_index`` and ``pairs`` lists them in grid order
 through the per-group permutation ``grid_order``.  A subgroup is named by
@@ -27,6 +28,7 @@ Elements are immutable; every operation allocates a fresh array.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,8 +37,8 @@ from .arith import GroupSpec, InvariantError, crt_index, crt_multi
 from .chain_ring import F2, FAMILY_POLY, ChainRing
 
 # A product whose sparser operand has at most this many nonzero terms is
-# formed by shift-and-add, any other by FFT.  Crossover measured at
-# n = 15..495: 3 to 4 terms over z2, z4 and z8, 4 to 6 over f2u2 and f2u3.
+# formed by shift-and-add, any other by FFT.  Crossover (timeit against a dense
+# operand at n = 15, 165 and 495): 4 to 7 terms over z4 and z8, 2 to 5 over f2u3.
 SHIFT_ADD_MAX_TERMS = 4
 
 
@@ -51,24 +53,20 @@ def grid_order(group: GroupSpec) -> np.ndarray:
     return order
 
 
+@dataclass(frozen=True)
 class GroupAlgebra:
-    """Context object tying a ChainRing to a GroupSpec."""
+    """The algebra RG of a ChainRing over a GroupSpec; a value, equal by both."""
 
-    def __init__(self, ring: ChainRing, group: GroupSpec):
-        self.ring = ring
-        self.group = group
-        self.shape = group.factor_orders
-        self.n = group.n
+    ring: ChainRing
+    group: GroupSpec
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupAlgebra)
-            and self.ring == other.ring
-            and self.group == other.group
-        )
+    @property
+    def n(self) -> int:
+        return self.group.n
 
-    def __hash__(self):
-        return hash((self.ring, self.group))
+    @property
+    def shape(self) -> tuple:
+        return self.group.factor_orders
 
     def __repr__(self):
         return f"GroupAlgebra({self.ring.designator()}, {self.group})"
@@ -87,8 +85,10 @@ class GroupAlgebra:
         return self.monomial((0,) * self.group.r)
 
     def monomial(self, multi) -> AlgebraElem:
+        if len(multi) != self.group.r:
+            raise ValueError("wrong multi-index length")
         arr = np.zeros(self.n, dtype=self.ring.dtype)
-        arr[self._flat(multi)] = 1
+        arr[crt_index(tuple(int(e) for e in multi), self.group)] = 1
         return AlgebraElem(self, arr)
 
     def generator_power(self, i: int, e: int = 1) -> AlgebraElem:
@@ -117,11 +117,6 @@ class GroupAlgebra:
         levels[i] = level
         return self.hat(tuple(levels))
 
-    def _flat(self, multi) -> int:
-        if len(multi) != self.group.r:
-            raise ValueError("wrong multi-index length")
-        return crt_index(tuple(int(e) for e in multi), self.group)
-
 
 def _family_certificate(elems, alg: GroupAlgebra):
     """(all idempotent, orthogonal, sum) for elements of alg, in 2m - 1 products.
@@ -147,7 +142,7 @@ def _shift_add_product(ring: ChainRing, a, b):
     out = np.zeros(a.shape, dtype=np.uint32)
     for k in np.flatnonzero(a).tolist():
         shifted = np.concatenate((b[n - k :], b[: n - k]))  # np.roll(b, k)
-        out = ring.add_arr(out, ring.scalar_mul_arr(int(a[k]), shifted))
+        out = ring.add_arr(out, ring.mul_arr(int(a[k]), shifted))
     return out.astype(ring.dtype)
 
 
@@ -240,13 +235,10 @@ class AlgebraElem:
         ring = self.algebra.ring
         if not (isinstance(payload, int) and 0 <= payload < ring.size):
             raise ValueError(f"a scalar payload is an int in [0, {ring.size}), got {payload!r}")
-        return AlgebraElem(self.algebra, ring.scalar_mul_arr(payload, self.coeffs))
+        return AlgebraElem(self.algebra, ring.mul_arr(payload, self.coeffs))
 
     def __mul__(self, other):
         self._check(other)
-        return self._convolve(other)
-
-    def _convolve(self, other) -> AlgebraElem:
         alg = self.algebra
         A, B = self.coeffs, other.coeffs
         terms_a, terms_b = np.count_nonzero(A), np.count_nonzero(B)

@@ -193,3 +193,12 @@ def test_parse_group():
     for bad in ("5^1,3^1", "3^1,3^2", "4^1", "3^0", "3^", "", "15"):
         with pytest.raises(ValueError):
             parse_group(bad)
+    # ASCII digits only, and no digit string longer than the limit reaches int()
+    for bad, message in (
+        ("3^\u00b2", "bad group token"),  # superscript two
+        ("\u0663^1", "bad group token"),  # Arabic-Indic three
+        ("3" * 5000 + "^1", "group order exceeds the limit"),
+        ("3^" + "1" * 5000, "group order exceeds the limit"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            parse_group(bad)

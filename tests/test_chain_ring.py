@@ -36,6 +36,15 @@ def test_parse_ring():
     for bad in ("z6", "z3", "f2u", "q4", ""):
         with pytest.raises(ValueError):
             parse_ring(bad)
+    # ASCII digits only, and no digit string longer than the limit reaches int()
+    for bad, message in (
+        ("z\u0664", "bad ring designator"),  # Arabic-Indic four
+        ("f2u\u0663", "bad ring designator"),
+        ("z" + "9" * 5000, "nilpotency index must be in 1..16"),
+        ("f2u" + "9" * 5000, "nilpotency index must be in 1..16"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            parse_ring(bad)
 
 
 def test_designator_roundtrip():
@@ -99,15 +108,18 @@ def test_poly_arithmetic_anchors():
 
 
 def test_units_and_inverse_everywhere():
-    for name in ("z4", "z8", "f2u2", "f2u3"):
-        ring = parse_ring(name)
-        unit_payloads = set(range(1, ring.size, 2))  # nonzero residue
-        for a in unit_payloads:
-            assert ring.is_unit(a)
-            assert ring.mul(a, ring.inv(a)) == 1
-        for a in range(ring.size):
-            if a not in unit_payloads:
-                with pytest.raises(ValueError):
+    """inv against the defining product, on every ring of both families: every
+    payload up to t = 8, 256 seeded random payloads above."""
+    rng = random.Random(16)
+    for ring in (ChainRing(family, t) for family in (FAMILY_INT, FAMILY_POLY) for t in range(1, 17)):
+        payloads = range(ring.size) if ring.t <= 8 else [rng.randrange(ring.size) for _ in range(256)]
+        for a in payloads:
+            if a & 1:  # nonzero residue
+                assert ring.is_unit(a)
+                assert ring.mul(a, ring.inv(a)) == 1, (ring, a)
+            else:
+                assert not ring.is_unit(a)
+                with pytest.raises(ValueError, match="is not a unit"):
                     ring.inv(a)
 
 
@@ -149,7 +161,7 @@ def test_array_ops_match_scalar():
         for got in (ring.add_arr(a, b), ring.mul_arr(a, b), ring.sub_arr(a, b)):
             assert got.dtype == ring.dtype
         c = rng.randrange(ring.size)
-        assert ring.scalar_mul_arr(c, a).tolist() == [ring.mul(c, int(x)) for x in a]
+        assert ring.mul_arr(c, a).tolist() == [ring.mul(c, int(x)) for x in a]
 
 
 @st.composite

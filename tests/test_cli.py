@@ -139,7 +139,12 @@ def test_out_of_memory_exit_3(capsys, monkeypatch):
     assert captured.err == "error: Unable to allocate 42.0 TiB\n"
 
 
-@pytest.mark.parametrize("group", ["2305843009213693951^1", "3^99999999999", "3^9999999"])
+@pytest.mark.parametrize("group", [
+    "2305843009213693951^1", "3^99999999999", "3^9999999",
+    # past int()'s 4300-digit limit for a string
+    pytest.param("3" * 5000 + "^1", id="5000-digit-base"),
+    pytest.param("3^" + "1" * 5000, id="5000-digit-exponent"),
+])
 def test_group_order_bounded_before_work(group):
     """An order past MAX_ORDER is refused before trial division or p^e."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -292,11 +297,15 @@ RENDERING_DIGESTS = {
         ("9c6956dc98107559", "ca8b4370f93b8676"),
     ("idempotents", "--ring", "z4", "--group", "3^1,5^1"):
         ("510a4f5016de118c", "f9b840f68053d473"),
+    ("validate", "--group", "3^1,5^1,11^1"):
+        ("359d0b50c5b5f4aa", "812e70a6d2979cfb"),
+    ("code", "--ring", "z4", "--group", "3^1,5^1,11^1", "--block", "1,1,1", "--split", "1", "--k", "0"):
+        ("dc20466d2f9bbdf7", "5fa27c38243dc486"),
 }
 
 
 def test_csv_and_text_digests(capsys):
-    """The csv and text renderings of table, code and idempotents are pinned."""
+    """The csv and text renderings of every command but selftest are pinned."""
     spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)

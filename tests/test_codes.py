@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgcodes import codes
-from rgcodes.arith import GroupSpec, InvariantError
+from rgcodes.arith import GroupSpec, InvariantError, block_labels
 from rgcodes.chain_ring import parse_ring
 from rgcodes.codes import (
     BudgetExceeded,
@@ -107,6 +109,36 @@ def test_lower_bound_rules():
     assert min_weight_lower_bound(spec165, (1, 1, 0), "(2)") == 4 * 11
     with pytest.raises(ValueError):
         min_weight_lower_bound(C15, (1, 0), None)
+
+
+def _per_factor_closed_forms(spec, block):
+    """(formula, lower bound, dimension) as products over the factors, one
+    factor at a time; None where the closed form does not apply."""
+    nonzero = [i for i, j in enumerate(block) if j > 0]
+    l = len(nonzero)
+    base = 1  # the order of the block's subgroup prod_i <a_i^(p_i^j_i)>
+    for i, (p, n) in enumerate(zip(spec.primes, spec.exponents)):
+        base *= p ** (n - block[i]) if i in nonzero else p**n
+    formula = spec.n if l == 0 else 2 * base if l == 1 else None
+    lower = (4 if l == 2 else 1 << (l - 1)) * base if l >= 2 else None
+    deltas = [p**j - p ** (j - 1) for p, j in zip(spec.primes, block) if j > 0]
+    dimension = math.prod(deltas) // (1 << (l - 1)) if deltas else 1
+    return formula, lower, dimension
+
+
+@pytest.mark.parametrize("spec", [GroupSpec((3, 5, 11), (3, 2, 1)),
+                                  GroupSpec((3, 5, 11, 19, 59), (1, 1, 1, 1, 1))], ids=str)
+def test_closed_forms_match_per_factor_products(spec):
+    """Every block up to l = 5 nonzero indices and level j = 3."""
+    for block in block_labels(spec):
+        formula, lower, dimension = _per_factor_closed_forms(spec, block)
+        assert min_weight_formula(spec, block) == formula, block
+        assert component_dimension(spec, block) == dimension, block
+        if lower is None:
+            with pytest.raises(ValueError):
+                min_weight_lower_bound(spec, block, "(1)")
+        else:
+            assert min_weight_lower_bound(spec, block, "(1)") == lower, block
 
 
 def test_weight_probes_are_codewords():
@@ -310,7 +342,7 @@ def reference_rows(alg, components):
             continue
         mults, mult_seen = [], set()
         for c in range(1, ring.size):
-            row = ring.scalar_mul_arr(c, base.coeffs).astype(ring.dtype)
+            row = ring.mul_arr(c, base.coeffs).astype(ring.dtype)
             if row.any() and row.tobytes() not in mult_seen:
                 mult_seen.add(row.tobytes())
                 mults.append(row)
@@ -418,7 +450,7 @@ def small_spans(draw):
     s = ring.s_pow_payload(1)
     while sum(ring.t - _valuation(ring, row) for row in rows) > REFERENCE_LIMIT_BITS:
         j = min(range(len(rows)), key=lambda j: _valuation(ring, rows[j]))
-        rows[j] = ring.scalar_mul_arr(s, rows[j])
+        rows[j] = ring.mul_arr(s, rows[j])
     queries = np.array(draw(st.lists(vectors, min_size=1, max_size=8)), dtype=ring.dtype)
     return ring, rows, queries
 
