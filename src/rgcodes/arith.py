@@ -5,7 +5,8 @@ power order q_i = p_i^{n_i}, written multiplicatively with fixed
 generators a_1, ..., a_r.  The constructions downstream only work when
 the order n = q_1 ... q_r satisfies three hypotheses: the p_i are odd,
 distinct primes, 2 is a primitive root modulo p_i^2 (and hence modulo
-every power of p_i), and gcd(p_i - 1, p_j - 1) = 2 for i != j.
+every power of p_i), and gcd(phi(p_i^n_i), phi(p_j^n_j)) = 2 for i != j,
+which is gcd(p_i - 1, p_j - 1) = 2 when n_i = n_j = 1.
 ``validate_group`` checks all of them and reports each violation by
 name; ``require_valid`` raises ``InvalidGroup``, a ValueError, listing
 them (the CLI exits 2 on it).
@@ -23,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -181,15 +182,16 @@ def validate_group(spec: GroupSpec) -> GroupValidation:
             detail = f"ord_{m}(2) {'=' if ok else '!='} phi({m})"
             checks.append((f"two-primitive-mod-{m}", ok, detail))
 
-    for i in range(spec.r):
-        for j in range(i + 1, spec.r):
-            p, q = spec.primes[i], spec.primes[j]
-            if p == q:
-                continue
-            g = math.gcd(p - 1, q - 1)
-            checks.append(
-                (f"gcd-condition-{p}-{q}", g == 2, f"gcd({p}-1, {q}-1) = {g}")
-            )
+    # The coset count 1 + sum 2^(|S|-1) prod n_i needs gcd(phi(p^a), phi(q^b)) = 2,
+    # not only gcd(p - 1, q - 1) = 2: p | q - 1 with a >= 2 also fails it.
+    def phi_text(p, a):
+        return f"{p}-1" if a == 1 else f"phi({p}^{a})"
+
+    for (p, a), (q, b) in combinations(zip(spec.primes, spec.exponents), 2):
+        if p == q:
+            continue
+        g = math.gcd(p ** (a - 1) * (p - 1), q ** (b - 1) * (q - 1))
+        checks.append((f"gcd-condition-{p}-{q}", g == 2, f"gcd({phi_text(p, a)}, {phi_text(q, b)}) = {g}"))
 
     ok = all(passed for _, passed, _ in checks)
     return GroupValidation(ok, tuple(checks))

@@ -2,7 +2,10 @@
 
 Commands: validate, idempotents, code, table, selftest.  Output is JSON
 by default (deterministic: fixed key order, no timestamps), with csv and
-text renderings for quick reading.  An --out file is created or
+text renderings for quick reading.  The JSON is the text of
+json.dumps(payload, indent=2), written by _json, which formats each
+algebra element's terms straight from its coefficient array.  Integer
+options take ASCII digits only.  An --out file is created or
 truncated before the work, as a shell redirect would be, so a path that
 cannot be written fails at once.  Exit codes: 0 success, 1 usage,
 parse or output-file error, 2 a group outside the hypotheses (validate's
@@ -17,14 +20,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .arith import InvalidGroup, InvariantError, parse_group, require_valid, validate_group
 from .chain_ring import FAMILY_INT, parse_ring
 from .codes import DEFAULT_BUDGET, BudgetExceeded, CodeComponent, analyze_code
-from .group_algebra import GroupAlgebra
+from .group_algebra import AlgebraElem, GroupAlgebra
 from .idempotents import primitive_family, verify_family
 
 EXIT_OK = 0
@@ -43,6 +46,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option in at most 18 ASCII digits (int() reads
+    the digits of every script)."""
+    if re.fullmatch(r"[0-9]{1,18}", text) is None:
+        raise argparse.ArgumentTypeError(f"want at most 18 ASCII digits 0-9, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="rgcodes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -52,7 +63,7 @@ def build_parser() -> _Parser:
             p.add_argument("--ring", required=True, help="ring designator: z4, z8, f2u2, ...")
         p.add_argument("--group", required=True, help='group designator: "3^1,5^1,11^1"')
         if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+            p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                            help="maximum number of words to enumerate")
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--out", help="write output to this path instead of stdout")
@@ -67,11 +78,11 @@ def build_parser() -> _Parser:
     common(p, budget=True)
     p.add_argument("--block", required=True, help='block label, e.g. "1,0"')
     p.add_argument("--split", help="split tag for a block with l >= 2 nonzero indices: 1..2^(l-1)")
-    p.add_argument("--k", type=int, required=True, help="power of the uniformizer")
+    p.add_argument("--k", type=_count, required=True, help="power of the uniformizer")
 
     p = sub.add_parser("table", help="emit the worked example table for n = 165 over z4")
     common(p, budget=True)
-    p.add_argument("--k", type=int, required=True, help="power of the uniformizer (0 or 1)")
+    p.add_argument("--k", type=_count, required=True, help="power of the uniformizer (0 or 1)")
 
     sub.add_parser("selftest", help="run the acceptance suite")
 
@@ -83,11 +94,31 @@ def _cell(value):
     return ",".join(map(str, value)) if isinstance(value, list) else value
 
 
+def _json(obj, pad="\n") -> str:
+    """The text of json.dumps(obj, indent=2), nested at pad (a newline and the
+    indent of obj's closing bracket).  An AlgebraElem writes its json_terms()."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is True or obj is False or obj is None:  # before int: bool is an int
+        return {True: "true", False: "false", None: "null"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, AlgebraElem):
+        return obj.json_text(pad)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items()]
+        return "{" + ",".join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, list):
+        return "[" + ",".join(inner + _json(v, inner) for v in obj) + pad + "]" if obj else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(args, payload: dict, header, records, lines):
     """Write payload as JSON, records as csv rows of the header's keys, or lines."""
     out = args.out or sys.stdout
     if args.format == "json":
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(_json(payload) + "\n")
     elif args.format == "csv":
         writer = csv.writer(out)
         writer.writerow(header)
@@ -125,7 +156,10 @@ def cmd_idempotents(args) -> int:
         "ring": ring.designator(),
         "group": spec.designator(),
         "count": len(records),
-        "records": [r.to_json_dict() for r in records],
+        "records": [
+            {"block": list(r.block), "split": r.split, "method": r.method, "element": r.element}
+            for r in records
+        ],
         "checks": checks,
     }
     rows = [{**d, "weight": r.element.weight()} for d, r in zip(payload["records"], records)]
@@ -152,11 +186,11 @@ def cmd_code(args) -> int:
     spec = parse_group(args.group)
     require_valid(spec)
     try:
-        block = tuple(int(x) for x in args.block.split(","))
-    except ValueError:
+        block = tuple(_count(x) for x in args.block.split(","))
+    except argparse.ArgumentTypeError:
         raise UsageError(f"bad block label {args.block!r}") from None
     split = _split_tag(args.split)
-    if not 0 <= args.k <= ring.t:
+    if args.k > ring.t:
         raise UsageError(f"need 0 <= k <= {ring.t}")
     rec = {(r.block, r.split): r for r in primitive_family(spec, ring)}.get((block, split))
     if rec is None:
@@ -196,7 +230,7 @@ def cmd_table(args) -> int:
     if spec.primes != (3, 5, 11):
         raise UsageError("the table needs a group 3^n1,5^n2,11^n3")
     require_valid(spec)
-    if not 0 <= args.k < ring.t:
+    if args.k >= ring.t:
         raise UsageError("need 0 <= k < 2")
     k = args.k
     alg = GroupAlgebra(ring, spec)
@@ -253,10 +287,9 @@ def cmd_selftest(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    digits = sys.get_int_max_str_digits()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "budget", 0) < 0:  # 0 is legal: enumerate nothing
-            raise UsageError(f"--budget must be >= 0, got {args.budget}")
         handler = {
             "validate": cmd_validate,
             "idempotents": cmd_idempotents,
@@ -264,6 +297,9 @@ def main(argv=None) -> int:
             "table": cmd_table,
             "selftest": cmd_selftest,
         }[args.command]
+        # every input is read by now, under the limit; a word count such as
+        # 2^14496 (z65536, n = 907) prints with more digits than it allows
+        sys.set_int_max_str_digits(0)
         if getattr(args, "out", None):  # the path becomes the open file
             with open(args.out, "w") as args.out:
                 return handler(args)
@@ -280,6 +316,8 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"error: invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

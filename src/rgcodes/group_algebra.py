@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -213,6 +215,26 @@ class AlgebraElem:
         """[multi-index, payload string] for each nonzero coefficient, sorted."""
         ring = self.algebra.ring
         return [[list(multi), ring.str_payload(payload)] for multi, payload in self.pairs()]
+
+    def json_text(self, pad: str = "\n") -> str:
+        """json.dumps(self.json_terms(), indent=2), nested at pad (a newline
+        and the indent of the closing bracket), formatted in one pass."""
+        grid = self._grid()
+        idx = np.argwhere(grid)
+        if not len(idx):
+            return "[]"
+        # each distinct payload is formatted once: an idempotent has a few, where a
+        # table of every payload string would cost 2^16 str_payload calls for f2u16
+        ring = self.algebra.ring
+        distinct, which = np.unique(grid[tuple(idx.T)], return_inverse=True)
+        texts = np.array([encode_basestring_ascii(ring.str_payload(a)) for a in distinct.tolist()],
+                         dtype=object)
+        p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
+        # one term: [multi-index, payload string], with one %d per factor
+        term = f"{p1}[{p2}[{','.join([p3 + '%d'] * idx.shape[1])}{p2}],{p2}%s{p1}]"
+        columns = [*idx.T.tolist(), texts[which].tolist()]
+        values = tuple(chain.from_iterable(zip(*columns)))
+        return "[" + ",".join([term] * len(idx)) % values + pad + "]"
 
     # -- arithmetic ----------------------------------------------------
 

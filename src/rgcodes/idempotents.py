@@ -35,14 +35,6 @@ class IdempotentRecord:
     split: str | None
     method: str  # "paper-formula": every member comes from split_block
 
-    def to_json_dict(self):
-        return {
-            "block": list(self.block),
-            "split": self.split,
-            "method": self.method,
-            "element": self.element.json_terms(),
-        }
-
 
 def block_idempotent(alg: GroupAlgebra, block) -> AlgebraElem:
     """Product of per-factor hat differences; the component sum for the block."""

@@ -1,3 +1,5 @@
+import csv
+import decimal
 import importlib.util
 import json
 import os
@@ -5,10 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgcodes import arith, cli, codes, f2_oracle, idempotents
+from rgcodes.arith import parse_group
+from rgcodes.chain_ring import parse_ring
 from rgcodes.codes import BudgetExceeded
+from rgcodes.group_algebra import GroupAlgebra
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -34,6 +42,18 @@ def test_validate_invalid_group_exit_2(capsys):
     assert payload["valid"] is False
     failed = [c["name"] for c in payload["conditions"] if not c["ok"]]
     assert "two-primitive-mod-7" in failed
+
+
+def test_validate_needs_phi_gcd_two(capsys):
+    """gcd(phi(25), phi(11)) = 10: 275 has 16 cyclotomic cosets, the count formula
+    gives 8, so the group is refused before the oracle can disagree with it."""
+    rc, out = run(capsys, "validate", "--group", "5^2,11^1")
+    assert rc == 2
+    failed = [c for c in json.loads(out)["conditions"] if not c["ok"]]
+    assert failed == [{"name": "gcd-condition-5-11", "ok": False,
+                       "detail": "gcd(phi(5^2), 11-1) = 10"}]
+    rc, out = run(capsys, "idempotents", "--ring", "z4", "--group", "5^2,11^1")
+    assert rc == 2 and out == ""
 
 
 def test_parse_error_exit_1(capsys):
@@ -113,6 +133,36 @@ def test_code_bad_arguments_exit_before_family(capsys, monkeypatch):
         rc, _ = run(capsys, "code", "--ring", "z4", "--group", "3^1,5^1",
                     "--block", block, "--k", k)
         assert rc == 1, (block, k)
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--block", "1,\u0660"), ("--k", "\u0661"), ("--budget", "\u0661\u0660\u0660"),
+])
+def test_integer_options_ascii_only(capsys, option, value):
+    """int() reads Arabic-Indic digits; the integer options refuse them."""
+    argv = {"--block": "1,0", "--k": "0", "--budget": "100", option: value}
+    rc = cli.main(["code", "--ring", "z4", "--group", "3^1,5^1",
+                   *(x for kv in argv.items() for x in kv)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert repr(value) in captured.err
+
+
+def test_word_count_past_int_digit_limit(capsys):
+    """2^14496 words (4,364 digits) print in every format; the limit comes back."""
+    limit = sys.get_int_max_str_digits()
+    argv = ("code", "--ring", "z65536", "--group", "907^1", "--block", "1", "--k", "0")
+    rc, out = run(capsys, *argv)
+    assert rc == 0
+    assert json.loads(out, parse_int=decimal.Decimal)["size"] == 2**14496
+    rc, out = run(capsys, *argv, "--format", "csv")
+    assert rc == 0
+    header, row = csv.reader(out.splitlines())
+    assert decimal.Decimal(row[header.index("size")]) == 2**14496
+    rc, out = run(capsys, *argv, "--format", "text")
+    assert rc == 0
+    assert decimal.Decimal(dict(l.split(": ", 1) for l in out.splitlines())["size"]) == 2**14496
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_code_budget_exit_3(capsys, monkeypatch):
@@ -339,3 +389,42 @@ def test_invalid_group_exit_2_before_usage_errors(capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error: group 7^1 fails: two-primitive-mod-7")
+
+
+json_strings = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600') | st.characters())
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | json_strings,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=json_values)
+def test_json_writer_matches_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring=st.sampled_from(("z2", "z4", "z65536", "f2u2", "f2u3", "f2u16")),
+       group=st.sampled_from(("3^2", "3^1,5^1", "3^1,5^1,11^1", "3^1,5^1,11^1,19^1")),
+       terms=st.integers(0, 24), seed=st.integers(0, 2**32 - 1))
+def test_json_writer_element_matches_terms(ring, group, terms, seed):
+    """An element writes the text of its json_terms(); 0 terms is the zero element,
+    9 or more make an element of 3^2 dense."""
+    alg = GroupAlgebra(parse_ring(ring), parse_group(group))
+    rng = np.random.default_rng(seed)
+    terms = min(terms, alg.n)
+    coeffs = np.zeros(alg.n, dtype=np.int64)
+    coeffs[rng.choice(alg.n, terms, replace=False)] = rng.integers(1, alg.ring.size, terms)
+    x = alg.element(coeffs)
+    assert cli._json({"e": x}) == json.dumps({"e": x.json_terms()}, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {"a": [0.0]}, (1, 2), np.int64(1), {1: 2}, object(),
+])
+def test_json_writer_refuses_other_types(value):
+    """No floats, tuples, numpy scalars or non-str keys: a payload holds none."""
+    with pytest.raises(TypeError):
+        cli._json(value)

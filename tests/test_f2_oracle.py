@@ -1,6 +1,8 @@
+from itertools import combinations, product
+
 import numpy as np
 
-from rgcodes.arith import GroupSpec, cyclotomic_cosets
+from rgcodes.arith import GroupSpec, cyclotomic_cosets, validate_group
 from rgcodes.chain_ring import F2
 from rgcodes.f2_oracle import (
     component_count_formula,
@@ -56,6 +58,27 @@ def test_primitive_count_matches_formula():
                  GroupSpec((3, 5), (2, 1)), GroupSpec((3, 5, 11), (1, 1, 1))):
         prims = primitive_idempotents_f2(spec)
         assert len(prims) == component_count_formula(spec)
+
+
+def test_count_formula_exact_on_valid_groups():
+    """Over groups with n <= 20,000 that pass every other hypothesis, the coset
+    count matches the formula exactly when gcd(phi(p^a), phi(q^b)) = 2 for every
+    pair: the pairwise check accepts 5^2,11^1 no longer (16 cosets, formula 8)."""
+    accepted = refused = 0
+    for r in (1, 2, 3):
+        for primes in combinations((3, 5, 11, 13, 19, 29, 37, 53, 59, 61), r):
+            for exps in product((1, 2, 3), repeat=r):
+                spec = GroupSpec(primes, exps)
+                if spec.n > 20_000:
+                    continue
+                checks = validate_group(spec).checks
+                if not all(ok for name, ok, _ in checks if not name.startswith("gcd-condition")):
+                    continue
+                valid = all(ok for _, ok, _ in checks)
+                matches = len(cyclotomic_cosets(spec.n)) == component_count_formula(spec)
+                assert valid == matches, spec
+                accepted, refused = accepted + valid, refused + (not valid)
+    assert accepted > 100 and refused > 100
 
 
 def test_family_is_complete_orthogonal():

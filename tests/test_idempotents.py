@@ -1,10 +1,11 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from rgcodes import idempotents
+from rgcodes import cli, idempotents
 from rgcodes.arith import GroupSpec, InvariantError, block_labels
 from rgcodes.chain_ring import F2, parse_ring
 from rgcodes.f2_oracle import primitive_idempotents_f2
@@ -166,9 +167,10 @@ def test_records_sorted_by_block_then_split():
         ((1, 1), "(1)"), ((1, 1), "(2)")]
 
 
-def test_record_json_shape():
-    rec = primitive_family(C3, Z4)[1]
-    d = rec.to_json_dict()
+def test_record_json_shape(capsys):
+    """A record of the idempotents command's JSON."""
+    assert cli.main(["idempotents", "--ring", "z4", "--group", "3^1"]) == 0
+    d = json.loads(capsys.readouterr().out)["records"][1]
     assert set(d) == {"block", "split", "method", "element"}
     assert d["block"] == [1]
     assert d["element"][0] == [[0], "2"]
