@@ -288,8 +288,6 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
                 continue
             k, m = int(head[fresh[0]]), int(ms[fresh[0]])
             total = size << m
-            if total > budget:
-                raise BudgetExceeded(total, budget)
             if total > predicted:
                 raise InvariantError("closure outgrows the size formula")
             span.add(res[0, fresh[0]].copy())
@@ -319,12 +317,12 @@ def min_weight_formula(spec: GroupSpec, block):
 def min_weight_lower_bound(spec: GroupSpec, block, split):
     """Lower bound for a split component (l >= 2 nonzero block indices).
 
-    Scaled from |H| = n/D: factor 4 for two indices, 2^(l-1) for l >= 3.
+    Scaled from |H| = n/D by 2^max(2, l - 1): 4 for two indices, 2^(l-1) for more.
     """
     l, d = _block_order(spec, block)
     if split is None or l < 2:
         raise ValueError("component is not a split of a multi-index block")
-    return (spec.n // d) << (2 if l == 2 else l - 1)
+    return (spec.n // d) << max(2, l - 1)
 
 
 def weight_probes(alg: GroupAlgebra, comp: CodeComponent):

@@ -9,8 +9,11 @@ one axis.  The factor grid, where (e_1, ..., e_r) names
 a_1^{e_1} ... a_r^{e_r}, is a view kept inside this module: multi-indices
 enter through ``arith.crt_index`` and ``pairs`` lists them in grid order
 through the per-group permutation ``grid_order``.  A subgroup is named by
-its levels, one per factor (see ``hat``).  Sums, differences and products
-take two elements of one algebra; a ring scalar enters as its payload
+its levels, one per factor (see ``hat``); hat(H) hat(K) = hat(HK), whose
+levels are the factorwise minimum, so a product of hats is one hat.
+Sums, differences and products take two elements of one algebra; there
+is no power operator (lifting from F2 squares in
+idempotents.lift_idempotent).  A ring scalar enters as its payload
 through ``scalar_mul``, and ``element`` takes payloads in [0, 2^t) only.
 _family_certificate tests a family for idempotency and orthogonality in
 one place, for both idempotents.verify_family and codes.check_components.
@@ -270,20 +273,6 @@ class AlgebraElem:
             return AlgebraElem(alg, _shift_add_product(alg.ring, A, B))
         return AlgebraElem(alg, _fft_product(alg.ring, A, B))
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponent")
-        if e == 0:
-            return self.algebra.one()
-        out, base = None, self
-        while True:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if not e:
-                return out
-            base = base * base
-
     def scale_exponents(self, m: int) -> AlgebraElem:
         """The algebra map a_i -> a_i^m, i.e. a^k -> a^(km) (m coprime to n)."""
         n = self.algebra.n
@@ -303,13 +292,6 @@ class AlgebraElem:
         target = GroupAlgebra(F2, self.algebra.group)
         return AlgebraElem(target, (self.coeffs & 1).astype(np.uint8))
 
-    def lift_to(self, ring: ChainRing) -> AlgebraElem:
-        """Coefficientwise 0/1 lift of an F2 G element (not idempotency-preserving)."""
-        if self.algebra.ring != F2:
-            raise ValueError("can only lift from the residue algebra")
-        target = GroupAlgebra(ring, self.algebra.group)
-        return AlgebraElem(target, self.coeffs.astype(ring.dtype))
-
     # -- misc ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -321,28 +303,8 @@ class AlgebraElem:
 
     __hash__ = None
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        ring = self.algebra.ring
-        terms = []
-        for multi, payload in self.pairs():
-            factors = []
-            cs = ring.str_payload(payload)
-            for i, e in enumerate(multi):
-                if e:
-                    factors.append(f"a{i + 1}" if e == 1 else f"a{i + 1}^{e}")
-            if not factors:
-                terms.append(cs)
-            elif payload == 1:
-                terms.append("*".join(factors))
-            else:
-                terms.append("*".join([f"({cs})" if "+" in cs else cs] + factors))
-        return " + ".join(terms)
-
     def __repr__(self):
-        body = str(self)
+        body = repr(self.pairs())
         if len(body) > 120:
             body = body[:117] + "..."
         return f"AlgebraElem[{self.algebra.ring.designator()}; {self.algebra.group}]({body})"
-

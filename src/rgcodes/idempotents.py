@@ -1,17 +1,19 @@
-"""Primitive idempotents of RG from closed-form products, with lifting.
+"""Primitive idempotents of RG from closed forms, with lifting.
 
 Components of RG are indexed by block labels (j_1, ..., j_r) with
 0 <= j_i <= n_i.  The block idempotent is the product over the factors
 of hat(<a_i>) when j_i = 0 and hat(<a_i^{p_i^{j_i}}>) - hat(<a_i^{p_i^{j_i-1}}>)
-otherwise; it is primitive iff at most one j_i is nonzero.  A block with
-l >= 2 nonzero indices splits into 2^(l-1) primitive pieces, built from
-the auxiliary elements u_i which satisfy u_i^3 = u_i + u_i^2 = (the
-i-th block factor) and generate a copy of F4 in each component.
+otherwise, which block_idempotent expands into a signed sum of 2^l
+subgroup hats (l nonzero indices), with no product in RG; it is primitive
+iff l <= 1.  A block with l >= 2 splits into 2^(l-1) primitive pieces,
+built from the auxiliary elements u_i which satisfy u_i^3 = u_i + u_i^2 =
+(the i-th block factor) and generate a copy of F4 in each component.
 
 split_block builds the summands of every block the same way: starting
 from the block idempotent, it halves each member by a lifted pair
 idempotent x + x^2 with x = u_{i_1} u_i, once per nonzero index i after
-the first one i_1.  The F2 refinement oracle builds nothing; it only
+the first one i_1.  Every lift from F2 goes through lift_idempotent, the
+one place that squares.  The F2 refinement oracle builds nothing; it only
 checks the members (see primitive_family).
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .arith import GroupSpec, InvariantError, block_labels
 from .chain_ring import F2, ChainRing
@@ -37,15 +40,18 @@ class IdempotentRecord:
 
 
 def block_idempotent(alg: GroupAlgebra, block) -> AlgebraElem:
-    """Product of per-factor hat differences; the component sum for the block."""
+    """The component sum for the block, as a signed sum of 2^l subgroup hats.
+
+    The product over the factors of hat(<a_i^{p_i^{j_i}}>) - hat(<a_i^{p_i^{j_i-1}}>)
+    (hat(<a_i>) where j_i = 0) expands over the subsets S of the l nonzero
+    indices: hats of independent factors multiply to the hat of their
+    product subgroup, so the term of S is (-1)^|S| hat(block - 1_S).
+    """
     block = alg.group.check_levels(block)
-    out = None
-    for i, j in enumerate(block):
-        if j == 0:
-            factor = alg.factor_hat(i, 0)
-        else:
-            factor = alg.factor_hat(i, j) - alg.factor_hat(i, j - 1)
-        out = factor if out is None else out * factor
+    out = alg.zero()
+    for drop in product(*[(0, 1) if j else (0,) for j in block]):  # j_i = 0 stays at 0
+        term = alg.hat(tuple(j - d for j, d in zip(block, drop)))
+        out = out - term if sum(drop) % 2 else out + term
     return out
 
 
@@ -102,22 +108,11 @@ def _split_from(alg: GroupAlgebra, block, whole: AlgebraElem) -> list:
 
 # bench/tracer.py wraps split_block_2, split_block_3 and u_product_pair by
 # name, so these names stay until its list of traced functions changes.
-def split_block_2(alg: GroupAlgebra, block):
-    """The two primitive summands of a block with exactly two nonzero indices."""
-    if len(_split_indices(alg, alg.group.check_levels(block))) != 2:
-        raise ValueError("block must have exactly two nonzero indices")
-    return tuple(split_block(alg, block))
-
-
-def split_block_3(alg: GroupAlgebra, block):
-    """The four primitive summands of a block with exactly three nonzero indices."""
-    if len(_split_indices(alg, alg.group.check_levels(block))) != 3:
-        raise ValueError("block must have exactly three nonzero indices")
-    return tuple(split_block(alg, block))
+split_block_2 = split_block_3 = split_block
 
 
 def u_product_pair(alg: GroupAlgebra, block) -> AlgebraElem:
-    """Hats of the zero-index factors times (u_1 ... u_l + u_1^2 ... u_l^2)^(2^(t-1)).
+    """The lift from F2 of hat(<a_i> : j_i = 0) (u_1 ... u_l + u_1^2 ... u_l^2).
 
     An idempotent in the block component for any l >= 2 nonzero indices;
     primitive exactly when l = 2 (for l = 3 it is a sum of three of the
@@ -127,25 +122,25 @@ def u_product_pair(alg: GroupAlgebra, block) -> AlgebraElem:
     idx = _split_indices(alg, block)
     if len(idx) < 2:
         raise ValueError("block must have at least two nonzero indices")
-    hats, prod_u, prod_q = alg.one(), alg.one(), alg.one()
-    for i, j in enumerate(block):
-        if j == 0:
-            hats = hats * alg.factor_hat(i, 0)
-            continue
-        u = u_element(alg, i, j)
-        prod_u = prod_u * u
-        prod_q = prod_q * (u * u)
-    exp = 1 << (alg.ring.t - 1)
-    return hats * (prod_u + prod_q) ** exp
+    f2alg = GroupAlgebra(F2, alg.group)
+    hats = f2alg.hat(tuple(e if j else 0 for j, e in zip(block, alg.group.exponents)))
+    prod_u, prod_q = f2alg.one(), f2alg.one()
+    for i in idx:
+        u = u_element(f2alg, i, block[i])
+        prod_u, prod_q = prod_u * u, prod_q * (u * u)
+    return lift_idempotent(hats * (prod_u + prod_q), alg.ring)
 
 
 def lift_idempotent(f: AlgebraElem, ring: ChainRing) -> AlgebraElem:
-    """The unique idempotent of RG reducing to f: (coefficient lift)^(2^(t-1))."""
+    """The unique idempotent of RG reducing to f: its 0/1 coefficient lift,
+    squared t - 1 times (each squaring raises the valuation of w^2 - w)."""
     if f.algebra.ring != F2:
         raise ValueError("expects an idempotent over F2")
     if not f.is_idempotent():
         raise ValueError("element is not idempotent")
-    w = f.lift_to(ring) ** (1 << (ring.t - 1))
+    w = GroupAlgebra(ring, f.algebra.group).element(f.coeffs)
+    for _ in range(ring.t - 1):
+        w = w * w
     if not w.is_idempotent() or w.reduce_f2() != f:
         raise InvariantError("the lift is not an idempotent reducing to f")
     return w

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from rgcodes.arith import GroupSpec, InvariantError, crt_index, crt_multi
 from rgcodes.chain_ring import F2, parse_ring
 from rgcodes.group_algebra import AlgebraElem, GroupAlgebra
+from rgcodes.idempotents import lift_idempotent
 
 C3 = GroupSpec((3,), (1,))
 C15 = GroupSpec((3, 5), (1, 1))
@@ -134,7 +135,8 @@ def test_layout_boundary(data):
     unit = np.zeros(spec.n, dtype=alg.ring.dtype)
     unit[k] = 1
     assert np.array_equal(alg.monomial(crt_multi(k, spec)).coeffs, unit)
-    assert alg.monomial(crt_multi(1, spec)) ** spec.n == alg.one()
+    a_pow = [alg.monomial(crt_multi(e, spec)) for e in (1, spec.n - 1)]
+    assert a_pow[0] * a_pow[1] == alg.one()  # a^n = 1
 
     assert alg.monomial(x) * alg.monomial(y) == alg.monomial(
         tuple((a + b) % q for a, b, q in zip(x, y, qs)))
@@ -219,29 +221,6 @@ def test_fft_rounding_guard_under_optimize():
     assert "1 passed" in proc.stdout
 
 
-def test_pow_matches_repeated_mul(monkeypatch):
-    """Square-and-multiply: bit_length - 1 squarings, popcount - 1 multiplies."""
-    rng = random.Random(5)
-    alg = GroupAlgebra(Z4, C15)
-    x = alg.element([rng.randrange(4) for _ in range(15)])
-    products = []
-    mul = AlgebraElem.__mul__
-
-    def counted(self, other):
-        products.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(AlgebraElem, "__mul__", counted)
-    acc = alg.one()
-    for e in range(10):
-        products.clear()
-        power = x ** e
-        want = 0 if e == 0 else e.bit_length() + bin(e).count("1") - 2
-        assert len(products) == want, e
-        assert power == acc
-        acc = acc * x
-
-
 def test_translate_and_scale():
     alg = GroupAlgebra(Z4, C15)
     # scaling exponents by a unit permutes coefficients
@@ -268,14 +247,16 @@ def test_scale_exponents_against_loop():
 
 
 def test_reduce_and_lift_roundtrip():
+    """lift_idempotent inverts reduce_f2 on idempotents: the lift of an F2
+    hat is the hat over R, the unique idempotent over it."""
     alg4 = GroupAlgebra(Z4, C15)
-    algf2 = GroupAlgebra(F2, C15)
-    e = algf2.hat((0, 1))
-    lifted = e.lift_to(Z4)
+    e = GroupAlgebra(F2, C15).hat((0, 1))
+    lifted = lift_idempotent(e, Z4)
     assert lifted.algebra == alg4
     assert lifted.reduce_f2() == e
+    assert lifted == alg4.hat((0, 1))
     with pytest.raises(ValueError):
-        alg4.hat((0, 0)).lift_to(parse_ring("z8"))  # lift starts from F2 only
+        lift_idempotent(alg4.hat((0, 0)), parse_ring("z8"))  # lift starts from F2 only
 
 
 def test_scalar_multiplication():
@@ -314,11 +295,16 @@ def test_support_weight_pairs():
     assert x.pairs() == [((0, 0), 1), ((2, 3), 2)]
 
 
-def test_str_readable():
+def test_repr_shows_pairs():
+    """repr names the ring and group and lists pairs(), cut at 120 characters."""
     alg = GroupAlgebra(Z4, C3)
     x = from_pairs(alg, [((0,), 2), ((1,), 1)])
-    assert str(x) == "2 + a1"
-    assert str(alg.zero()) == "0"
+    assert repr(x) == "AlgebraElem[z4; 3^1]([((0,), 2), ((1,), 1)])"
+    assert repr(alg.zero()) == "AlgebraElem[z4; 3^1]([])"
+    assert str(x) == repr(x)  # no separate pretty-printer
+    long = repr(GroupAlgebra(Z4, C45).hat((0, 0)))
+    assert long.startswith("AlgebraElem[z4; 3^2,5^1]([((0, 0), 1), ((0, 1), 1), ")
+    assert long.endswith("...)") and len(long) == len("AlgebraElem[z4; 3^2,5^1]()") + 120
 
 
 def test_algebra_equality_and_errors():

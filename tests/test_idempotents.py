@@ -4,12 +4,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgcodes import cli, idempotents
 from rgcodes.arith import GroupSpec, InvariantError, block_labels
 from rgcodes.chain_ring import F2, parse_ring
 from rgcodes.f2_oracle import primitive_idempotents_f2
-from rgcodes.group_algebra import GroupAlgebra
+from rgcodes.group_algebra import AlgebraElem, GroupAlgebra
 from rgcodes.idempotents import (
     IdempotentRecord,
     block_idempotent,
@@ -65,8 +67,59 @@ def test_block_idempotents_partition_unity():
         assert total == alg.one()
 
 
+def block_idempotent_by_products(alg, block):
+    """Reference: the product over the factors of hat differences, r - 1 products."""
+    out = alg.one()
+    for i, j in enumerate(block):
+        out = out * (alg.factor_hat(i, 0) if j == 0
+                     else alg.factor_hat(i, j) - alg.factor_hat(i, j - 1))
+    return out
+
+
+# valid groups with r <= 4 factors and exponents <= 3
+HAT_GROUPS = (C3, C15, C45, GroupSpec((3, 5), (3, 1)), C165,
+              GroupSpec((3, 5, 11), (2, 1, 1)), C3135)
+HAT_RINGS = ("z2", "z4", "z65536", "f2u3", "f2u16")
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_block_idempotent_is_product_of_hat_differences(data):
+    """The signed sum of 2^l hats equals the product of factor-hat differences."""
+    group = data.draw(st.sampled_from(HAT_GROUPS), label="group")
+    alg = GroupAlgebra(parse_ring(data.draw(st.sampled_from(HAT_RINGS), label="ring")), group)
+    block = data.draw(st.sampled_from(block_labels(group)), label="block")
+    assert block_idempotent(alg, block) == block_idempotent_by_products(alg, block)
+
+
+def test_block_idempotent_forms_no_product(monkeypatch):
+    """block_idempotent adds and subtracts hats; it never multiplies in RG."""
+    calls = []
+    mul = AlgebraElem.__mul__
+    monkeypatch.setattr(AlgebraElem, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    for group in (GroupSpec((3, 5, 11), (2, 1, 1)), C3135):
+        alg = GroupAlgebra(Z4, group)
+        for block in block_labels(group):
+            block_idempotent(alg, block)
+    assert not calls
+
+
+def test_lift_idempotent_product_count(monkeypatch):
+    """1 + (t - 1) + 1 products: the check on f, t - 1 squarings, the check on the lift."""
+    f = primitive_idempotents_f2(C15)[-1]
+    calls = []
+    mul = AlgebraElem.__mul__
+    monkeypatch.setattr(AlgebraElem, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    for ring_name in ("z2", "z4", "z8", "f2u3", "z65536"):
+        ring = parse_ring(ring_name)
+        calls.clear()
+        assert lift_idempotent(f, ring).reduce_f2() == f
+        assert len(calls) == 1 + (ring.t - 1) + 1, ring_name
+
+
 def test_split_block_2_members():
     alg = GroupAlgebra(Z4, C15)
+    assert split_block_2 is split_block_3 is idempotents.split_block  # names bench/tracer.py wraps
     e1, e2 = split_block_2(alg, (1, 1))
     assert e1.is_idempotent() and e2.is_idempotent()
     assert (e1 * e2).is_zero()
