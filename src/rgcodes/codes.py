@@ -7,13 +7,14 @@ F2-dimension of the component of e; minimum weights have closed forms
 for components whose block has at most one nonzero index, and
 lower/upper bounds otherwise, all through one per-component path
 (_weigh).  Each closed form is a function of the block's l nonzero
-indices and D = prod_i p_i^j_i (_block_order).  Each component
-forms its generator s^k e once
-(CodeComponent.generator).  analyze_code weighs every code as a direct
-sum, one component being a sum of one: when the sum fits the budget it
-is walked once, and each member's words are read off the sum's rows
-(CodewordSet.summands).  A split component's only probe is its
-generator: the products
+indices and D = prod_i p_i^j_i (_block_order).  Each component forms
+its generator s^k e once (CodeComponent.generator).  analyze_code
+certifies a code once (check_components) and alone decides the walks.
+It weighs every code as a direct sum, one component being a sum of one:
+a sum that fits the budget is walked once, and each member's words are
+read off its rows (CodewordSet.summands); over budget, each live member
+with no closed-form weight is walked on its own if it fits.  A split
+component's only probe is its generator: the products
 s^k (1 - g_1)...(1 - g_l) hat(H) are nonzero in the components of all its
 block's members, so are words of none (see weight_probes).
 
@@ -28,8 +29,8 @@ generated by the walked elements.  Each word is stored as t bit-planes
 planes.  Membership is exact: the words so far are also kept as an
 R-span in Howell form (_Span).  Nothing in the enumeration consults the
 count or weight formulas beyond an up-front budget gate and the size of
-its row array (a closure that outgrows it or falls short of it raises),
-so agreement between the two is evidence, not construction.
+its row array and of each summand (checked as the walk leaves it), so
+agreement between the two is evidence, not construction.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ class CodeComponent:
 
 
 def check_components(alg: GroupAlgebra, components):
-    """Shared-algebra, idempotency and orthogonality checks
-    (group_algebra._family_certificate)."""
+    """Shared-algebra, idempotency and orthogonality checks, the premise of
+    the size and weight formulas (group_algebra._family_certificate)."""
     idempotent, orthogonal, _ = _family_certificate([c.element for c in components], alg)
     if not idempotent:
         raise ValueError("component element is not idempotent")
@@ -129,14 +130,15 @@ class CodewordSet:
 
     planes has shape (words, t, ceil(n/8)) (ChainRing.to_planes), so a word
     takes t * ceil(n/8) bytes with no padding; a word's weight is the
-    popcount of the OR of its planes.  rows decodes every word
-    into a (words, n) payload array.
+    popcount of the OR of its planes.  rows decodes every word into a
+    (words, n) payload array.  sizes are the summands' walked sizes.
     """
 
-    def __init__(self, alg: GroupAlgebra, planes: np.ndarray):
+    def __init__(self, alg: GroupAlgebra, planes: np.ndarray, sizes):
         self.algebra = alg
         planes.setflags(write=False)
         self.planes = planes
+        self.sizes = tuple(sizes)
 
     def __len__(self):
         return len(self.planes)
@@ -170,7 +172,7 @@ class CodewordSet:
         word = self.algebra.ring.from_planes(self.planes[pos], self.algebra.n)
         return int(w[pos]), AlgebraElem(self.algebra, word)
 
-    def summands(self, sizes):
+    def summands(self):
         """Each summand's own walk, as a view of the rows of a walked direct sum.
 
         With summand sizes s_1, s_2, ..., row i_1 + s_1 (i_2 + s_2 (...)) is
@@ -180,8 +182,8 @@ class CodewordSet:
         summand j's words are rows 0, P, 2P, ... with P = s_1 ... s_{j-1}.
         """
         out, stride = [], 1
-        for size in sizes:
-            out.append(CodewordSet(self.algebra, self.planes[::stride][:size]))
+        for size in self.sizes:
+            out.append(CodewordSet(self.algebra, self.planes[::stride][:size], [size]))
             stride *= size
         return out
 
@@ -247,58 +249,59 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
 
     Rows go, in that order, into one array of the predicted size; W is also
     kept as an R-span (_Span), which answers membership exactly.  The walk
-    always visits every generator: a closure that outgrows the array or
-    falls short of it raises.
+    always visits every generator: a closure that outgrows the array
+    raises, and so does a summand whose walked size is not its formula's.
+    The walk does not certify its components: analyze_code does so with
+    check_components, and primitive_family certifies its members.
     """
-    check_components(alg, components)
     predicted = code_size(alg, components)
     if predicted > budget:
         raise BudgetExceeded(predicted, budget)
 
     ring, n, t = alg.ring, alg.n, alg.ring.t
     planes = np.zeros((predicted, t, -(-n // 8)), dtype=np.uint8)  # row 0: the zero word
-    size, span = 1, _Span(ring)
+    size, span, sizes = 1, _Span(ring), []
     for comp in components:
-        base = comp.generator
-        if base.is_zero():
-            continue
-        # the distinct nonzero multiples c * base in payload order of c: c * s^k e
-        # depends only on c mod s^(t-k), as e has a unit coefficient
-        mults = ring.mul_arr(np.arange(1, 1 << (t - comp.k))[:, None], base.coeffs)
-        # every multiple's translate by a^k is a slice of this doubled copy
-        doubled = np.concatenate([mults, mults], axis=1)
-        # the powers s^j base (j < t - k) are the multiples c = 2^j
-        powers = np.lib.stride_tricks.sliding_window_view(
-            doubled[(1 << np.arange(t - comp.k)) - 1], n, axis=1)
-        chunk = max(1, (1 << 16) // (len(powers) * mults[0].nbytes))  # translates per lookup
+        start, base = size, comp.generator
+        if not base.is_zero():
+            # the distinct nonzero multiples c * base in payload order of c: c * s^k e
+            # depends only on c mod s^(t-k), as e has a unit coefficient
+            mults = ring.mul_arr(np.arange(1, 1 << (t - comp.k))[:, None], base.coeffs)
+            # every multiple's translate by a^k is a slice of this doubled copy
+            doubled = np.concatenate([mults, mults], axis=1)
+            # the powers s^j base (j < t - k) are the multiples c = 2^j
+            powers = np.lib.stride_tricks.sliding_window_view(
+                doubled[(1 << np.arange(t - comp.k)) - 1], n, axis=1)
+            chunk = max(1, (1 << 16) // (len(powers) * mults[0].nbytes))  # translates per lookup
 
-        # translates b = a^k base in multi-index order of the group element:
-        # the order fixes the row order, and so the reported witness.
-        # {c : c b in W} is an ideal (s^m), so the cosets W + c b are those of
-        # c < 2^m, and m counts the powers of b outside W.  A translate with
-        # m = 0 stays in W (W only grows) and is dropped
-        todo = grid_order(alg.group)
-        while todo.size:
-            head = todo[:chunk]
-            res = span.reduce(powers[:, n - head])
-            ms = res.any(axis=2).sum(axis=0)
-            fresh = np.flatnonzero(ms)
-            todo = np.concatenate([head[fresh[1:]], todo[chunk:]])
-            if not fresh.size:
-                continue
-            k, m = int(head[fresh[0]]), int(ms[fresh[0]])
-            total = size << m
-            if total > predicted:
-                raise InvariantError("closure outgrows the size formula")
-            span.add(res[0, fresh[0]].copy())
-            reps = ring.to_planes(doubled[: (1 << m) - 1, n - k : 2 * n - k])
-            for i, rep in enumerate(reps, 1):
-                ring.add_planes(planes[:size], rep, out=planes[i * size : (i + 1) * size])
-            size = total
-
-    if size != predicted:
-        raise InvariantError("closure disagrees with the size formula")
-    return CodewordSet(alg, planes)
+            # translates b = a^k base in multi-index order of the group element:
+            # the order fixes the row order, and so the reported witness.
+            # {c : c b in W} is an ideal (s^m), so the cosets W + c b are those of
+            # c < 2^m, and m counts the powers of b outside W.  A translate with
+            # m = 0 stays in W (W only grows) and is dropped
+            todo = grid_order(alg.group)
+            while todo.size:
+                head = todo[:chunk]
+                res = span.reduce(powers[:, n - head])
+                ms = res.any(axis=2).sum(axis=0)
+                fresh = np.flatnonzero(ms)
+                todo = np.concatenate([head[fresh[1:]], todo[chunk:]])
+                if not fresh.size:
+                    continue
+                k, m = int(head[fresh[0]]), int(ms[fresh[0]])
+                total = size << m
+                if total > predicted:
+                    raise InvariantError("closure outgrows the size formula")
+                span.add(res[0, fresh[0]].copy())
+                reps = ring.to_planes(doubled[: (1 << m) - 1, n - k : 2 * n - k])
+                for i, rep in enumerate(reps, 1):
+                    ring.add_planes(planes[:size], rep, out=planes[i * size : (i + 1) * size])
+                size = total
+        sizes.append(size // start)
+        if sizes[-1] != code_size(alg, [comp]):
+            raise InvariantError(f"member {comp.label_dict()}: {sizes[-1]} words walked, "
+                                 "not the size formula's")
+    return CodewordSet(alg, planes, sizes)
 
 
 # -- closed forms and bounds ------------------------------------------
@@ -398,14 +401,14 @@ class CodeReport:
         return out
 
 
-def _weigh(alg: GroupAlgebra, comp: CodeComponent, budget: int, got=None):
+def _weigh(alg: GroupAlgebra, comp: CodeComponent, got):
     """Weight of one live component's code <s^k e>, cross-checked.
 
     Returns (exact, lower, best): the exact minimum weight or None, the
     lower bound (None where the closed form applies), and the lightest
-    probe as (weight, word).  An enumeration the caller already holds
-    comes in as got, as (weight, word); otherwise a code without a closed
-    form is enumerated here if it fits the budget.
+    probe as (weight, word).  got is the walked minimum as (weight, word),
+    or None if analyze_code walked none; a walked weight must equal the
+    closed form or lie between the lower bound and the lightest probe.
     """
     spec = alg.group
     best = min_weight_upper_bound(alg, comp)
@@ -419,8 +422,6 @@ def _weigh(alg: GroupAlgebra, comp: CodeComponent, budget: int, got=None):
             raise InvariantError("enumeration disagrees with formula")
         return formula, None, best
     lower = min_weight_lower_bound(spec, comp.block, comp.split)
-    if got is None and code_size_formula(spec, alg.ring, comp.block, comp.k) <= budget:
-        got = enumerate_codewords(alg, [comp], budget).min_nonzero()
     if got is None:
         return (lower if best[0] == lower else None), lower, best
     if got[0] < lower:
@@ -433,26 +434,29 @@ def _weigh(alg: GroupAlgebra, comp: CodeComponent, budget: int, got=None):
 def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) -> CodeReport:
     """Size and minimum weight with enumeration cross-checks where affordable.
 
-    Every code is weighed as a direct sum; a single component is a sum of
-    one, and its component's weight facts are the code's.
+    Certifies the components once, first, and decides every walk: the
+    whole sum when it fits the budget, otherwise each live member that has
+    no closed-form weight and fits on its own.  Every code is weighed as a
+    direct sum; a single component is a sum of one, and its component's
+    weight facts are the code's.
     """
+    check_components(alg, components)
     ring, size = alg.ring, code_size(alg, components)
     rep = CodeReport(ring.designator(), alg.group.designator(),
                      [c.label_dict() for c in components], size, "formula")
-    own = [None] * len(components)  # each component's enumerated (weight, word)
-    got = None  # the sum's
-    if size > budget:
-        check_components(alg, components)  # enumeration checks them itself
-    else:
-        words = enumerate_codewords(alg, components, budget)  # raises on a size mismatch
+    if size <= budget:
+        words = enumerate_codewords(alg, components, budget)  # checks each summand's size
         rep.size_method = "both-agree"
-        own = [w.min_nonzero() for w in words.summands([code_size(alg, [c]) for c in components])]
-        got = own[0] if len(own) == 1 else words.min_nonzero()
-    parts = [_weigh(alg, c, budget, g) for c, g in zip(components, own) if c.k < ring.t]
+        own = [w.min_nonzero() for w in words.summands()]  # each component's (weight, word)
+        got = own[0] if len(own) == 1 else words.min_nonzero()  # the sum's
+    else:
+        own = [enumerate_codewords(alg, [c], budget).min_nonzero()
+               if c.k < ring.t and min_weight_formula(alg.group, c.block) is None
+               and code_size(alg, [c]) <= budget else None for c in components]
+        got = None
+    parts = [_weigh(alg, c, g) for c, g in zip(components, own) if c.k < ring.t]
     if not parts:
         return rep
-    if got is None and rep.size_method == "both-agree":
-        raise InvariantError("a live code enumerated no nonzero word")
 
     lightest = min((best for _, _, best in parts), key=lambda b: b[0])
     rep.weight_method = "bounds-only" if got is None else "enumeration"

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from rgcodes import arith, cli, codes, f2_oracle, idempotents
 from rgcodes.arith import parse_group
 from rgcodes.chain_ring import parse_ring
-from rgcodes.codes import BudgetExceeded
 from rgcodes.group_algebra import GroupAlgebra
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -163,16 +162,6 @@ def test_word_count_past_int_digit_limit(capsys):
     assert rc == 0
     assert decimal.Decimal(dict(l.split(": ", 1) for l in out.splitlines())["size"]) == 2**14496
     assert sys.get_int_max_str_digits() == limit
-
-
-def test_code_budget_exit_3(capsys, monkeypatch):
-    def boom(*a, **kw):
-        raise BudgetExceeded(1 << 40, 1 << 20)
-
-    monkeypatch.setattr(cli, "analyze_code", boom)
-    rc, _ = run(capsys, "code", "--ring", "z4", "--group", "3^1,5^1",
-                "--block", "0,0", "--k", "0")
-    assert rc == 3
 
 
 def test_out_of_memory_exit_3(capsys, monkeypatch):

@@ -257,6 +257,39 @@ def test_direct_sum():
         ((0, 0), 1), ((0, 1), 3), ((1, 0), 1), ((1, 1), 3), ((2, 0), 1), ((2, 1), 3)]
 
 
+def test_compensating_size_formulas_fail(monkeypatch):
+    """Each summand's walked size is checked, not only their product: a formula
+    that doubles one member's size and halves another's names a member."""
+    alg = GroupAlgebra(Z4, C15)
+    comps = [_component(C15, Z4, (0, 1), None, 0), _component(C15, Z4, (1, 0), None, 0)]
+    formula = codes.code_size_formula
+    scale = {(0, 1): 2, (1, 0): 0.5}
+    monkeypatch.setattr(codes, "code_size_formula", lambda spec, ring, block, k:
+                        int(formula(spec, ring, block, k) * scale.get(tuple(block), 1)))
+    assert code_size(alg, comps) == 256 * 16  # the product is unchanged
+    for order in (comps, comps[::-1]):
+        with pytest.raises(InvariantError, match=r"member \{'block': \[(0, 1|1, 0)\]"):
+            analyze_code(alg, order)
+
+
+def test_one_certificate_per_analysis(monkeypatch):
+    """analyze_code certifies its components once; no walk certifies again,
+    also when an over-budget sum walks its split member on its own."""
+    calls = []
+    certify = codes._family_certificate
+    monkeypatch.setattr(codes, "_family_certificate",
+                        lambda elems, alg: calls.append(len(elems)) or certify(elems, alg))
+    alg = GroupAlgebra(Z4, C15)
+    split, other = _component(C15, Z4, (1, 1), "(1)", 1), _component(C15, Z4, (0, 1), None, 0)
+    rep = analyze_code(alg, [split, other], budget=100)  # 16 * 256 words; the split fits
+    assert calls == [2]
+    assert rep.size_method == "formula" and rep.min_component_weight == 6
+    for comps in ([split], [split, other]):  # in budget: the whole sum is walked
+        calls.clear()
+        assert analyze_code(alg, comps).size_method == "both-agree"
+        assert calls == [len(comps)]
+
+
 def test_budget_gate():
     alg = GroupAlgebra(Z4, C15)
     comp = _component(C15, Z4, (0, 1), None, 0)  # 256 words
@@ -282,11 +315,14 @@ def test_zero_code_at_k_equals_t():
 
 
 def test_zero_generator_raises():
-    """A zero element passes the idempotent checks; weighing it over budget must not."""
+    """A zero element passes the idempotent checks; weighing it over budget
+    must not, and nor must walking it: its walked size is 1, not the formula's."""
     alg = GroupAlgebra(Z4, C15)
     for block, split in [((1, 1), "(1)"), ((1, 0), None)]:
         with pytest.raises(InvariantError, match="zero generator"):
             analyze_code(alg, [CodeComponent(alg.zero(), block, split, 0)], budget=1)
+        with pytest.raises(InvariantError, match=r"member .*'block': \[1, \d\]"):
+            analyze_code(alg, [CodeComponent(alg.zero(), block, split, 0)])
 
 
 def test_check_components_rejects_non_adjacent_overlap():
@@ -401,7 +437,8 @@ def test_summands_are_own_walks(case):
     alg, comps = case
     ring, n = alg.ring, alg.n
     words = enumerate_codewords(alg, comps)
-    views = words.summands([code_size(alg, [c]) for c in comps])
+    views = words.summands()
+    assert [len(view) for view in views] == [code_size(alg, [c]) for c in comps]
     for comp, view in zip(comps, views):
         assert np.array_equal(view.rows, enumerate_codewords(alg, [comp]).rows)
     sums = views[0].rows
@@ -417,7 +454,7 @@ def test_weights_count_nonzero_coefficients(case):
     over the whole set and over the strided summand views."""
     alg, comps = case
     words = enumerate_codewords(alg, comps)
-    for view in [words, *words.summands([code_size(alg, [c]) for c in comps])]:
+    for view in [words, *words.summands()]:
         assert np.array_equal(view.weights(), np.count_nonzero(view.rows, axis=1))
 
 
