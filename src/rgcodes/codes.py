@@ -9,7 +9,11 @@ lower/upper bounds otherwise, all through one per-component path
 (_weigh).  Each closed form is a function of the block's l nonzero
 indices and D = prod_i p_i^j_i (_block_order).  Each component forms
 its generator s^k e once (CodeComponent.generator).  analyze_code
-certifies a code once (check_components) and alone decides the walks.
+checks a code's premise once (check_components) and alone decides the
+walks.  The premise is a fact about the family: primitive_family
+certifies each family once and registers its members, so a code built
+from distinct members under their own labels is looked up with no
+product; any other element takes the full certificate.
 It weighs every code as a direct sum, one component being a sum of one:
 a sum that fits the budget is walked once, and each member's words are
 read off its rows (CodewordSet.summands); over budget, each live member
@@ -43,7 +47,8 @@ import numpy as np
 
 from .arith import GroupSpec, InvariantError, euler_phi
 from .chain_ring import ChainRing
-from .group_algebra import AlgebraElem, GroupAlgebra, _family_certificate, grid_order
+from .group_algebra import (AlgebraElem, GroupAlgebra, _family_certificate, _family_label,
+                            grid_order)
 
 DEFAULT_BUDGET = 1 << 20
 _SLICE = 1 << 14  # words per slice when weighing or decoding a CodewordSet
@@ -83,7 +88,24 @@ class CodeComponent:
 
 def check_components(alg: GroupAlgebra, components):
     """Shared-algebra, idempotency and orthogonality checks, the premise of
-    the size and weight formulas (group_algebra._family_certificate)."""
+    the size and weight formulas.
+
+    Each element is looked up first (group_algebra._family_label), which
+    hashes its payload bytes and forms no product.  A registered element
+    under a label other than its own raises.  Distinct registered members
+    of alg's families, each under its own label, are idempotent and
+    pairwise orthogonal by the certificate primitive_family made, so the
+    check ends there.  Anything else gets the full certificate
+    (group_algebra._family_certificate, 2m - 1 products).
+    """
+    labels = [_family_label(c.element) for c in components]
+    for c, label in zip(components, labels):
+        if label is not None and label != (tuple(c.block), c.split):
+            raise ValueError(f"component labelled block {tuple(c.block)} split {c.split} is "
+                             f"the family member of block {label[0]} split {label[1]}")
+    if (None not in labels and len(set(labels)) == len(labels)
+            and all(c.element.algebra == alg for c in components)):
+        return
     idempotent, orthogonal, _ = _family_certificate([c.element for c in components], alg)
     if not idempotent:
         raise ValueError("component element is not idempotent")

@@ -14,7 +14,9 @@ from the block idempotent, it halves each member by a lifted pair
 idempotent x + x^2 with x = u_{i_1} u_i, once per nonzero index i after
 the first one i_1.  Every lift from F2 goes through lift_idempotent, the
 one place that squares.  The F2 refinement oracle builds nothing; it only
-checks the members (see primitive_family).
+checks the members (see primitive_family).  primitive_family certifies
+each family once (verify_family) and registers its members, so that
+codes.check_components can look them up instead of certifying again.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import product
 from .arith import GroupSpec, InvariantError, block_labels
 from .chain_ring import F2, ChainRing
 from .f2_oracle import component_count_formula, primitive_idempotents_f2
-from .group_algebra import AlgebraElem, GroupAlgebra, _family_certificate
+from .group_algebra import AlgebraElem, GroupAlgebra, _family_certificate, _register_family
 
 
 @dataclass(frozen=True)
@@ -146,17 +148,26 @@ def lift_idempotent(f: AlgebraElem, ring: ChainRing) -> AlgebraElem:
     return w
 
 
+# algebra -> the certificate (verify_family) that its primitive family passed
+_certificates = {}
+
+
 @lru_cache(maxsize=None)
 def primitive_family(spec: GroupSpec, ring: ChainRing):
     """All primitive idempotents of RG as labelled records, sorted by block.
 
     Every block takes its members from split_block, evaluated over R.  The
     F2 oracle only checks them: each member's residue must be a distinct
-    oracle primitive and the member idempotent over R, which makes it the
-    unique lift; a block's members must sum to its block idempotent, and
-    the family must use every oracle primitive.  A failed check raises
-    InvariantError.  The oracle validates the group, so a group that fails
-    the hypotheses raises arith.InvalidGroup before any product is formed.
+    oracle primitive, a block's members must sum to its block idempotent,
+    and the family must use every oracle primitive.  The family
+    certificate (verify_family) then runs once: the members must be
+    idempotent, which makes each the unique lift of its residue, pairwise
+    orthogonal, sum to one and match the count formula.  A failed check
+    raises InvariantError.  Only then are the members registered
+    (group_algebra._register_family) and the certificate kept
+    (family_checks).  The oracle validates the group, so a group that
+    fails the hypotheses raises arith.InvalidGroup before any product is
+    formed.
     """
     alg = GroupAlgebra(ring, spec)
     unused = {f.coeffs.tobytes(): f for f in primitive_idempotents_f2(spec)}
@@ -166,15 +177,26 @@ def primitive_family(spec: GroupSpec, ring: ChainRing):
         members = _split_from(alg, block, whole)
         for i, e in enumerate(members):
             tag = None if len(members) == 1 else f"({i + 1})"
-            # an idempotent whose residue is an oracle primitive is its unique lift
-            if unused.pop(e.reduce_f2().coeffs.tobytes(), None) is None or not e.is_idempotent():
+            if unused.pop(e.reduce_f2().coeffs.tobytes(), None) is None:
                 raise InvariantError(f"block {block} member {tag}: not an unused primitive's lift")
             records.append(IdempotentRecord(e, block, tag, "paper-formula"))
         if sum(members, alg.zero()) != whole:
             raise InvariantError(f"block {block}: members do not sum to the block idempotent")
     if unused:
         raise InvariantError("the family does not use each oracle primitive once")
+    checks = verify_family([r.element for r in records], alg)
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        raise InvariantError(f"the family fails its certificate: {', '.join(failed)}")
+    _register_family((r.element, (r.block, r.split)) for r in records)
+    _certificates[alg] = checks
     return tuple(records)
+
+
+def family_checks(spec: GroupSpec, ring: ChainRing) -> dict:
+    """The certificate (verify_family) that primitive_family(spec, ring) passed."""
+    primitive_family(spec, ring)
+    return dict(_certificates[GroupAlgebra(ring, spec)])
 
 
 def verify_family(elems, alg: GroupAlgebra) -> dict:

@@ -304,6 +304,35 @@ def test_invariant_failure_exit_4(capsys, monkeypatch):
     assert "not an unused primitive's lift" in captured.err
 
 
+def test_idempotents_certifies_once(capsys, monkeypatch):
+    """idempotents prints the certificate primitive_family made: one
+    verify_family call on a cold family, none on a cached one."""
+    calls = []
+    real = idempotents.verify_family
+    monkeypatch.setattr(idempotents, "verify_family",
+                        lambda elems, alg: calls.append(len(elems)) or real(elems, alg))
+    idempotents.primitive_family.cache_clear()
+    argv = ("idempotents", "--ring", "z4", "--group", "3^1,5^1")
+    for want in ([5], [5]):
+        rc, out = run(capsys, *argv)
+        assert rc == 0 and calls == want
+        assert json.loads(out)["checks"] == {"idempotent": True, "orthogonal": True,
+                                             "sum_to_one": True, "count_matches_formula": True}
+
+
+def test_false_certificate_flag_exit_4(capsys, monkeypatch):
+    """A family that fails a flag of its certificate is never printed: exit 4
+    with the flag named (it used to print false and exit 0)."""
+    real = idempotents.verify_family
+    monkeypatch.setattr(idempotents, "verify_family",
+                        lambda elems, alg: {**real(elems, alg), "orthogonal": False})
+    idempotents.primitive_family.cache_clear()
+    rc = cli.main(["idempotents", "--ring", "z8", "--group", "3^1,5^1"])
+    captured = capsys.readouterr()
+    assert rc == 4 and captured.out == ""
+    assert "the family fails its certificate: orthogonal" in captured.err
+
+
 def test_code_split_reaches_every_member(capsys):
     """A block with l = 4 nonzero indices has members (1)..(8), each selectable."""
     code = ("code", "--ring", "z4", "--group", "3^1,5^1,11^1,19^1", "--block", "1,1,1,1")

@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from rgcodes import codes
 from rgcodes.arith import GroupSpec, InvariantError, block_labels
 from rgcodes.chain_ring import parse_ring
 from rgcodes.codes import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     CodeComponent,
     analyze_code,
@@ -22,7 +24,8 @@ from rgcodes.codes import (
     min_weight_upper_bound,
     weight_probes,
 )
-from rgcodes.group_algebra import GroupAlgebra, grid_order
+from rgcodes.group_algebra import (AlgebraElem, GroupAlgebra, _family_certificate,
+                                   _family_label, grid_order)
 from rgcodes.idempotents import primitive_family
 
 C15 = GroupSpec((3, 5), (1, 1))
@@ -273,21 +276,133 @@ def test_compensating_size_formulas_fail(monkeypatch):
 
 
 def test_one_certificate_per_analysis(monkeypatch):
-    """analyze_code certifies its components once; no walk certifies again,
-    also when an over-budget sum walks its split member on its own."""
+    """Registered family members take no product in check_components, in or
+    over budget; a code whose component is an unregistered idempotent (the
+    sum of two members) takes exactly one certificate, and no walk certifies."""
     calls = []
     certify = codes._family_certificate
     monkeypatch.setattr(codes, "_family_certificate",
                         lambda elems, alg: calls.append(len(elems)) or certify(elems, alg))
+    with _products_in_check() as products:
+        alg = GroupAlgebra(Z4, C15)
+        split, other = _component(C15, Z4, (1, 1), "(1)", 1), _component(C15, Z4, (0, 1), None, 0)
+        rep = analyze_code(alg, [split, other], budget=100)  # 16 * 256 words; the split fits
+        assert rep.size_method == "formula" and rep.min_component_weight == 6
+        for comps in ([split], [split, other]):  # in budget: the whole sum is walked
+            assert analyze_code(alg, comps).size_method == "both-agree"
+        assert calls == [] and products == [0]
+        twin = _component(C15, Z4, (1, 1), "(2)", 1)
+        pair = CodeComponent(split.element + twin.element, (1, 1), "(1)", 2)  # k = t: the zero code
+        assert analyze_code(alg, [pair]).size == 1
+        assert calls == [1] and products == [1]  # one square, the certificate of one element
+
+
+@contextmanager
+def _products_in_check():
+    """Yields [n]: n counts the AlgebraElem products formed inside
+    codes.check_components while the context is open."""
+    products, inside = [0], []
+    check, mul = codes.check_components, AlgebraElem.__mul__
+
+    def counted_check(alg, comps):
+        inside.append(True)
+        try:
+            return check(alg, comps)
+        finally:
+            inside.pop()
+
+    def counted_mul(a, b):
+        products[0] += bool(inside)
+        return mul(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "check_components", counted_check)
+        mp.setattr(AlgebraElem, "__mul__", counted_mul)
+        yield products
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_registered_members_need_no_product(data):
+    """1-3 distinct members of a family pass the lookup with no product, and
+    the full certificate passes on the same elements."""
+    spec = data.draw(st.sampled_from([C15, GroupSpec((3, 5), (2, 1))]))
+    ring = parse_ring(data.draw(st.sampled_from(["z2", "z4", "z8", "f2u2", "f2u3"])))
+    fam, alg = primitive_family(spec, ring), GroupAlgebra(ring, spec)
+    members = data.draw(st.lists(st.integers(0, len(fam) - 1), min_size=1, max_size=3, unique=True))
+    comps = [CodeComponent(fam[i].element, fam[i].block, fam[i].split, 0) for i in members]
+    with _products_in_check() as products:
+        codes.check_components(alg, comps)
+    assert products == [0]
+    assert _family_certificate([c.element for c in comps], alg)[:2] == (True, True)
+
+
+def _forged(case):
+    """(algebra, components) of one mutation of the split members of block
+    (1,1) over z4 at 3^1,5^1."""
     alg = GroupAlgebra(Z4, C15)
-    split, other = _component(C15, Z4, (1, 1), "(1)", 1), _component(C15, Z4, (0, 1), None, 0)
-    rep = analyze_code(alg, [split, other], budget=100)  # 16 * 256 words; the split fits
-    assert calls == [2]
-    assert rep.size_method == "formula" and rep.min_component_weight == 6
-    for comps in ([split], [split, other]):  # in budget: the whole sum is walked
-        calls.clear()
-        assert analyze_code(alg, comps).size_method == "both-agree"
-        assert calls == [len(comps)]
+    one, two = _component(C15, Z4, (1, 1), "(1)", 0), _component(C15, Z4, (1, 1), "(2)", 0)
+    if case == "repeated member":
+        return alg, [one, two, one]
+    if case == "one coefficient changed":
+        coeffs = one.element.coeffs.copy()
+        coeffs[0] = (coeffs[0] + 1) % 4
+        return alg, [CodeComponent(alg.element(coeffs), one.block, one.split, 0)]
+    if case == "non-idempotent under a registered label":
+        return alg, [CodeComponent(alg.generator_power(0), one.block, one.split, 0)]
+    if case == "registered element under another split":
+        return alg, [CodeComponent(one.element, two.block, two.split, 0)]
+    if case == "registered element under another block":
+        return alg, [two, CodeComponent(one.element, (1, 0), None, 0)]
+    if case == "same bytes in another algebra":
+        f2u2 = parse_ring("f2u2")
+        primitive_family(C15, f2u2)  # its members are registered too
+        other = GroupAlgebra(f2u2, C15)
+        forged = other.element(one.element.coeffs)
+        assert _family_label(one.element) and _family_label(forged) is None
+        return other, [CodeComponent(forged, one.block, one.split, 0)]
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case,match", [
+    ("repeated member", "not orthogonal"),
+    ("one coefficient changed", "not idempotent"),
+    ("non-idempotent under a registered label", "not idempotent"),
+    ("registered element under another split", "is the family member"),
+    ("registered element under another block", "is the family member"),
+    ("same bytes in another algebra", "not idempotent"),
+])
+def test_forged_components_raise(case, match):
+    alg, comps = _forged(case)
+    with pytest.raises(ValueError, match=match):
+        check_components(alg, comps)
+
+
+def test_wrong_label_names_both():
+    """A registered element under another label is caught by the lookup, in or
+    over budget, before any size formula reads the label."""
+    alg, comps = _forged("registered element under another split")
+    for budget in (0, DEFAULT_BUDGET):
+        with pytest.raises(ValueError, match=r"labelled block \(1, 1\) split \(2\) is the "
+                                             r"family member of block \(1, 1\) split \(1\)"):
+            analyze_code(alg, comps, budget)
+
+
+def test_lookup_sound_after_cache_clear():
+    """Rebuilding a family registers the same facts: members from before and
+    after cache_clear pass with no product, and a wrong label still raises."""
+    before = primitive_family(C15, Z4)
+    primitive_family.cache_clear()
+    after = primitive_family(C15, Z4)
+    assert after is not before
+    assert [r.element for r in after] == [r.element for r in before]
+    alg = GroupAlgebra(Z4, C15)
+    with _products_in_check() as products:
+        codes.check_components(alg, [CodeComponent(r.element, r.block, r.split, 0)
+                                     for r in (before[0], after[1], before[3])])
+    assert products == [0]
+    with pytest.raises(ValueError, match="family member"):
+        check_components(alg, [CodeComponent(after[0].element, before[1].block, None, 0)])
 
 
 def test_budget_gate():
