@@ -29,7 +29,7 @@ from .arith import InvalidGroup, InvariantError, parse_group, require_valid, val
 from .chain_ring import FAMILY_INT, parse_ring
 from .codes import DEFAULT_BUDGET, CodeComponent, analyze_code
 from .group_algebra import AlgebraElem, GroupAlgebra
-from .idempotents import family_checks, primitive_family
+from .idempotents import family_checks, family_member, primitive_family
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -192,7 +192,7 @@ def cmd_code(args) -> int:
     split = _split_tag(args.split)
     if args.k > ring.t:
         raise UsageError(f"need 0 <= k <= {ring.t}")
-    rec = {(r.block, r.split): r for r in primitive_family(spec, ring)}.get((block, split))
+    rec = family_member(spec, ring, block, split)
     if rec is None:
         raise UsageError(
             f"no family member with block {block} split {split};"
@@ -234,12 +234,9 @@ def cmd_table(args) -> int:
         raise UsageError("need 0 <= k < 2")
     k = args.k
     alg = GroupAlgebra(ring, spec)
-    records = primitive_family(spec, ring)
-    by_label = {(r.block, r.split): r for r in records}
     rows = []
     for block, split, label in TABLE_ROWS:
-        rec = by_label[(block, split)]
-        comp = CodeComponent(rec.element, block, split, k)
+        comp = CodeComponent(family_member(spec, ring, block, split).element, block, split, k)
         # budget 0: a closed-form row is not enumerated ((0,0,1) has 2^20 words at k = 0)
         rep = analyze_code(alg, [comp], args.budget if split else 0)
         rows.append({

@@ -11,9 +11,9 @@ indices and D = prod_i p_i^j_i (_block_order).  Each component forms
 its generator s^k e once (CodeComponent.generator).  analyze_code
 checks a code's premise once (check_components) and alone decides the
 walks.  The premise is a fact about the family: primitive_family
-certifies each family once and registers its members, so a code built
-from distinct members under their own labels is looked up with no
-product; any other element takes the full certificate.
+certifies each family once, so a code is valid exactly when each
+component is the member its label names (idempotents.family_member) and
+no label repeats, which needs no product.
 It weighs every code as a direct sum, one component being a sum of one:
 a sum that fits the budget is walked once, and each member's words are
 read off its rows (CodewordSet.summands); over budget, each live member
@@ -47,8 +47,8 @@ import numpy as np
 
 from .arith import GroupSpec, InvariantError, euler_phi
 from .chain_ring import ChainRing
-from .group_algebra import (AlgebraElem, GroupAlgebra, _family_certificate, _family_label,
-                            grid_order)
+from .group_algebra import AlgebraElem, GroupAlgebra, grid_order
+from .idempotents import family_member, primitive_family
 
 DEFAULT_BUDGET = 1 << 20
 _SLICE = 1 << 14  # words per slice when weighing or decoding a CodewordSet
@@ -87,30 +87,27 @@ class CodeComponent:
 
 
 def check_components(alg: GroupAlgebra, components):
-    """Shared-algebra, idempotency and orthogonality checks, the premise of
-    the size and weight formulas.
+    """The premise of the size and weight formulas: each component's element
+    is the member of alg's primitive family that its label names, and no
+    label repeats.
 
-    Each element is looked up first (group_algebra._family_label), which
-    hashes its payload bytes and forms no product.  A registered element
-    under a label other than its own raises.  Distinct registered members
-    of alg's families, each under its own label, are idempotent and
-    pairwise orthogonal by the certificate primitive_family made, so the
-    check ends there.  Anything else gets the full certificate
-    (group_algebra._family_certificate, 2m - 1 products).
+    Members of one certified family are idempotent and pairwise orthogonal,
+    so a label lookup (idempotents.family_member) and an equality test
+    decide it, with no product in RG once the family is built.  Equality
+    compares the algebras too, so every component lies in alg.
     """
-    labels = [_family_label(c.element) for c in components]
-    for c, label in zip(components, labels):
-        if label is not None and label != (tuple(c.block), c.split):
-            raise ValueError(f"component labelled block {tuple(c.block)} split {c.split} is "
-                             f"the family member of block {label[0]} split {label[1]}")
-    if (None not in labels and len(set(labels)) == len(labels)
-            and all(c.element.algebra == alg for c in components)):
-        return
-    idempotent, orthogonal, _ = _family_certificate([c.element for c in components], alg)
-    if not idempotent:
-        raise ValueError("component element is not idempotent")
-    if not orthogonal:
-        raise ValueError("component idempotents are not orthogonal")
+    labels = [(tuple(c.block), c.split) for c in components]
+    for c, (block, split) in zip(components, labels):
+        rec = family_member(alg.group, alg.ring, block, split)
+        if rec is not None and rec.element == c.element:
+            continue
+        named = f"component labelled block {block} split {split}"
+        for r in primitive_family(alg.group, alg.ring):
+            if r.element == c.element:
+                raise ValueError(f"{named} is the family member of block {r.block} split {r.split}")
+        raise ValueError(f"{named} is not a member of the primitive family of {alg}")
+    if len(set(labels)) < len(labels):
+        raise ValueError("a component label repeats")
 
 
 def _block_order(spec: GroupSpec, block):

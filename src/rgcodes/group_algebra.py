@@ -15,13 +15,8 @@ Sums, differences and products take two elements of one algebra; there
 is no power operator (lifting from F2 squares in
 idempotents.lift_idempotent).  A ring scalar enters as its payload
 through ``scalar_mul``, and ``element`` takes payloads in [0, 2^t) only.
-_family_certificate tests a family for idempotency and orthogonality in
-one place, for idempotents.verify_family and for codes.check_components
-on elements that are not registered family members.  The registry
-(_register_family, _family_label) maps each member of a family that
-idempotents.primitive_family has certified, keyed by its algebra and its
-full coefficient bytes, to its (block, split) label; it holds only facts
-made when a family is built, nothing about a code.
+The module is the algebra alone: families and their labels live in
+idempotents.
 
 Multiplication is cyclic convolution, exact in the ring.  A product whose
 sparser operand has at most SHIFT_ADD_MAX_TERMS nonzero terms (monomials,
@@ -126,41 +121,6 @@ class GroupAlgebra:
         levels = list(self.group.exponents)  # identity in every other factor
         levels[i] = level
         return self.hat(tuple(levels))
-
-
-def _family_certificate(elems, alg: GroupAlgebra):
-    """(all idempotent, orthogonal, sum) for elements of alg, in 2m - 1 products.
-
-    Orthogonality is tested against the running sum, e_i (e_1 + ... +
-    e_{i-1}) = 0.  For idempotents this is pairwise orthogonality: if
-    e_1..e_{i-1} are pairwise orthogonal, their sum S is idempotent with
-    e_j S = e_j, so e_i S = 0 gives e_i e_j = e_i (S e_j) = (e_i S) e_j = 0;
-    conversely e_i S = sum_j e_i e_j.  Each test stops at its first failure.
-    """
-    idempotent = orthogonal = True
-    total = alg.zero()
-    for i, e in enumerate(elems):
-        idempotent = idempotent and e.is_idempotent()
-        orthogonal = orthogonal and (i == 0 or (e * total).is_zero())
-        total = total + e
-    return idempotent, orthogonal, total
-
-
-# (algebra, coefficient bytes) -> (block, split) for each member of a family
-# that passed _family_certificate.  A dict hit compares the whole key, the
-# payload bytes included, so a hash is never trusted on its own.  Elements are
-# values, so an entry stays true for the life of the process.
-_family_members = {}
-
-
-def _register_family(labelled) -> None:
-    """Register (element, (block, split)) pairs of a certified family."""
-    _family_members.update(((e.algebra, e.coeffs.tobytes()), label) for e, label in labelled)
-
-
-def _family_label(elem) -> tuple | None:
-    """(block, split) of the registered family member equal to elem, or None."""
-    return _family_members.get((elem.algebra, elem.coeffs.tobytes()))
 
 
 def _shift_add_product(ring: ChainRing, a, b):

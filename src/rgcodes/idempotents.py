@@ -15,8 +15,9 @@ idempotent x + x^2 with x = u_{i_1} u_i, once per nonzero index i after
 the first one i_1.  Every lift from F2 goes through lift_idempotent, the
 one place that squares.  The F2 refinement oracle builds nothing; it only
 checks the members (see primitive_family).  primitive_family certifies
-each family once (verify_family) and registers its members, so that
-codes.check_components can look them up instead of certifying again.
+each family once (verify_family), and its labelled records are the one
+source of family facts: family_member finds a member by its (block,
+split) label, and codes.check_components compares each component with it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import product
 from .arith import GroupSpec, InvariantError, block_labels
 from .chain_ring import F2, ChainRing
 from .f2_oracle import component_count_formula, primitive_idempotents_f2
-from .group_algebra import AlgebraElem, GroupAlgebra, _family_certificate, _register_family
+from .group_algebra import AlgebraElem, GroupAlgebra
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,7 @@ def primitive_family(spec: GroupSpec, ring: ChainRing):
     certificate (verify_family) then runs once: the members must be
     idempotent, which makes each the unique lift of its residue, pairwise
     orthogonal, sum to one and match the count formula.  A failed check
-    raises InvariantError.  Only then are the members registered
-    (group_algebra._register_family) and the certificate kept
+    raises InvariantError.  Only then is the certificate kept
     (family_checks).  The oracle validates the group, so a group that
     fails the hypotheses raises arith.InvalidGroup before any product is
     formed.
@@ -188,7 +188,6 @@ def primitive_family(spec: GroupSpec, ring: ChainRing):
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
         raise InvariantError(f"the family fails its certificate: {', '.join(failed)}")
-    _register_family((r.element, (r.block, r.split)) for r in records)
     _certificates[alg] = checks
     return tuple(records)
 
@@ -199,10 +198,28 @@ def family_checks(spec: GroupSpec, ring: ChainRing) -> dict:
     return dict(_certificates[GroupAlgebra(ring, spec)])
 
 
+def family_member(spec: GroupSpec, ring: ChainRing, block, split):
+    """The record of primitive_family(spec, ring) labelled (block, split), or None."""
+    block = tuple(block)
+    return next((r for r in primitive_family(spec, ring)
+                 if r.block == block and r.split == split), None)
+
+
 def verify_family(elems, alg: GroupAlgebra) -> dict:
-    """Completeness checks for a family of elements of the given algebra
-    (idempotency and orthogonality: group_algebra._family_certificate)."""
-    idempotent, orthogonal, total = _family_certificate(elems, alg)
+    """Completeness checks for a family of elements of alg, in 2m - 1 products.
+
+    Orthogonality is tested against the running sum, e_i (e_1 + ... +
+    e_{i-1}) = 0.  For idempotents this is pairwise orthogonality: if
+    e_1..e_{i-1} are pairwise orthogonal, their sum S is idempotent with
+    e_j S = e_j, so e_i S = 0 gives e_i e_j = e_i (S e_j) = (e_i S) e_j = 0;
+    conversely e_i S = sum_j e_i e_j.  Each test stops at its first failure.
+    """
+    idempotent = orthogonal = True
+    total = alg.zero()
+    for i, e in enumerate(elems):
+        idempotent = idempotent and e.is_idempotent()
+        orthogonal = orthogonal and (i == 0 or (e * total).is_zero())
+        total = total + e
     return {
         "idempotent": idempotent,
         "orthogonal": orthogonal,

@@ -122,12 +122,25 @@ def test_code_unknown_member_exit_1(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("label,named", [
+    (("--block", "1,1"), "block (1, 1) split None"),
+    (("--block", "1,0", "--split", "1"), "block (1, 0) split (1)"),
+    (("--block", "2,0"), "block (2, 0) split None"),
+    (("--block", "1,0,0"), "block (1, 0, 0) split None"),
+])
+def test_code_label_not_in_family_exit_1(capsys, label, named):
+    rc = cli.main(["code", "--ring", "z4", "--group", "3^1,5^1", "--k", "0", *label])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert f"no family member with {named}" in captured.err
+
+
 def test_code_bad_arguments_exit_before_family(capsys, monkeypatch):
     """A bad --k or --block is a usage error before the family is built."""
     def boom(*a, **kw):
         raise AssertionError("primitive_family ran before the arguments were checked")
 
-    monkeypatch.setattr(cli, "primitive_family", boom)
+    monkeypatch.setattr(idempotents, "primitive_family", boom)  # family_member's lookup
     for block, k in (("1,0", "9"), ("1,0", "-1"), ("1,x", "0")):
         rc, _ = run(capsys, "code", "--ring", "z4", "--group", "3^1,5^1",
                     "--block", block, "--k", k)

@@ -24,9 +24,8 @@ from rgcodes.codes import (
     min_weight_upper_bound,
     weight_probes,
 )
-from rgcodes.group_algebra import (AlgebraElem, GroupAlgebra, _family_certificate,
-                                   _family_label, grid_order)
-from rgcodes.idempotents import primitive_family
+from rgcodes.group_algebra import AlgebraElem, GroupAlgebra, grid_order
+from rgcodes.idempotents import family_member, primitive_family, verify_family
 
 C15 = GroupSpec((3, 5), (1, 1))
 Z4 = parse_ring("z4")
@@ -275,14 +274,10 @@ def test_compensating_size_formulas_fail(monkeypatch):
             analyze_code(alg, order)
 
 
-def test_one_certificate_per_analysis(monkeypatch):
-    """Registered family members take no product in check_components, in or
-    over budget; a code whose component is an unregistered idempotent (the
-    sum of two members) takes exactly one certificate, and no walk certifies."""
-    calls = []
-    certify = codes._family_certificate
-    monkeypatch.setattr(codes, "_family_certificate",
-                        lambda elems, alg: calls.append(len(elems)) or certify(elems, alg))
+def test_one_certificate_per_analysis():
+    """check_components forms no product on any call, in or over budget: family
+    members pass by their labels, and a component that is an idempotent but no
+    member (the sum of two members under one member's label) is refused."""
     with _products_in_check() as products:
         alg = GroupAlgebra(Z4, C15)
         split, other = _component(C15, Z4, (1, 1), "(1)", 1), _component(C15, Z4, (0, 1), None, 0)
@@ -290,11 +285,11 @@ def test_one_certificate_per_analysis(monkeypatch):
         assert rep.size_method == "formula" and rep.min_component_weight == 6
         for comps in ([split], [split, other]):  # in budget: the whole sum is walked
             assert analyze_code(alg, comps).size_method == "both-agree"
-        assert calls == [] and products == [0]
         twin = _component(C15, Z4, (1, 1), "(2)", 1)
         pair = CodeComponent(split.element + twin.element, (1, 1), "(1)", 2)  # k = t: the zero code
-        assert analyze_code(alg, [pair]).size == 1
-        assert calls == [1] and products == [1]  # one square, the certificate of one element
+        with pytest.raises(ValueError, match="not a member of the primitive family"):
+            analyze_code(alg, [pair])
+    assert products == [0]
 
 
 @contextmanager
@@ -325,16 +320,25 @@ def _products_in_check():
 @given(st.data())
 def test_registered_members_need_no_product(data):
     """1-3 distinct members of a family pass the lookup with no product, and
-    the full certificate passes on the same elements."""
+    the full certificate passes on the same elements; a member under another
+    member's label raises naming both labels, also with no product."""
     spec = data.draw(st.sampled_from([C15, GroupSpec((3, 5), (2, 1))]))
     ring = parse_ring(data.draw(st.sampled_from(["z2", "z4", "z8", "f2u2", "f2u3"])))
     fam, alg = primitive_family(spec, ring), GroupAlgebra(ring, spec)
     members = data.draw(st.lists(st.integers(0, len(fam) - 1), min_size=1, max_size=3, unique=True))
     comps = [CodeComponent(fam[i].element, fam[i].block, fam[i].split, 0) for i in members]
+    i = members[0]
+    j = data.draw(st.integers(0, len(fam) - 1).filter(lambda j: j != i))
+    wrong = CodeComponent(fam[i].element, fam[j].block, fam[j].split, 0)
     with _products_in_check() as products:
         codes.check_components(alg, comps)
+        with pytest.raises(ValueError) as exc:
+            codes.check_components(alg, [wrong])
     assert products == [0]
-    assert _family_certificate([c.element for c in comps], alg)[:2] == (True, True)
+    assert str(exc.value) == (f"component labelled block {fam[j].block} split {fam[j].split} is "
+                              f"the family member of block {fam[i].block} split {fam[i].split}")
+    checks = verify_family([c.element for c in comps], alg)
+    assert checks["idempotent"] and checks["orthogonal"]
 
 
 def _forged(case):
@@ -356,26 +360,39 @@ def _forged(case):
         return alg, [two, CodeComponent(one.element, (1, 0), None, 0)]
     if case == "same bytes in another algebra":
         f2u2 = parse_ring("f2u2")
-        primitive_family(C15, f2u2)  # its members are registered too
         other = GroupAlgebra(f2u2, C15)
         forged = other.element(one.element.coeffs)
-        assert _family_label(one.element) and _family_label(forged) is None
+        assert family_member(C15, Z4, one.block, one.split).element == one.element
+        assert family_member(C15, f2u2, one.block, one.split).element != forged
         return other, [CodeComponent(forged, one.block, one.split, 0)]
     raise AssertionError(case)
 
 
 @pytest.mark.parametrize("case,match", [
-    ("repeated member", "not orthogonal"),
-    ("one coefficient changed", "not idempotent"),
-    ("non-idempotent under a registered label", "not idempotent"),
+    ("repeated member", "label repeats"),
+    ("one coefficient changed", "not a member"),
+    ("non-idempotent under a registered label", "not a member"),
     ("registered element under another split", "is the family member"),
     ("registered element under another block", "is the family member"),
-    ("same bytes in another algebra", "not idempotent"),
+    ("same bytes in another algebra", "not a member"),
 ])
 def test_forged_components_raise(case, match):
     alg, comps = _forged(case)
-    with pytest.raises(ValueError, match=match):
-        check_components(alg, comps)
+    with _products_in_check() as products, pytest.raises(ValueError, match=match):
+        codes.check_components(alg, comps)
+    assert products == [0]
+
+
+def test_member_sum_under_member_label_raises():
+    """The sum of members (1,1)(1) and (1,1)(2) is an idempotent of 65,536 words;
+    labelled (1,1)(1) it is refused in and over budget, before the label's size
+    formula (256 words) can be reported."""
+    alg = GroupAlgebra(Z4, C15)
+    one, two = _component(C15, Z4, (1, 1), "(1)", 0), _component(C15, Z4, (1, 1), "(2)", 0)
+    forged = CodeComponent(one.element + two.element, one.block, one.split, 0)
+    for budget in (100, DEFAULT_BUDGET):
+        with pytest.raises(ValueError, match=r"block \(1, 1\) split \(1\) is not a member"):
+            analyze_code(alg, [forged], budget)
 
 
 def test_wrong_label_names_both():
@@ -430,23 +447,28 @@ def test_zero_code_at_k_equals_t():
 
 
 def test_zero_generator_raises():
-    """A zero element passes the idempotent checks; weighing it over budget
-    must not, and nor must walking it: its walked size is 1, not the formula's."""
+    """A zero element is no family member, so analyze_code refuses it; past
+    that check, weighing it must not pass, and nor must walking it: its
+    walked size is 1, not the formula's."""
     alg = GroupAlgebra(Z4, C15)
     for block, split in [((1, 1), "(1)"), ((1, 0), None)]:
+        zero = CodeComponent(alg.zero(), block, split, 0)
+        with pytest.raises(ValueError, match="not a member"):
+            analyze_code(alg, [zero], budget=1)
         with pytest.raises(InvariantError, match="zero generator"):
-            analyze_code(alg, [CodeComponent(alg.zero(), block, split, 0)], budget=1)
+            codes._weigh(alg, zero, None)
         with pytest.raises(InvariantError, match=r"member .*'block': \[1, \d\]"):
-            analyze_code(alg, [CodeComponent(alg.zero(), block, split, 0)])
+            enumerate_codewords(alg, [zero])
 
 
 def test_check_components_rejects_non_adjacent_overlap():
-    """Members 1 and 3 overlap, every other pair is orthogonal."""
+    """Members 1 and 3 overlap, every other pair is orthogonal: the overlap is
+    no family member (verify_family's flag for it is tested in test_idempotents)."""
     alg = GroupAlgebra(Z4, C15)
     a, b, c = (_component(C15, Z4, block, None, 0) for block in [(0, 0), (1, 0), (0, 1)])
     overlap = CodeComponent(a.element + c.element, (0, 1), None, 0)
     check_components(alg, [a, b, c])
-    with pytest.raises(ValueError, match="not orthogonal"):
+    with pytest.raises(ValueError, match="not a member"):
         check_components(alg, [a, b, overlap])
 
 
