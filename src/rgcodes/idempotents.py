@@ -15,9 +15,10 @@ idempotent x + x^2 with x = u_{i_1} u_i, once per nonzero index i after
 the first one i_1.  Every lift from F2 goes through lift_idempotent, the
 one place that squares.  The F2 refinement oracle builds nothing; it only
 checks the members (see primitive_family).  primitive_family certifies
-each family once (verify_family), and its labelled records are the one
-source of family facts: family_member finds a member by its (block,
-split) label, and codes.check_components compares each component with it.
+each family once (verify_family) and raises on any false flag, so no
+certificate is stored.  Its labelled records are the one source of family
+facts: family_member finds a member by its (block, split) label, and
+codes.check_components compares each component with it.
 """
 
 from __future__ import annotations
@@ -149,10 +150,6 @@ def lift_idempotent(f: AlgebraElem, ring: ChainRing) -> AlgebraElem:
     return w
 
 
-# algebra -> the certificate (verify_family) that its primitive family passed
-_certificates = {}
-
-
 @lru_cache(maxsize=None)
 def primitive_family(spec: GroupSpec, ring: ChainRing):
     """All primitive idempotents of RG as labelled records, sorted by block.
@@ -164,10 +161,9 @@ def primitive_family(spec: GroupSpec, ring: ChainRing):
     certificate (verify_family) then runs once: the members must be
     idempotent, which makes each the unique lift of its residue, pairwise
     orthogonal, sum to one and match the count formula.  A failed check
-    raises InvariantError.  Only then is the certificate kept
-    (family_checks).  The oracle validates the group, so a group that
-    fails the hypotheses raises arith.InvalidGroup before any product is
-    formed.
+    raises InvariantError, so a returned family passed every flag.  The
+    oracle validates the group, so a group that fails the hypotheses
+    raises arith.InvalidGroup before any product is formed.
     """
     alg = GroupAlgebra(ring, spec)
     unused = {f.coeffs.tobytes(): f for f in primitive_idempotents_f2(spec)}
@@ -188,14 +184,7 @@ def primitive_family(spec: GroupSpec, ring: ChainRing):
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
         raise InvariantError(f"the family fails its certificate: {', '.join(failed)}")
-    _certificates[alg] = checks
     return tuple(records)
-
-
-def family_checks(spec: GroupSpec, ring: ChainRing) -> dict:
-    """The certificate (verify_family) that primitive_family(spec, ring) passed."""
-    primitive_family(spec, ring)
-    return dict(_certificates[GroupAlgebra(ring, spec)])
 
 
 def family_member(spec: GroupSpec, ring: ChainRing, block, split):
@@ -203,6 +192,10 @@ def family_member(spec: GroupSpec, ring: ChainRing, block, split):
     block = tuple(block)
     return next((r for r in primitive_family(spec, ring)
                  if r.block == block and r.split == split), None)
+
+
+# the flags of verify_family, in the order it reports them
+FAMILY_CHECKS = ("idempotent", "orthogonal", "sum_to_one", "count_matches_formula")
 
 
 def verify_family(elems, alg: GroupAlgebra) -> dict:
@@ -220,9 +213,5 @@ def verify_family(elems, alg: GroupAlgebra) -> dict:
         idempotent = idempotent and e.is_idempotent()
         orthogonal = orthogonal and (i == 0 or (e * total).is_zero())
         total = total + e
-    return {
-        "idempotent": idempotent,
-        "orthogonal": orthogonal,
-        "sum_to_one": total == alg.one(),
-        "count_matches_formula": len(elems) == component_count_formula(alg.group),
-    }
+    count_ok = len(elems) == component_count_formula(alg.group)
+    return dict(zip(FAMILY_CHECKS, (idempotent, orthogonal, total == alg.one(), count_ok)))

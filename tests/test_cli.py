@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgcodes import arith, cli, codes, f2_oracle, idempotents
+from rgcodes import arith, cli, codes, f2_oracle, idempotents, selftest
 from rgcodes.arith import parse_group
 from rgcodes.chain_ring import parse_ring
 from rgcodes.group_algebra import GroupAlgebra
@@ -459,3 +460,44 @@ def test_json_writer_refuses_other_types(value):
     """No floats, tuples, numpy scalars or non-str keys: a payload holds none."""
     with pytest.raises(TypeError):
         cli._json(value)
+
+
+def _stub(name, fn, limit=None):
+    """A stand-in criterion, timed like the registered ones."""
+    return lambda: selftest._timed(name, limit, fn)
+
+
+def _boom():
+    raise RuntimeError("boom")
+
+
+def _slow():
+    time.sleep(0.001)
+    return True, "fine"
+
+
+def test_selftest_all_pass(capsys, monkeypatch):
+    """selftest runs what CRITERIA holds: one PASS line each, a summary, exit 0."""
+    monkeypatch.setattr(selftest, "CRITERIA",
+                        [_stub("one", lambda: (True, "fine")), _stub("two", _slow, 60.0)])
+    rc, out = run(capsys, "selftest")
+    lines = out.splitlines()
+    assert rc == 0 and len(lines) == 3
+    assert lines[0].startswith("PASS one: fine [") and lines[1].startswith("PASS two: fine [")
+    assert lines[1].endswith(" < 60s]")
+    assert lines[2] == "2/2 criteria passed"
+
+
+@pytest.mark.parametrize("fn, limit, want", [
+    (_boom, None, "FAIL bad: exception: RuntimeError('boom') ["),
+    (_slow, 1e-9, "FAIL bad: fine (over the 0s limit) ["),
+])
+def test_selftest_failure_exit_1(capsys, monkeypatch, fn, limit, want):
+    """A criterion that raises, or passes over its limit, fails the run: exit 1."""
+    monkeypatch.setattr(selftest, "CRITERIA",
+                        [_stub("good", lambda: (True, "fine")), _stub("bad", fn, limit)])
+    rc, out = run(capsys, "selftest")
+    lines = out.splitlines()
+    assert rc == 1
+    assert lines[0].startswith("PASS good: fine [") and lines[1].startswith(want)
+    assert lines[2] == "1/2 criteria passed"

@@ -672,3 +672,15 @@ def test_wrong_size_formula_fails(monkeypatch, factor):
     budget = 200 if factor < 1 else 256
     with pytest.raises(InvariantError if factor < 1 else BudgetExceeded):
         enumerate_codewords(alg, [comp], budget=budget)
+
+
+@pytest.mark.parametrize("block, split, got, match", [
+    ((0, 1), None, (7, None), "enumeration disagrees with formula"),  # the formula gives 6
+    ((1, 1), "(1)", (3, None), "beats the lower bound"),  # the lower bound is 4
+    ((1, 1), "(1)", (99, None), "exceeds a probe's weight"),  # the lightest probe weighs 10
+])
+def test_weigh_rejects_walked_weight(block, split, got, match):
+    """_weigh raises on a walked weight off the closed form or outside the bounds."""
+    comp = _component(C15, Z4, block, split, 0)
+    with pytest.raises(InvariantError, match=match):
+        codes._weigh(GroupAlgebra(Z4, C15), comp, got)

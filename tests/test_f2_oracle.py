@@ -1,8 +1,10 @@
 from itertools import combinations, product
 
 import numpy as np
+import pytest
 
-from rgcodes.arith import GroupSpec, cyclotomic_cosets, validate_group
+from rgcodes import f2_oracle
+from rgcodes.arith import GroupSpec, InvariantError, cyclotomic_cosets, validate_group
 from rgcodes.chain_ring import F2
 from rgcodes.f2_oracle import (
     component_count_formula,
@@ -123,3 +125,12 @@ def test_sorted_deterministic():
     assert list(a) == list(b)  # same spec, same tuple, cached
     # first member is the whole-group hat (support exponent 0)
     assert a[0] == GroupAlgebra(F2, C15).hat((0, 0))
+
+
+def test_count_disagreement_raises(monkeypatch):
+    """A refinement whose size differs from the count formula raises."""
+    real = f2_oracle.component_count_formula
+    monkeypatch.setattr(f2_oracle, "component_count_formula", lambda spec: real(spec) + 1)
+    primitive_idempotents_f2.cache_clear()
+    with pytest.raises(InvariantError, match="disagrees with the count formula"):
+        primitive_idempotents_f2(C15)

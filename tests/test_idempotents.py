@@ -295,3 +295,28 @@ def test_mislabelled_members_raise_under_optimize():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "1 passed" in proc.stdout
+
+
+def test_lift_rejects_non_idempotent():
+    """The F2 monomial a_1 is no idempotent, so it has no lift."""
+    with pytest.raises(ValueError, match="not idempotent"):
+        lift_idempotent(GroupAlgebra(F2, C3).generator_power(0, 1), Z4)
+
+
+def test_lift_checks_its_residue(monkeypatch):
+    """A lift that does not reduce to f raises, even when it is idempotent."""
+    f = primitive_idempotents_f2(C3)[1]
+    monkeypatch.setattr(AlgebraElem, "reduce_f2",
+                        lambda self: GroupAlgebra(F2, self.algebra.group).zero())
+    with pytest.raises(InvariantError, match="reducing to f"):
+        lift_idempotent(f, Z4)
+
+
+def test_family_uses_each_oracle_primitive(monkeypatch):
+    """An oracle primitive that no member reduces to (here the F2 identity) raises."""
+    real = idempotents.primitive_idempotents_f2
+    monkeypatch.setattr(idempotents, "primitive_idempotents_f2",
+                        lambda spec: real(spec) + (GroupAlgebra(F2, spec).one(),))
+    primitive_family.cache_clear()
+    with pytest.raises(InvariantError, match="does not use each oracle primitive once"):
+        primitive_family(C15, Z4)
