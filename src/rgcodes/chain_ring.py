@@ -20,9 +20,11 @@ s_pow_payload the power s^k (the payload 1 << k, 0 at k = t).  In
 either family the residue map to F2 reads off the low bit, and a payload
 is a unit iff that bit is set; so a payload with v trailing zero bits is
 s^v times the unit payload >> v, and s^v divides a payload iff its low v
-bits are 0.  mul_arr takes a scalar payload for either operand, and inv
-is one formula for both families: the units form a group of order
-2^(t-1), so 1/a = a^(2^(t-1) - 1).
+bits are 0.  mul_arr takes a scalar payload for either operand and, like
+every array op, works in the payload dtype (uint8 for t <= 8, else
+uint16): 2^t divides that dtype's modulus, so products that wrap there
+are exact once masked.  inv is one formula for both families: the units
+form a group of order 2^(t-1), so 1/a = a^(2^(t-1) - 1).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 FAMILY_INT = "int"    # Z / 2^t
 FAMILY_POLY = "poly"  # F2[u] / (u^t)
 
-_MAX_T = 16  # keeps products inside uint32 in the vectorised paths
+_MAX_T = 16  # payloads fit uint16, whose modulus 2^16 every 2^t divides
 
 
 @dataclass(frozen=True)
@@ -170,16 +172,17 @@ class ChainRing:
         return out
 
     def mul_arr(self, A, B):
-        A32 = np.asarray(A, dtype=np.uint32)
-        B32 = np.asarray(B, dtype=np.uint32)
+        # in the payload dtype: products wrap mod 2^8 or 2^16, which 2^t divides
+        A = np.asarray(A, dtype=self.dtype)
+        B = np.asarray(B, dtype=self.dtype)
         if self.family == FAMILY_INT:
-            out = (A32 * B32) & self.mask
+            out = A * B
         else:
-            out = np.zeros(np.broadcast_shapes(A32.shape, B32.shape), dtype=np.uint32)
+            out = np.zeros(np.broadcast_shapes(A.shape, B.shape), dtype=self.dtype)
             for i in range(self.t):
-                out ^= ((A32 >> i) & 1) * (B32 << i)
-            out &= self.mask
-        return out.astype(self.dtype)
+                out ^= ((A >> i) & 1) * (B << i)
+        out &= self.mask
+        return out
 
     # -- printing ------------------------------------------------------
 

@@ -52,6 +52,7 @@ from .idempotents import family_member, primitive_family
 
 DEFAULT_BUDGET = 1 << 20
 _SLICE = 1 << 14  # words per slice when weighing or decoding a CodewordSet
+_BATCH_BYTES = 1 << 20  # transient bytes per slice of cosets appended by the walk
 
 
 class BudgetExceeded(Exception):
@@ -217,43 +218,60 @@ class _Span:
     subtracting (x_p >> v) * row in pivot order (s^v divides x_p iff its
     low v bits are 0; see chain_ring) leaves a zero residue exactly for the
     span's elements.
+
+    Each row is kept as the table of its 2^(t-v) multiples c * row,
+    c < 2^(t-v) (x_p >> v is such a c), so a reduction step is one gather,
+    the same for both ring families.  The span has prod 2^(t-v) words, so
+    the tables hold at most that many rows in all.
+
+    A residue is canonical: it is the one element of x + span whose entry at
+    each pivot has only its low v bits, since two such differ by a span
+    element whose first nonzero entry would be a multiple of s^v below s^v.
+    So a residue mod the span before add, reduced from the first pivot add
+    wrote on (rows before it are unchanged), is the residue mod the new span.
     """
 
     def __init__(self, ring: ChainRing):
         self.ring = ring
-        self.rows = {}  # pivot column -> (v, row)
+        self.rows = {}  # pivot column -> (v, the table of the row's multiples)
 
-    def reduce(self, X):
+    def reduce(self, X, start=0):
         """Residues of X (..., n): each is its row of X minus a span element,
-        and is 0 iff that row is in the span."""
+        and is 0 iff that row is in the span.  Pivots before start are
+        skipped, which is exact for residues carried across add (see add)."""
         ring = self.ring
         for p in sorted(self.rows):
-            v, row = self.rows[p]
-            X = ring.sub_arr(X, ring.mul_arr(X[..., p, None] >> v, row))
+            if p >= start:
+                v, table = self.rows[p]
+                X = ring.sub_arr(X, table[X[..., p] >> v])
         return X
 
     def add(self, x):
-        """Grow the span by R x, keeping the Howell property."""
+        """Grow the span by R x, keeping the Howell property.  Returns the
+        first pivot column written (len(x) if none): residues mod the old
+        span, reduced from it on, are residues mod the new one."""
         ring, t = self.ring, self.ring.t
-        todo = [x]
+        todo, first = [x], len(x)
         while todo:
             x = todo.pop()
             while x.any():
                 p = int(np.flatnonzero(x)[0])
                 a = int(x[p])
                 w = (a & -a).bit_length() - 1  # a = s^w times a unit
-                v, row = self.rows.get(p, (t, None))
+                v, table = self.rows.get(p, (t, None))
                 if w >= v:
-                    x = ring.sub_arr(x, ring.mul_arr(a >> v, row))
+                    x = ring.sub_arr(x, table[a >> v])
                     continue
                 if a >> w != 1:  # make the pivot s^w
                     x = ring.mul_arr(ring.inv(a >> w), x)
-                self.rows[p] = (w, x)
-                if row is not None:  # s^v at p is now a multiple of s^w
-                    todo.append(row)
+                self.rows[p] = (w, ring.mul_arr(np.arange(1 << (t - w))[:, None], x))
+                first = min(first, p)
+                if table is not None:  # s^v at p is now a multiple of s^w
+                    todo.append(table[1])
                 if (x & ((1 << w) - 1)).any():  # else s^(t-w) x = 0
                     todo.append(ring.mul_arr(ring.s_pow_payload(t - w), x))
                 break
+        return first
 
 
 def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) -> CodewordSet:
@@ -267,7 +285,13 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
     over the generators reaches the full sum of cyclic submodules.
 
     Rows go, in that order, into one array of the predicted size; W is also
-    kept as an R-span (_Span), which answers membership exactly.  The walk
+    kept as an R-span (_Span), which answers membership exactly.  Residues
+    are canonical, so the translates still waiting keep theirs across each
+    add and are reduced again only from the first pivot it wrote.  The
+    cosets of a translate are appended in slices of about _BATCH_BYTES of
+    transient bytes (at least one coset each), so past the row array and
+    the 2^(t-k) - 1 multiples of each generator (twice over, and once more
+    as a span table) the walk holds a bounded number of bytes.  The walk
     always visits every generator: a closure that outgrows the array
     raises, and so does a summand whose walked size is not its formula's.
     The walk does not certify its components: analyze_code does so with
@@ -283,38 +307,48 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
     for comp in components:
         start, base = size, comp.generator
         if not base.is_zero():
-            # the distinct nonzero multiples c * base in payload order of c: c * s^k e
-            # depends only on c mod s^(t-k), as e has a unit coefficient
-            mults = ring.mul_arr(np.arange(1, 1 << (t - comp.k))[:, None], base.coeffs)
-            # every multiple's translate by a^k is a slice of this doubled copy
-            doubled = np.concatenate([mults, mults], axis=1)
+            # row c - 1 holds c * base twice over, for the distinct nonzero
+            # multiples in payload order of c: c * s^k e depends only on
+            # c mod s^(t-k), as e has a unit coefficient.  Every multiple's
+            # translate by a^k is a slice of its row
+            doubled = np.tile(ring.mul_arr(np.arange(1, 1 << (t - comp.k))[:, None], base.coeffs), 2)
             # the powers s^j base (j < t - k) are the multiples c = 2^j
             powers = np.lib.stride_tricks.sliding_window_view(
                 doubled[(1 << np.arange(t - comp.k)) - 1], n, axis=1)
-            chunk = max(1, (1 << 16) // (len(powers) * mults[0].nbytes))  # translates per lookup
+            chunk = max(1, (1 << 16) // (len(powers) * n * doubled.itemsize))  # translates per lookup
 
             # translates b = a^k base in multi-index order of the group element:
             # the order fixes the row order, and so the reported witness.
             # {c : c b in W} is an ideal (s^m), so the cosets W + c b are those of
             # c < 2^m, and m counts the powers of b outside W.  A translate with
-            # m = 0 stays in W (W only grows) and is dropped
-            todo = grid_order(alg.group)
-            while todo.size:
-                head = todo[:chunk]
-                res = span.reduce(powers[:, n - head])
+            # m = 0 stays in W (W only grows) and is dropped; head holds the
+            # translates still waiting, res their powers' residues
+            todo, first = grid_order(alg.group), 0
+            head = todo[:0]
+            while head.size or todo.size:
+                if head.size:
+                    res = span.reduce(res, start=first)
+                else:
+                    head, todo = todo[:chunk], todo[chunk:]
+                    res = span.reduce(powers[:, n - head])
                 ms = res.any(axis=2).sum(axis=0)
                 fresh = np.flatnonzero(ms)
-                todo = np.concatenate([head[fresh[1:]], todo[chunk:]])
-                if not fresh.size:
+                head, res, ms = head[fresh], res[:, fresh], ms[fresh]
+                if not head.size:
                     continue
-                k, m = int(head[fresh[0]]), int(ms[fresh[0]])
+                k, m = int(head[0]), int(ms[0])
                 total = size << m
                 if total > predicted:
                     raise InvariantError("closure outgrows the size formula")
-                span.add(res[0, fresh[0]].copy())
-                reps = ring.to_planes(doubled[: (1 << m) - 1, n - k : 2 * n - k])
-                for i, rep in enumerate(reps, 1):
-                    ring.add_planes(planes[:size], rep, out=planes[i * size : (i + 1) * size])
+                first = span.add(res[0, 0])
+                head, res = head[1:], res[:, 1:]
+                # coset c - 1 is W + c b, c < 2^m, appended a slice at a time
+                cosets = planes[size:total].reshape(-1, *planes[:size].shape)
+                # per coset, to_planes unpacks t * n payloads and the carries span W
+                step = max(1, _BATCH_BYTES // (t * n * doubled.itemsize + planes[:size].nbytes))
+                for i in range(0, len(cosets), step):
+                    batch = ring.to_planes(doubled[i : i + step, n - k : 2 * n - k])
+                    ring.add_planes(planes[:size], batch[:, None], out=cosets[i : i + step])
                 size = total
         sizes.append(size // start)
         if sizes[-1] != code_size(alg, [comp]):

@@ -126,11 +126,11 @@ class GroupAlgebra:
 def _shift_add_product(ring: ChainRing, a, b):
     """Sum of coefficient * cyclic shift of b over the support of a."""
     n = len(b)
-    out = np.zeros(a.shape, dtype=np.uint32)
+    out = np.zeros(a.shape, dtype=ring.dtype)
     for k in np.flatnonzero(a).tolist():
         shifted = np.concatenate((b[n - k :], b[: n - k]))  # np.roll(b, k)
         out = ring.add_arr(out, ring.mul_arr(int(a[k]), shifted))
-    return out.astype(ring.dtype)
+    return out
 
 
 def _fft_product(ring: ChainRing, a, b):

@@ -62,8 +62,13 @@ class CriterionResult:
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
-        timing = f"[{self.seconds:.1f}s" + (f" < {self.limit:.0f}s]" if self.limit else "]")
+        timing = f"[{self.seconds:.1f}s" + ("]" if self.limit is None else f" < {_seconds(self.limit)}]")
         return f"{status} {self.name}: {self.detail} {timing}"
+
+
+def _seconds(limit) -> str:
+    """A limit to the millisecond, with no trailing zeros: 60s, 0.25s, 0s."""
+    return f"{limit:.3f}".rstrip("0").rstrip(".") + "s"
 
 
 def _timed(name, limit, fn):
@@ -74,7 +79,7 @@ def _timed(name, limit, fn):
         ok, detail = False, f"exception: {exc!r}"
     seconds = time.perf_counter() - t0
     if ok and limit is not None and seconds >= limit:
-        ok, detail = False, detail + f" (over the {limit:.0f}s limit)"
+        ok, detail = False, detail + f" (over the {_seconds(limit)} limit)"
     return CriterionResult(name, ok, detail, seconds, limit)
 
 

@@ -178,6 +178,19 @@ def payload_pairs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(payload_pairs())
+def test_mul_arr_broadcast_matches_scalar(case):
+    """mul_arr in the payload dtype: a column of scalars times a (3, n)
+    array, against the scalar mul, t = 1..16 in both families."""
+    ring, A, B = case
+    col = B[:, :1]  # one scalar per row, broadcast along it
+    got = ring.mul_arr(col, A)
+    assert got.dtype == ring.dtype and got.shape == A.shape
+    want = [[ring.mul(int(c), int(a)) for a in row] for c, row in zip(col[:, 0], A)]
+    assert got.tolist() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload_pairs())
 def test_bit_planes_round_trip_and_add(case):
     ring, A, B = case
     n = A.shape[1]

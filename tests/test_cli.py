@@ -488,6 +488,24 @@ def test_selftest_all_pass(capsys, monkeypatch):
     assert lines[2] == "2/2 criteria passed"
 
 
+@pytest.mark.parametrize("limit, timing", [
+    (None, "[0.1s]"), (60.0, "[0.1s < 60s]"), (0.25, "[0.1s < 0.25s]"), (0, "[0.1s < 0s]"),
+])
+def test_criterion_line_prints_the_limit(limit, timing):
+    """A limit prints to the millisecond: whole seconds as before, 0.25 s
+    not as "0s", and a limit of 0 keeps its "< ..." part."""
+    line = selftest.CriterionResult("c", True, "fine", 0.125, limit).line()
+    assert line == f"PASS c: fine {timing}"
+
+
+def test_over_the_limit_names_the_limit():
+    """A criterion over a sub-second limit names that limit."""
+    result = selftest._timed("slow", 0.001, _slow)
+    assert not result.ok and result.detail == "fine (over the 0.001s limit)"
+    assert result.line().endswith(" < 0.001s]")
+    assert not selftest._timed("zero", 0, lambda: (True, "fine")).ok
+
+
 @pytest.mark.parametrize("fn, limit, want", [
     (_boom, None, "FAIL bad: exception: RuntimeError('boom') ["),
     (_slow, 1e-9, "FAIL bad: fine (over the 0s limit) ["),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -633,17 +634,42 @@ def small_spans(draw):
 @given(small_spans())
 def test_span_matches_closure(case):
     """A residue of reduce is zero exactly for the span's elements, and
-    every residue differs from its query by a span element."""
+    every residue differs from its query by a span element.  A residue
+    carried across add and reduced from the first pivot add wrote is the
+    residue mod the grown span, and the multiples tables hold no more rows
+    than the span has words."""
     ring, rows, queries = case
     span = codes._Span(ring)
     for row in rows:  # as in the walk: add the residue of a new vector
-        span.add(span.reduce(row))
+        before = span.reduce(queries)
+        first = span.add(span.reduce(row))
+        assert np.array_equal(span.reduce(before, start=first), span.reduce(queries))
     members, words = span_closure(ring, rows)
+    tables = [len(table) for _, table in span.rows.values()]
+    assert math.prod(tables) == len(members) and sum(tables) <= len(members)
     X = np.concatenate([words, queries])
     res = span.reduce(X)
     for x, r in zip(X, res):
         assert (not r.any()) == (x.tobytes() in members)
         assert ring.sub_arr(x, r).tobytes() in members
+
+
+def test_walk_transient_bytes_are_bounded():
+    """The walk converts and appends its cosets in byte-bounded slices: the
+    2^16 words of z65536 at n = 15 peak at a few times their row array (the
+    doubled multiples and one span table), not at the unpacked bits of all
+    2^16 - 1 coset representatives at once (about 15 times the rows)."""
+    ring = parse_ring("z65536")
+    comp = _component(C15, ring, (0, 0), None, 0)
+    comp.generator  # formed once, outside the walk
+    tracemalloc.start()
+    try:
+        words = enumerate_codewords(GroupAlgebra(ring, C15), [comp])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 1 << 16
+    assert peak < 6 * words.planes.nbytes
 
 
 def test_row_width():
