@@ -15,26 +15,25 @@ certifies each family once, so a code is valid exactly when each
 component is the member its label names (idempotents.family_member) and
 no label repeats, which needs no product.
 It weighs every code as a direct sum, one component being a sum of one:
-a sum that fits the budget is walked once, and each member's words are
-read off its rows (CodewordSet.summands); over budget, each live member
+a sum that fits the budget is enumerated once, as the outer sum of its
+members' own walks (CodewordSet.summands); over budget, each live member
 with no closed-form weight is walked on its own if it fits.  A split
 component's only probe is its generator: the products
 s^k (1 - g_1)...(1 - g_l) hat(H) are nonzero in the components of all its
 block's members, so are words of none (see weight_probes).
 
-Enumeration is the independent check: the module is materialised by
-additive closure, walking the generators g s^k e (all group translates,
-all ring multiples) and growing the word set coset by coset.  One pass
-suffices because the module is the sum of the cyclic submodules
-generated by the walked elements.  Each word is stored as t bit-planes
-(plane i packs bit i of every coefficient), so a row of z4 at n = 165 is
-42 bytes, adding a coset representative is plane arithmetic
-(ChainRing.add_planes) and a weight is the popcount of the OR of the
-planes.  Membership is exact: the words so far are also kept as an
-R-span in Howell form (_Span).  Nothing in the enumeration consults the
-count or weight formulas beyond an up-front budget gate and the size of
-its row array and of each summand (checked as the walk leaves it), so
-agreement between the two is evidence, not construction.
+Enumeration is the independent check.  Each member's module is
+materialised by additive closure over its generator's translates, the
+cosets of each by doubling over its powers (_walk), and a direct sum is
+the outer sum of its members' walks, as RG is the direct sum of its
+ideals RGe.  A word is stored as t bit-planes (plane i packs bit i of
+every coefficient; 42 bytes for z4 at n = 165), so adding a coset
+representative is plane arithmetic (ChainRing.add_planes) and a weight
+is the popcount of the OR of the planes.  A walk also keeps its words as
+an R-span in Howell form (_Span), which decides membership exactly.
+Past an up-front budget gate and each walk's own size checks, nothing
+in the enumeration consults the count or weight formulas, so agreement
+between the two is evidence, not construction.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .idempotents import family_member, primitive_family
 
 DEFAULT_BUDGET = 1 << 20
 _SLICE = 1 << 14  # words per slice when weighing or decoding a CodewordSet
-_BATCH_BYTES = 1 << 20  # transient bytes per slice of cosets appended by the walk
+_BATCH_BYTES = 1 << 20  # transient bytes per slice of cosets appended (_add_cosets)
 
 
 class BudgetExceeded(Exception):
@@ -151,14 +150,14 @@ class CodewordSet:
     planes has shape (words, t, ceil(n/8)) (ChainRing.to_planes), so a word
     takes t * ceil(n/8) bytes with no padding; a word's weight is the
     popcount of the OR of its planes.  rows decodes every word into a
-    (words, n) payload array.  sizes are the summands' walked sizes.
+    (words, n) payload array.  members: a direct sum's members' own walks.
     """
 
-    def __init__(self, alg: GroupAlgebra, planes: np.ndarray, sizes):
+    def __init__(self, alg: GroupAlgebra, planes: np.ndarray, members=None):
         self.algebra = alg
         planes.setflags(write=False)
         self.planes = planes
-        self.sizes = tuple(sizes)
+        self.members = members
 
     def __len__(self):
         return len(self.planes)
@@ -193,19 +192,8 @@ class CodewordSet:
         return int(w[pos]), AlgebraElem(self.algebra, word)
 
     def summands(self):
-        """Each summand's own walk, as a view of the rows of a walked direct sum.
-
-        With summand sizes s_1, s_2, ..., row i_1 + s_1 (i_2 + s_2 (...)) is
-        the sum of word i_j of each summand's own walk: a batch adds a word
-        of the current summand to the rows so far, and as the sum is direct,
-        each lookup decides as it would in that summand's own walk.  So
-        summand j's words are rows 0, P, 2P, ... with P = s_1 ... s_{j-1}.
-        """
-        out, stride = [], 1
-        for size in self.sizes:
-            out.append(CodewordSet(self.algebra, self.planes[::stride][:size], [size]))
-            stride *= size
-        return out
+        """Each member's own walk: [self] for one member, none for the empty sum."""
+        return [self] if self.members is None else list(self.members)
 
 
 class _Span:
@@ -274,87 +262,98 @@ class _Span:
         return first
 
 
+def _add_cosets(ring: ChainRing, W: np.ndarray, R: np.ndarray, out: np.ndarray):
+    """Writes the cosets W + r, r in R, as bit-planes: row i len(W) + j of
+    out is W[j] + R[i].  add_planes's ripple carry holds up to four planes
+    per word written, so a slice of about _BATCH_BYTES of them spans
+    representatives when W is small and rows of W when it is large."""
+    cosets = out.reshape(len(R), *W.shape)
+    step = max(1, _BATCH_BYTES // (4 * W.shape[-1]))  # words per slice
+    per, rows = max(1, step // len(W)), min(len(W), step)
+    for i in range(0, len(R), per):
+        for j in range(0, len(W), rows):
+            w = slice(j, j + rows)
+            ring.add_planes(W[None, w], R[i : i + per, None], out=cosets[i : i + per, w])
+
+
+def _walk(alg: GroupAlgebra, comp: CodeComponent) -> CodewordSet:
+    """One member's code <s^k e> by additive closure, from W = {0}.
+
+    For each translate b of s^k e, in multi-index order of the group
+    element (the order fixes the rows, and so the reported witness),
+    {c : c b in W} is an ideal (s^m), m counting the powers s^j b outside
+    W.  The cosets W + c b, c < 2^m, are new and disjoint, and doubling
+    appends them: for j < m, rows [size, 2 size) are rows [0, size) plus
+    s^j b.  So coset c holds W + c b in both ring families, as for c < 2^j
+    the payload c has no bit j and 2^j is s^j: (c + 2^j) b = c b + s^j b.
+    A translate with m = 0 stays in W (W only grows) and is dropped.
+    W is also an R-span (_Span), whose residues are canonical: translates
+    still waiting keep theirs across each add and are reduced again only
+    from the first pivot it wrote.  Past its rows and the span's tables,
+    the walk holds the t - k powers s^j s^k e (twice over) and one slice
+    of cosets (_add_cosets).  It raises, naming the member, on outgrowing
+    its size formula and on ending off it.
+    """
+    ring, n, t = alg.ring, alg.n, alg.ring.t
+    want = code_size(alg, [comp])
+    planes = np.zeros((want, t, -(-n // 8)), dtype=np.uint8)  # row 0: the zero word
+    size, span = 1, _Span(ring)
+    base = comp.generator
+    if not base.is_zero():
+        # row j holds s^j base (nonzero for j < t - k, as e has a unit
+        # coefficient) twice over, so a^k s^j base is a slice of it
+        table = ring.mul_arr((1 << np.arange(t - comp.k))[:, None], np.concatenate([base.coeffs] * 2))
+        powers = np.lib.stride_tricks.sliding_window_view(table, n, axis=1)
+        chunk = max(1, (1 << 16) // (len(powers) * n * table.itemsize))  # translates per lookup
+        # head holds the translates still waiting, res their powers' residues
+        todo, first = grid_order(alg.group), 0
+        head = todo[:0]
+        while head.size or todo.size:
+            if head.size:
+                res = span.reduce(res, start=first)
+            else:
+                head, todo = todo[:chunk], todo[chunk:]
+                res = span.reduce(powers[:, n - head])
+            ms = res.any(axis=2).sum(axis=0)
+            fresh = np.flatnonzero(ms)
+            head, res, ms = head[fresh], res[:, fresh], ms[fresh]
+            if not head.size:
+                continue
+            k, m = int(head[0]), int(ms[0])
+            if size << m > want:
+                raise InvariantError(f"member {comp.label_dict()}: closure outgrows the size formula")
+            first = span.add(res[0, 0])
+            head, res = head[1:], res[:, 1:]
+            reps = ring.to_planes(powers[:m, n - k])
+            for j in range(m):
+                _add_cosets(ring, planes[:size], reps[j : j + 1], planes[size : 2 * size])
+                size *= 2
+    if size != want:
+        raise InvariantError(f"member {comp.label_dict()}: {size} words walked, not the size formula's")
+    return CodewordSet(alg, planes)
+
+
 def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) -> CodewordSet:
-    """Additive closure of all translates and multiples of the generators.
+    """The direct sum of the components' codes, as the outer sum of their walks.
 
-    Grows a set W, starting from {0}: for each generator b (a group
-    translate of some s^k e_i), the distinct cosets W + c*b over the ring
-    multiples c*b not already covered are appended wholesale.  Each new
-    batch of cosets is disjoint from W and from each other, so no
-    deduplication is needed beyond the membership test, and a single pass
-    over the generators reaches the full sum of cyclic submodules.
-
-    Rows go, in that order, into one array of the predicted size; W is also
-    kept as an R-span (_Span), which answers membership exactly.  Residues
-    are canonical, so the translates still waiting keep theirs across each
-    add and are reduced again only from the first pivot it wrote.  The
-    cosets of a translate are appended in slices of about _BATCH_BYTES of
-    transient bytes (at least one coset each), so past the row array and
-    the 2^(t-k) - 1 multiples of each generator (twice over, and once more
-    as a span table) the walk holds a bounded number of bytes.  The walk
-    always visits every generator: a closure that outgrows the array
-    raises, and so does a summand whose walked size is not its formula's.
-    The walk does not certify its components: analyze_code does so with
-    check_components, and primitive_family certifies its members.
+    A word of the sum is one word of each member's own walk (_walk) summed:
+    with member sizes s_1, s_2, ..., row i_1 + s_1 (i_2 + s_2 (...)) is the
+    sum of word i_j of each walk, as each member appends the cosets of the
+    rows so far by its nonzero words.  The budget gate takes the whole
+    sum's size formula.  Nothing here certifies the components:
+    analyze_code does so with check_components.
     """
     predicted = code_size(alg, components)
     if predicted > budget:
         raise BudgetExceeded(predicted, budget)
-
-    ring, n, t = alg.ring, alg.n, alg.ring.t
-    planes = np.zeros((predicted, t, -(-n // 8)), dtype=np.uint8)  # row 0: the zero word
-    size, span, sizes = 1, _Span(ring), []
-    for comp in components:
-        start, base = size, comp.generator
-        if not base.is_zero():
-            # row c - 1 holds c * base twice over, for the distinct nonzero
-            # multiples in payload order of c: c * s^k e depends only on
-            # c mod s^(t-k), as e has a unit coefficient.  Every multiple's
-            # translate by a^k is a slice of its row
-            doubled = np.tile(ring.mul_arr(np.arange(1, 1 << (t - comp.k))[:, None], base.coeffs), 2)
-            # the powers s^j base (j < t - k) are the multiples c = 2^j
-            powers = np.lib.stride_tricks.sliding_window_view(
-                doubled[(1 << np.arange(t - comp.k)) - 1], n, axis=1)
-            chunk = max(1, (1 << 16) // (len(powers) * n * doubled.itemsize))  # translates per lookup
-
-            # translates b = a^k base in multi-index order of the group element:
-            # the order fixes the row order, and so the reported witness.
-            # {c : c b in W} is an ideal (s^m), so the cosets W + c b are those of
-            # c < 2^m, and m counts the powers of b outside W.  A translate with
-            # m = 0 stays in W (W only grows) and is dropped; head holds the
-            # translates still waiting, res their powers' residues
-            todo, first = grid_order(alg.group), 0
-            head = todo[:0]
-            while head.size or todo.size:
-                if head.size:
-                    res = span.reduce(res, start=first)
-                else:
-                    head, todo = todo[:chunk], todo[chunk:]
-                    res = span.reduce(powers[:, n - head])
-                ms = res.any(axis=2).sum(axis=0)
-                fresh = np.flatnonzero(ms)
-                head, res, ms = head[fresh], res[:, fresh], ms[fresh]
-                if not head.size:
-                    continue
-                k, m = int(head[0]), int(ms[0])
-                total = size << m
-                if total > predicted:
-                    raise InvariantError("closure outgrows the size formula")
-                first = span.add(res[0, 0])
-                head, res = head[1:], res[:, 1:]
-                # coset c - 1 is W + c b, c < 2^m, appended a slice at a time
-                cosets = planes[size:total].reshape(-1, *planes[:size].shape)
-                # per coset, to_planes unpacks t * n payloads and the carries span W
-                step = max(1, _BATCH_BYTES // (t * n * doubled.itemsize + planes[:size].nbytes))
-                for i in range(0, len(cosets), step):
-                    batch = ring.to_planes(doubled[i : i + step, n - k : 2 * n - k])
-                    ring.add_planes(planes[:size], batch[:, None], out=cosets[i : i + step])
-                size = total
-        sizes.append(size // start)
-        if sizes[-1] != code_size(alg, [comp]):
-            raise InvariantError(f"member {comp.label_dict()}: {sizes[-1]} words walked, "
-                                 "not the size formula's")
-    return CodewordSet(alg, planes, sizes)
+    walks = [_walk(alg, comp) for comp in components]
+    if len(walks) == 1:
+        return walks[0]
+    planes, size = np.zeros((predicted, alg.ring.t, -(-alg.n // 8)), dtype=np.uint8), 1  # row 0: zero
+    for walk in walks:
+        _add_cosets(alg.ring, planes[:size], walk.planes[1:], planes[size : size * len(walk)])
+        size *= len(walk)
+    return CodewordSet(alg, planes, walks)
 
 
 # -- closed forms and bounds ------------------------------------------

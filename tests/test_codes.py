@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -226,7 +228,7 @@ def test_multiples_over_z65536(k):
 
 def test_in_budget_sum_walked_once(monkeypatch):
     """A direct sum that fits the budget is enumerated once; its split member
-    is weighed from the sum's rows, not walked again."""
+    is weighed from its own walk inside that enumeration, not enumerated again."""
     calls = []
     walk = codes.enumerate_codewords
 
@@ -273,6 +275,20 @@ def test_compensating_size_formulas_fail(monkeypatch):
     for order in (comps, comps[::-1]):
         with pytest.raises(InvariantError, match=r"member \{'block': \[(0, 1|1, 0)\]"):
             analyze_code(alg, order)
+
+
+def test_halved_member_formula_names_member(monkeypatch):
+    """A member whose size formula is halved outgrows it in its own walk, and
+    the error names that member, also inside a direct sum."""
+    alg = GroupAlgebra(Z4, C15)
+    comps = [_component(C15, Z4, (0, 1), None, 0), _component(C15, Z4, (1, 0), None, 0)]
+    formula = codes.code_size_formula
+    monkeypatch.setattr(codes, "code_size_formula", lambda spec, ring, block, k:
+                        formula(spec, ring, block, k) // (2 if tuple(block) == (1, 0) else 1))
+    for order in (comps, comps[::-1], comps[1:]):
+        with pytest.raises(InvariantError, match=r"member \{'block': \[1, 0\], 'split': None, "
+                                                 r"'k': 0\}: closure outgrows"):
+            enumerate_codewords(alg, order)
 
 
 def test_one_certificate_per_analysis():
@@ -447,6 +463,34 @@ def test_zero_code_at_k_equals_t():
     assert len(words) == 1 and words.min_nonzero() is None
 
 
+def test_empty_sum_is_the_zero_code():
+    """No components: one word and no summands; analyze_code reports size 1,
+    walked in budget and by formula at budget 0, with no weight."""
+    alg = GroupAlgebra(Z4, C15)
+    words = enumerate_codewords(alg, [])
+    assert len(words) == 1 and not words.planes.any()
+    assert words.summands() == [] and words.min_nonzero() is None
+    for budget, method in [(DEFAULT_BUDGET, "both-agree"), (0, "formula")]:
+        rep = analyze_code(alg, [], budget)
+        assert (rep.size, rep.size_method, rep.weight_method) == (1, method, "undefined")
+        assert rep.min_weight is None and rep.witness is None
+
+
+def test_member_walk_holds_no_reference_cycle():
+    """One member's walk is its own summand without storing itself, so it is
+    freed as its last reference goes, with the cyclic collector off."""
+    comp = _component(C15, Z4, (0, 1), None, 0)
+    gc.disable()
+    try:
+        words = enumerate_codewords(GroupAlgebra(Z4, C15), [comp])
+        assert words.summands() == [words]
+        ref = weakref.ref(words)
+        del words
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_zero_generator_raises():
     """A zero element is no family member, so analyze_code refuses it; past
     that check, weighing it must not pass, and nor must walking it: its
@@ -546,8 +590,8 @@ REFERENCE_LIMIT_BITS = 12  # codes of at most 4096 words
 def small_codes(draw):
     """1-3 distinct family members with k chosen so that |C| <= 2^12."""
     spec = draw(st.sampled_from([C15, GroupSpec((3, 5), (2, 1))]))
-    # z512 stores payloads as uint16 and words as nine bit-planes
-    ring = parse_ring(draw(st.sampled_from(["z2", "z4", "z8", "f2u2", "f2u3", "z512"])))
+    # z512 and f2u9 store payloads as uint16 and words as nine bit-planes
+    ring = parse_ring(draw(st.sampled_from(["z2", "z4", "z8", "f2u2", "f2u3", "z512", "f2u9"])))
     fam = primitive_family(spec, ring)
     members = draw(st.lists(st.integers(0, len(fam) - 1), min_size=1, max_size=3, unique=True))
     ks = [draw(st.integers(0, ring.t)) for _ in members]
@@ -570,18 +614,18 @@ def test_enumeration_matches_reference(case):
 @settings(max_examples=40, deadline=None)
 @given(small_codes())
 def test_summands_are_own_walks(case):
-    """Each summand view of an enumerated sum is that member's own walk, row
-    for row, and the sum's rows are the ring sums of the members' words."""
+    """Each summand of an enumerated sum is that member's own walk, row for
+    row, and the sum's rows are the ring sums of the members' words."""
     alg, comps = case
     ring, n = alg.ring, alg.n
     words = enumerate_codewords(alg, comps)
-    views = words.summands()
-    assert [len(view) for view in views] == [code_size(alg, [c]) for c in comps]
-    for comp, view in zip(comps, views):
-        assert np.array_equal(view.rows, enumerate_codewords(alg, [comp]).rows)
-    sums = views[0].rows
-    for view in views[1:]:  # row i_1 + s_1 i_2 is word i_1 plus word i_2
-        sums = ring.add_arr(view.rows[:, None, :], sums[None, :, :]).reshape(-1, n)
+    walks = words.summands()
+    assert [len(walk) for walk in walks] == [code_size(alg, [c]) for c in comps]
+    for comp, walk in zip(comps, walks):
+        assert np.array_equal(walk.rows, enumerate_codewords(alg, [comp]).rows)
+    sums = walks[0].rows
+    for walk in walks[1:]:  # row i_1 + s_1 i_2 is word i_1 plus word i_2
+        sums = ring.add_arr(walk.rows[:, None, :], sums[None, :, :]).reshape(-1, n)
     assert np.array_equal(sums, words.rows)
 
 
@@ -589,11 +633,11 @@ def test_summands_are_own_walks(case):
 @given(small_codes())
 def test_weights_count_nonzero_coefficients(case):
     """The popcount of the OR of a word's bit-planes is its Hamming weight,
-    over the whole set and over the strided summand views."""
+    over the whole set and over each member's walk."""
     alg, comps = case
     words = enumerate_codewords(alg, comps)
-    for view in [words, *words.summands()]:
-        assert np.array_equal(view.weights(), np.count_nonzero(view.rows, axis=1))
+    for part in [words, *words.summands()]:
+        assert np.array_equal(part.weights(), np.count_nonzero(part.rows, axis=1))
 
 
 # -- the span behind the walk's membership test ------------------------
@@ -655,10 +699,11 @@ def test_span_matches_closure(case):
 
 
 def test_walk_transient_bytes_are_bounded():
-    """The walk converts and appends its cosets in byte-bounded slices: the
-    2^16 words of z65536 at n = 15 peak at a few times their row array (the
-    doubled multiples and one span table), not at the unpacked bits of all
-    2^16 - 1 coset representatives at once (about 15 times the rows)."""
+    """The walk keeps only its generator's t - k powers and appends its cosets
+    in byte-bounded slices: the 2^16 words of z65536 at n = 15 peak below 3
+    times their row array, the rest being the span's one unit-pivot table
+    (2^16 multiples of the generator), not a second table of the multiples
+    or all 2^16 - 1 coset representatives at once."""
     ring = parse_ring("z65536")
     comp = _component(C15, ring, (0, 0), None, 0)
     comp.generator  # formed once, outside the walk
@@ -669,7 +714,7 @@ def test_walk_transient_bytes_are_bounded():
     finally:
         tracemalloc.stop()
     assert len(words) == 1 << 16
-    assert peak < 6 * words.planes.nbytes
+    assert peak < 3 * words.planes.nbytes
 
 
 def test_row_width():
