@@ -207,10 +207,10 @@ class _Span:
     low v bits are 0; see chain_ring) leaves a zero residue exactly for the
     span's elements.
 
-    Each row is kept as the table of its 2^(t-v) multiples c * row,
-    c < 2^(t-v) (x_p >> v is such a c), so a reduction step is one gather,
-    the same for both ring families.  The span has prod 2^(t-v) words, so
-    the tables hold at most that many rows in all.
+    Each row is kept once, as its n payloads, however many words
+    (prod 2^(t-v)) the span has, and a reduction step forms its multiple
+    (x_p >> v) * row by one ring.mul_arr, as every multiple in this module
+    is formed.
 
     A residue is canonical: it is the one element of x + span whose entry at
     each pivot has only its low v bits, since two such differ by a span
@@ -221,7 +221,7 @@ class _Span:
 
     def __init__(self, ring: ChainRing):
         self.ring = ring
-        self.rows = {}  # pivot column -> (v, the table of the row's multiples)
+        self.rows = {}  # pivot column -> (v, the row)
 
     def reduce(self, X, start=0):
         """Residues of X (..., n): each is its row of X minus a span element,
@@ -230,8 +230,8 @@ class _Span:
         ring = self.ring
         for p in sorted(self.rows):
             if p >= start:
-                v, table = self.rows[p]
-                X = ring.sub_arr(X, table[X[..., p] >> v])
+                v, row = self.rows[p]
+                X = ring.sub_arr(X, ring.mul_arr((X[..., p] >> v)[..., None], row))
         return X
 
     def add(self, x):
@@ -239,23 +239,23 @@ class _Span:
         first pivot column written (len(x) if none): residues mod the old
         span, reduced from it on, are residues mod the new one."""
         ring, t = self.ring, self.ring.t
-        todo, first = [x], len(x)
+        todo, first = [x.copy()], len(x)  # a kept view would pin the caller's whole array
         while todo:
             x = todo.pop()
             while x.any():
                 p = int(np.flatnonzero(x)[0])
                 a = int(x[p])
                 w = (a & -a).bit_length() - 1  # a = s^w times a unit
-                v, table = self.rows.get(p, (t, None))
+                v, row = self.rows.get(p, (t, None))
                 if w >= v:
-                    x = ring.sub_arr(x, table[a >> v])
+                    x = ring.sub_arr(x, ring.mul_arr(a >> v, row))
                     continue
                 if a >> w != 1:  # make the pivot s^w
                     x = ring.mul_arr(ring.inv(a >> w), x)
-                self.rows[p] = (w, ring.mul_arr(np.arange(1 << (t - w))[:, None], x))
+                self.rows[p] = (w, x)
                 first = min(first, p)
-                if table is not None:  # s^v at p is now a multiple of s^w
-                    todo.append(table[1])
+                if row is not None:  # s^v at p is now a multiple of s^w
+                    todo.append(row)
                 if (x & ((1 << w) - 1)).any():  # else s^(t-w) x = 0
                     todo.append(ring.mul_arr(ring.s_pow_payload(t - w), x))
                 break
@@ -289,10 +289,10 @@ def _walk(alg: GroupAlgebra, comp: CodeComponent) -> CodewordSet:
     A translate with m = 0 stays in W (W only grows) and is dropped.
     W is also an R-span (_Span), whose residues are canonical: translates
     still waiting keep theirs across each add and are reduced again only
-    from the first pivot it wrote.  Past its rows and the span's tables,
-    the walk holds the t - k powers s^j s^k e (twice over) and one slice
-    of cosets (_add_cosets).  It raises, naming the member, on outgrowing
-    its size formula and on ending off it.
+    from the first pivot it wrote.  Past its rows and the span's one row
+    per pivot, the walk holds the t - k powers s^j s^k e (twice over) and
+    one slice of cosets (_add_cosets).  It raises, naming the member, on
+    outgrowing its size formula and on ending off it.
     """
     ring, n, t = alg.ring, alg.n, alg.ring.t
     want = code_size(alg, [comp])

@@ -662,7 +662,7 @@ def small_spans(draw):
     """1-3 rows of length n <= 4, scaled by s until their span has at most
     2^12 words (|R x| <= 2^(t - v) for v the least valuation in x), and
     some query vectors."""
-    ring = parse_ring(draw(st.sampled_from(["z2", "z4", "z8", "z512", "f2u2", "f2u3"])))
+    ring = parse_ring(draw(st.sampled_from(["z2", "z4", "z8", "z512", "f2u2", "f2u3", "f2u9"])))
     n = draw(st.integers(1, 4))
     vectors = st.lists(st.integers(0, ring.mask), min_size=n, max_size=n)
     rows = np.array(draw(st.lists(vectors, min_size=1, max_size=3)), dtype=ring.dtype)
@@ -680,8 +680,9 @@ def test_span_matches_closure(case):
     """A residue of reduce is zero exactly for the span's elements, and
     every residue differs from its query by a span element.  A residue
     carried across add and reduced from the first pivot add wrote is the
-    residue mod the grown span, and the multiples tables hold no more rows
-    than the span has words."""
+    residue mod the grown span.  Each row is kept once: 0 before its pivot
+    p and s^v at p, the 2^(t - v) multiples of the rows multiplying to the
+    span's word count."""
     ring, rows, queries = case
     span = codes._Span(ring)
     for row in rows:  # as in the walk: add the residue of a new vector
@@ -689,8 +690,9 @@ def test_span_matches_closure(case):
         first = span.add(span.reduce(row))
         assert np.array_equal(span.reduce(before, start=first), span.reduce(queries))
     members, words = span_closure(ring, rows)
-    tables = [len(table) for _, table in span.rows.values()]
-    assert math.prod(tables) == len(members) and sum(tables) <= len(members)
+    for p, (v, row) in span.rows.items():
+        assert row.shape == rows[0].shape and not row[:p].any() and row[p] == 1 << v
+    assert math.prod(1 << (ring.t - v) for v, _ in span.rows.values()) == len(members)
     X = np.concatenate([words, queries])
     res = span.reduce(X)
     for x, r in zip(X, res):
@@ -698,13 +700,14 @@ def test_span_matches_closure(case):
         assert ring.sub_arr(x, r).tobytes() in members
 
 
-def test_walk_transient_bytes_are_bounded():
-    """The walk keeps only its generator's t - k powers and appends its cosets
-    in byte-bounded slices: the 2^16 words of z65536 at n = 15 peak below 3
-    times their row array, the rest being the span's one unit-pivot table
-    (2^16 multiples of the generator), not a second table of the multiples
-    or all 2^16 - 1 coset representatives at once."""
-    ring = parse_ring("z65536")
+@pytest.mark.parametrize("ring_name", ["z65536", "f2u16"])
+def test_walk_transient_bytes_are_bounded(ring_name):
+    """The walk keeps only its generator's t - k powers, its span one row per
+    pivot, and appends its cosets in byte-bounded slices: the 2^16 words of
+    a t = 16 ring at n = 15 peak below 1.5 times their row array, with no
+    table of a pivot's 2^16 multiples and not all 2^16 - 1 coset
+    representatives at once."""
+    ring = parse_ring(ring_name)
     comp = _component(C15, ring, (0, 0), None, 0)
     comp.generator  # formed once, outside the walk
     tracemalloc.start()
@@ -714,7 +717,7 @@ def test_walk_transient_bytes_are_bounded():
     finally:
         tracemalloc.stop()
     assert len(words) == 1 << 16
-    assert peak < 3 * words.planes.nbytes
+    assert peak < 1.5 * words.planes.nbytes
 
 
 def test_row_width():
