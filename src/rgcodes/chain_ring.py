@@ -179,8 +179,10 @@ class ChainRing:
             out = A * B
         else:
             out = np.zeros(np.broadcast_shapes(A.shape, B.shape), dtype=self.dtype)
+            bits = int(np.bitwise_or.reduce(A, axis=None))  # the powers of u some entry of A has
             for i in range(self.t):
-                out ^= ((A >> i) & 1) * (B << i)
+                if bits >> i & 1:
+                    out ^= ((A >> i) & 1) * (B << i)
         out &= self.mask
         return out
 

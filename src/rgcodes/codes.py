@@ -305,29 +305,26 @@ def _walk(alg: GroupAlgebra, comp: CodeComponent) -> CodewordSet:
         table = ring.mul_arr((1 << np.arange(t - comp.k))[:, None], np.concatenate([base.coeffs] * 2))
         powers = np.lib.stride_tricks.sliding_window_view(table, n, axis=1)
         chunk = max(1, (1 << 16) // (len(powers) * n * table.itemsize))  # translates per lookup
-        # head holds the translates still waiting, res their powers' residues
-        todo, first = grid_order(alg.group), 0
-        head = todo[:0]
-        while head.size or todo.size:
-            if head.size:
+        # head: a chunk's translates still waiting, res: their powers' residues
+        order = grid_order(alg.group)
+        for i in range(0, len(order), chunk):
+            head, first = order[i : i + chunk], 0
+            res = powers[:, n - head]
+            while head.size:
                 res = span.reduce(res, start=first)
-            else:
-                head, todo = todo[:chunk], todo[chunk:]
-                res = span.reduce(powers[:, n - head])
-            ms = res.any(axis=2).sum(axis=0)
-            fresh = np.flatnonzero(ms)
-            head, res, ms = head[fresh], res[:, fresh], ms[fresh]
-            if not head.size:
-                continue
-            k, m = int(head[0]), int(ms[0])
-            if size << m > want:
-                raise InvariantError(f"member {comp.label_dict()}: closure outgrows the size formula")
-            first = span.add(res[0, 0])
-            head, res = head[1:], res[:, 1:]
-            reps = ring.to_planes(powers[:m, n - k])
-            for j in range(m):
-                _add_cosets(ring, planes[:size], reps[j : j + 1], planes[size : 2 * size])
-                size *= 2
+                ms = res.any(axis=2).sum(axis=0)
+                fresh = np.flatnonzero(ms)
+                if not fresh.size:
+                    break
+                head, res, m = head[fresh], res[:, fresh], int(ms[fresh[0]])
+                if size << m > want:
+                    raise InvariantError(f"member {comp.label_dict()}: closure outgrows the size formula")
+                first = span.add(res[0, 0])
+                reps = ring.to_planes(powers[:m, n - head[0]])
+                head, res = head[1:], res[:, 1:]
+                for j in range(m):
+                    _add_cosets(ring, planes[:size], reps[j : j + 1], planes[size : 2 * size])
+                    size *= 2
     if size != want:
         raise InvariantError(f"member {comp.label_dict()}: {size} words walked, not the size formula's")
     return CodewordSet(alg, planes)

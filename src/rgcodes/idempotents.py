@@ -9,13 +9,13 @@ iff l <= 1.  A block with l >= 2 splits into 2^(l-1) primitive pieces,
 built from the auxiliary elements u_i which satisfy u_i^3 = u_i + u_i^2 =
 (the i-th block factor) and generate a copy of F4 in each component.
 
-split_block builds the summands of every block the same way: starting
+split_block, the one entry that splits, builds every block the same way:
 from the block idempotent, it halves each member by a lifted pair
 idempotent x + x^2 with x = u_{i_1} u_i, once per nonzero index i after
 the first one i_1.  Every lift from F2 goes through lift_idempotent, the
 one place that squares.  The F2 refinement oracle builds nothing; it only
 checks the members (see primitive_family).  primitive_family certifies
-each family once (verify_family) and raises on any false flag, so no
+each family once, and verify_family raises on any false flag, so no
 certificate is stored.  Its labelled records are the one source of family
 facts: family_member finds a member by its (block, split) label, and
 codes.check_components compares each component with it.
@@ -90,16 +90,12 @@ def split_block(alg: GroupAlgebra, block) -> list:
     the first one i_1 (last index first), split every member e into e*p
     and e - e*p, where p lifts x + x^2 for x = u_{i_1} u_i over F2.  In
     each component u_i acts as omega or omega^2 in F4, so x + x^2 is the
-    trace of x: the indicator that sigma_{i_1}/sigma_i is fixed.
+    trace of x: the indicator that sigma_{i_1}/sigma_i is fixed.  Every
+    family is built through this one entry (primitive_family).
     """
-    return _split_from(alg, block, block_idempotent(alg, block))
-
-
-def _split_from(alg: GroupAlgebra, block, whole: AlgebraElem) -> list:
-    """split_block, given the block idempotent `whole`."""
     block = alg.group.check_levels(block)
     idx = _split_indices(alg, block)
-    members = [whole]
+    members = [block_idempotent(alg, block)]
     if len(idx) >= 2:
         f2alg = GroupAlgebra(F2, alg.group)
         u1 = u_element(f2alg, idx[0], block[idx[0]])
@@ -156,34 +152,29 @@ def primitive_family(spec: GroupSpec, ring: ChainRing):
 
     Every block takes its members from split_block, evaluated over R.  The
     F2 oracle only checks them: each member's residue must be a distinct
-    oracle primitive, a block's members must sum to its block idempotent,
-    and the family must use every oracle primitive.  The family
-    certificate (verify_family) then runs once: the members must be
-    idempotent, which makes each the unique lift of its residue, pairwise
-    orthogonal, sum to one and match the count formula.  A failed check
-    raises InvariantError, so a returned family passed every flag.  The
-    oracle validates the group, so a group that fails the hypotheses
-    raises arith.InvalidGroup before any product is formed.
+    oracle primitive, a block's members must sum to a fresh block
+    idempotent (2^l hats, no product), and the family must use every
+    oracle primitive.  The certificate (verify_family) then runs once: the
+    members must be idempotent, which makes each the unique lift of its
+    residue, pairwise orthogonal, sum to one and match the count formula.
+    Each check raises InvariantError.  The oracle validates the group: one
+    failing the hypotheses raises arith.InvalidGroup before any product.
     """
     alg = GroupAlgebra(ring, spec)
     unused = {f.coeffs.tobytes(): f for f in primitive_idempotents_f2(spec)}
     records = []
     for block in block_labels(spec):
-        whole = block_idempotent(alg, block)
-        members = _split_from(alg, block, whole)
+        members = split_block(alg, block)
         for i, e in enumerate(members):
             tag = None if len(members) == 1 else f"({i + 1})"
             if unused.pop(e.reduce_f2().coeffs.tobytes(), None) is None:
                 raise InvariantError(f"block {block} member {tag}: not an unused primitive's lift")
             records.append(IdempotentRecord(e, block, tag, "paper-formula"))
-        if sum(members, alg.zero()) != whole:
+        if sum(members, alg.zero()) != block_idempotent(alg, block):
             raise InvariantError(f"block {block}: members do not sum to the block idempotent")
     if unused:
         raise InvariantError("the family does not use each oracle primitive once")
-    checks = verify_family([r.element for r in records], alg)
-    failed = [name for name, ok in checks.items() if not ok]
-    if failed:
-        raise InvariantError(f"the family fails its certificate: {', '.join(failed)}")
+    verify_family([r.element for r in records], alg)
     return tuple(records)
 
 
@@ -198,8 +189,8 @@ def family_member(spec: GroupSpec, ring: ChainRing, block, split):
 FAMILY_CHECKS = ("idempotent", "orthogonal", "sum_to_one", "count_matches_formula")
 
 
-def verify_family(elems, alg: GroupAlgebra) -> dict:
-    """Completeness checks for a family of elements of alg, in 2m - 1 products.
+def verify_family(elems, alg: GroupAlgebra) -> None:
+    """Certify a family in 2m - 1 products; InvariantError names each false flag.
 
     Orthogonality is tested against the running sum, e_i (e_1 + ... +
     e_{i-1}) = 0.  For idempotents this is pairwise orthogonality: if
@@ -214,4 +205,7 @@ def verify_family(elems, alg: GroupAlgebra) -> dict:
         orthogonal = orthogonal and (i == 0 or (e * total).is_zero())
         total = total + e
     count_ok = len(elems) == component_count_formula(alg.group)
-    return dict(zip(FAMILY_CHECKS, (idempotent, orthogonal, total == alg.one(), count_ok)))
+    flags = zip(FAMILY_CHECKS, (idempotent, orthogonal, total == alg.one(), count_ok))
+    failed = ", ".join(name for name, ok in flags if not ok)
+    if failed:
+        raise InvariantError(f"{alg}: the family fails its certificate: {failed}")

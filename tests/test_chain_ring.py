@@ -180,13 +180,18 @@ def payload_pairs(draw):
 @given(payload_pairs())
 def test_mul_arr_broadcast_matches_scalar(case):
     """mul_arr in the payload dtype: a column of scalars times a (3, n)
-    array, against the scalar mul, t = 1..16 in both families."""
+    array, against the scalar mul, t = 1..16 in both families.  Besides a
+    drawn column, single-bit columns (s^j) and an all-zero column, where
+    the polynomial product skips the bits no entry of the column has."""
     ring, A, B = case
-    col = B[:, :1]  # one scalar per row, broadcast along it
-    got = ring.mul_arr(col, A)
-    assert got.dtype == ring.dtype and got.shape == A.shape
-    want = [[ring.mul(int(c), int(a)) for a in row] for c, row in zip(col[:, 0], A)]
-    assert got.tolist() == want
+    cols = [B[:, :1]]  # one scalar per row, broadcast along it
+    cols += [np.full((3, 1), ring.s_pow_payload(j), dtype=ring.dtype) for j in range(ring.t)]
+    cols.append(np.zeros((3, 1), dtype=ring.dtype))
+    for col in cols:
+        got = ring.mul_arr(col, A)
+        assert got.dtype == ring.dtype and got.shape == A.shape
+        want = [[ring.mul(int(c), int(a)) for a in row] for c, row in zip(col[:, 0], A)]
+        assert got.tolist() == want
 
 
 @settings(max_examples=150, deadline=None)

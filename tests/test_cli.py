@@ -307,9 +307,8 @@ def test_out_file_unwritable_exit_1(tmp_path, capsys, monkeypatch):
 
 def test_invariant_failure_exit_4(capsys, monkeypatch):
     """A closed form that repeats a member fails the oracle check: exit 4."""
-    real = idempotents._split_from
-    monkeypatch.setattr(idempotents, "_split_from",
-                        lambda alg, block, whole: real(alg, block, whole)[:1] * 2)
+    real = idempotents.split_block
+    monkeypatch.setattr(idempotents, "split_block", lambda alg, block: real(alg, block)[:1] * 2)
     idempotents.primitive_family.cache_clear()
     rc = cli.main(["idempotents", "--ring", "z4", "--group", "3^1,5^1"])
     captured = capsys.readouterr()
@@ -336,15 +335,18 @@ def test_idempotents_certifies_once(capsys, monkeypatch):
 
 def test_false_certificate_flag_exit_4(capsys, monkeypatch):
     """A family that fails a flag of its certificate is never printed: exit 4
-    with the flag named (it used to print false and exit 0)."""
-    real = idempotents.verify_family
-    monkeypatch.setattr(idempotents, "verify_family",
-                        lambda elems, alg: {**real(elems, alg), "orthogonal": False})
+    with the algebra and the flag named (it used to print false and exit 0).
+    A count formula one too high makes a real false count_matches_formula;
+    the oracle keeps its own binding of the formula, so only the
+    certificate sees it."""
+    real = idempotents.component_count_formula
+    monkeypatch.setattr(idempotents, "component_count_formula", lambda spec: real(spec) + 1)
     idempotents.primitive_family.cache_clear()
     rc = cli.main(["idempotents", "--ring", "z8", "--group", "3^1,5^1"])
     captured = capsys.readouterr()
     assert rc == 4 and captured.out == ""
-    assert "the family fails its certificate: orthogonal" in captured.err
+    assert ("GroupAlgebra(z8, 3^1,5^1): the family fails its certificate: count_matches_formula"
+            in captured.err)
 
 
 def test_code_split_reaches_every_member(capsys):

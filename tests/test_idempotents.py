@@ -177,18 +177,20 @@ def test_primitive_family_verifies():
     for ring_name in ("z2", "z4", "z8", "f2u2", "f2u3"):
         ring = parse_ring(ring_name)
         fam = primitive_family(C15, ring)
-        alg = GroupAlgebra(ring, C15)
-        checks = verify_family([r.element for r in fam], alg)
-        assert all(checks.values()), checks
+        verify_family([r.element for r in fam], GroupAlgebra(ring, C15))  # raises on a false flag
 
 
 def test_verify_family_flags_non_adjacent_overlap():
     """Members 1 and 3 overlap, every other pair is orthogonal: the running
-    sum catches what a check of adjacent pairs alone would miss."""
+    sum catches what a check of adjacent pairs alone would miss.  The error
+    names every false flag in order: e_0 + e_2 is idempotent, but the three
+    do not sum to one and are not the five members of the family."""
     alg = GroupAlgebra(Z4, C15)
     e = [r.element for r in primitive_family(C15, Z4)]
-    checks = verify_family([e[0], e[1], e[0] + e[2]], alg)
-    assert checks["idempotent"] and not checks["orthogonal"]
+    with pytest.raises(InvariantError) as exc:
+        verify_family([e[0], e[1], e[0] + e[2]], alg)
+    assert str(exc.value) == ("GroupAlgebra(z4, 3^1,5^1): the family fails its certificate: "
+                              "orthogonal, sum_to_one, count_matches_formula")
 
 
 def test_family_sizes():
@@ -267,19 +269,16 @@ def test_family_matches_lifted_oracle(group, rings):
 def test_mislabelled_members_raise(monkeypatch):
     """Swap the second members of the blocks (1,1) and (2,1) of 3^2,5^1:
     every member is still a lifted oracle primitive, but the labels lie."""
-    real = idempotents._split_from
+    real = idempotents.split_block
 
-    def unpatched(alg, block):
-        return real(alg, block, block_idempotent(alg, block))
-
-    def swapped(alg, block, whole):
+    def swapped(alg, block):
         block = tuple(block)
         if block not in ((1, 1), (2, 1)):
-            return real(alg, block, whole)
-        (a1, a2), (b1, b2) = unpatched(alg, (1, 1)), unpatched(alg, (2, 1))
+            return real(alg, block)
+        (a1, a2), (b1, b2) = real(alg, (1, 1)), real(alg, (2, 1))
         return {(1, 1): [a1, b2], (2, 1): [b1, a2]}[block]
 
-    monkeypatch.setattr(idempotents, "_split_from", swapped)
+    monkeypatch.setattr(idempotents, "split_block", swapped)
     primitive_family.cache_clear()
     with pytest.raises(InvariantError, match="do not sum to the block idempotent"):
         primitive_family(C45, Z4)
