@@ -15,25 +15,28 @@ certifies each family once, so a code is valid exactly when each
 component is the member its label names (idempotents.family_member) and
 no label repeats, which needs no product.
 It weighs every code as a direct sum, one component being a sum of one:
-a sum that fits the budget is enumerated once, as the outer sum of its
-members' own walks (CodewordSet.summands); over budget, each live member
-with no closed-form weight is walked on its own if it fits.  A split
+a sum that fits the budget is enumerated once, from its members' own
+walks (CodewordSet.minima); over budget, each live member with no
+closed-form weight is walked on its own if it fits.  A split
 component's only probe is its generator: the products
 s^k (1 - g_1)...(1 - g_l) hat(H) are nonzero in the components of all its
 block's members, so are words of none (see weight_probes).
 
-Enumeration is the independent check.  Each member's module is
-materialised by additive closure over its generator's translates, the
-cosets of each by doubling over its powers (_walk), and a direct sum is
-the outer sum of its members' walks, as RG is the direct sum of its
-ideals RGe.  A word is stored as t bit-planes (plane i packs bit i of
-every coefficient; 42 bytes for z4 at n = 165), so adding a coset
-representative is plane arithmetic (ChainRing.add_planes) and a weight
-is the popcount of the OR of the planes.  A walk also keeps its words as
-an R-span in Howell form (_Span), which decides membership exactly.
-Past an up-front budget gate and each walk's own size checks, nothing
-in the enumeration consults the count or weight formulas, so agreement
-between the two is evidence, not construction.
+Enumeration is the independent check.  Each member's module is found by
+additive closure over its generator's translates, the cosets of each by
+doubling over its powers (_walk), so its words are the subset sums of a
+generator list: the powers s^j b of each fresh translate b in turn.  A
+walk keeps its words only as an R-span in Howell form (_Span), which
+decides membership exactly.  A direct sum's generator list is its
+members' lists concatenated, as RG is the direct sum of its ideals RGe.
+Every word is still formed and weighed, a block at a time (CodewordSet),
+so the bytes held are a few blocks of _BLOCK_BYTES, whatever the word
+count.  A word is t bit-planes (plane i packs bit i of every
+coefficient; 42 bytes for z4 at n = 165), so adding a generator is plane
+arithmetic (ChainRing.add_planes) and a weight is the popcount of the OR
+of the planes.  Past an up-front budget gate and each walk's own size
+checks, nothing in the enumeration consults the count or weight
+formulas, so agreement between the two is evidence, not construction.
 """
 
 from __future__ import annotations
@@ -50,8 +53,7 @@ from .group_algebra import AlgebraElem, GroupAlgebra, grid_order
 from .idempotents import family_member, primitive_family
 
 DEFAULT_BUDGET = 1 << 20
-_SLICE = 1 << 14  # words per slice when weighing or decoding a CodewordSet
-_BATCH_BYTES = 1 << 20  # transient bytes per slice of cosets appended (_add_cosets)
+_BLOCK_BYTES = 1 << 20  # words and weights per block (CodewordSet); planes per slice (_add_cosets)
 
 
 class BudgetExceeded(Exception):
@@ -145,55 +147,130 @@ def code_size(alg: GroupAlgebra, components) -> int:
 
 
 class CodewordSet:
-    """Materialised code: one row of bit-planes per word, zero word first.
+    """A code as the subset sums of its generator list, zero word first.
 
-    planes has shape (words, t, ceil(n/8)) (ChainRing.to_planes), so a word
-    takes t * ceil(n/8) bytes with no padding; a word's weight is the
-    popcount of the OR of its planes.  rows decodes every word into a
-    (words, n) payload array.  members: a direct sum's members' own walks.
+    gens holds the generators g_0, g_1, ... as bit-planes, shape
+    (m, t, ceil(n/8)) (ChainRing.to_planes), and row r of the code is the
+    sum of g_i over the set bits i of r: 2^m words, in the order the walk
+    finds them (_walk).  No row store is kept.  The rows are formed in
+    blocks (_blocks) of 2^a rows, a (low_bits) the most generators, up to
+    all, whose subset sums fit _BLOCK_BYTES with one intp weight each:
+    block h is the low table of the subset sums of g_0, ..., g_(a-1) plus
+    the sum of g_(a+i) over the set bits i of h.  rows decodes every word
+    into a (words, n) payload array, and planes keeps every word's planes.
+    members: a direct sum's members' own sets, whose generator lists gens
+    concatenates, the first member in the low bits.
     """
 
-    def __init__(self, alg: GroupAlgebra, planes: np.ndarray, members=None):
+    def __init__(self, alg: GroupAlgebra, gens: np.ndarray, members=None):
         self.algebra = alg
-        planes.setflags(write=False)
-        self.planes = planes
+        gens.setflags(write=False)
+        self.gens = gens
         self.members = members
+        fit = _BLOCK_BYTES // (math.prod(gens.shape[1:]) + np.dtype(np.intp).itemsize)
+        self.low_bits = min(len(gens), max(fit.bit_length() - 1, 0))
 
     def __len__(self):
-        return len(self.planes)
+        return 1 << len(self.gens)
+
+    def _low(self, bits: int, lows=None) -> np.ndarray:
+        """Rows [0, 2^bits) as planes: the subset sums of g_0, ..., g_(bits-1).
+
+        Each generator g_j doubles the rows so far (rows [size, 2 size) are
+        rows [0, size) plus g_j).  A sum's table is the outer sum of its
+        members' tables over their share of the bits (lows: those tables,
+        already formed), as row i_1 + 2^b_1 i_2 is word i_1 of the first
+        plus word i_2 of the second.
+        """
+        out = _zero_words(self.algebra, 1 << bits)
+        if self.members is None:
+            cosets = [self.gens[j : j + 1] for j in range(bits)]
+        else:
+            cosets = []
+            for i, part in enumerate(self.members):
+                b = min(bits, len(part.gens))
+                bits -= b
+                cosets.append((lows[i] if lows else part._low(b))[1 : 1 << b])
+        size = 1
+        for reps in cosets:
+            _add_cosets(self.algebra.ring, out[:size], reps, out[size : size * (1 + len(reps))])
+            size *= 1 + len(reps)
+        return out
+
+    def _blocks(self, low=None):
+        """Yields (start, rows [start, start + 2^a) as planes) in row order,
+        low being the first block.  Every later block is written over one
+        buffer, so a block is read before the next is asked for."""
+        low = self._low(self.low_bits) if low is None else low
+        yield 0, low
+        ring, a = self.algebra.ring, len(low).bit_length() - 1
+        high = self.gens[a:]
+        if not len(high):
+            return
+        block = np.empty_like(low)
+        sums = _zero_words(self.algebra, len(high) + 1)  # sums[j]: g_(a+i) over the set bits i >= j of h
+        for h in range(1, 1 << len(high)):
+            c = (h & -h).bit_length() - 1  # from h - 1 to h, bit c is set and the bits below it clear
+            ring.add_planes(sums[c + 1], high[c], out=sums[c])
+            sums[:c] = sums[c]
+            _add_cosets(ring, low, sums[:1], block)
+            yield h << a, block
+
+    @property
+    def planes(self) -> np.ndarray:
+        """Every word as planes, shape (words, t, ceil(n/8))."""
+        out = _zero_words(self.algebra, len(self))
+        for start, block in self._blocks():
+            out[start : start + len(block)] = block
+        return out
 
     @property
     def rows(self) -> np.ndarray:
         ring, n = self.algebra.ring, self.algebra.n
         out = np.empty((len(self), n), dtype=ring.dtype)
-        for i in range(0, len(self), _SLICE):  # bounds the unpacked bits
-            out[i : i + _SLICE] = ring.from_planes(self.planes[i : i + _SLICE], n)
+        for start, block in self._blocks():
+            out[start : start + len(block)] = ring.from_planes(block, n)
         return out
 
-    def weights(self) -> np.ndarray:
-        # in slices, so the OR of the planes never spans the whole row store
-        out = []
-        for i in range(0, len(self), _SLICE):
-            planes = self.planes[i : i + _SLICE]
-            support = planes[:, 0]
-            for j in range(1, planes.shape[1]):
-                support = support | planes[:, j]
-            out.append(np.add.reduce(np.bitwise_count(support), axis=1, dtype=np.intp))
-        return np.concatenate(out)
-
-    def min_nonzero(self):
-        """(weight, word) over the nonzero words; None for the zero code."""
-        w = self.weights()
-        idxs = np.nonzero(w)[0]
-        if idxs.size == 0:
+    def min_nonzero(self, low=None):
+        """(weight, word) of the first lightest nonzero word in row order;
+        None for the zero code.  Each block is weighed as it is formed (low:
+        the first block, if formed): a weight is the popcount of the OR of
+        the word's planes."""
+        n, best = self.algebra.n, None
+        for _, block in self._blocks(low):
+            support = block[:, 0]
+            for j in range(1, block.shape[1]):
+                support = support | block[:, j]
+            w = np.add.reduce(np.bitwise_count(support), axis=1, dtype=np.intp)
+            w[w == 0] = n + 1  # the zero word; every word weighs at most n
+            pos = int(np.argmin(w))
+            if w[pos] <= n and (best is None or w[pos] < best[0]):
+                best = int(w[pos]), block[pos].copy()
+        if best is None:
             return None
-        pos = idxs[np.argmin(w[idxs])]
-        word = self.algebra.ring.from_planes(self.planes[pos], self.algebra.n)
-        return int(w[pos]), AlgebraElem(self.algebra, word)
+        return best[0], AlgebraElem(self.algebra, self.algebra.ring.from_planes(best[1], n))
 
     def summands(self):
-        """Each member's own walk: [self] for one member, none for the empty sum."""
+        """Each member's own set: [self] for one member, none for the empty sum."""
         return [self] if self.members is None else list(self.members)
+
+    def minima(self):
+        """(own, whole): min_nonzero of each summand, and of the whole set.
+
+        While the whole set fits one block, its table is the outer sum of
+        its members' tables, so each member's is formed once for both.
+        """
+        fits = self.low_bits == len(self.gens)
+        own, lows = [], []
+        for part in self.summands():
+            low = part._low(part.low_bits)
+            own.append(part.min_nonzero(low))
+            if fits:
+                lows.append(low)
+        if self.members is None:  # one member, its own summand
+            return own, own[0]
+        return own, self.min_nonzero(self._low(self.low_bits, lows if fits else None))
 
 
 class _Span:
@@ -262,13 +339,18 @@ class _Span:
         return first
 
 
+def _zero_words(alg: GroupAlgebra, count: int) -> np.ndarray:
+    """count zero words as bit-planes, shape (count, t, ceil(n/8))."""
+    return np.zeros((count, alg.ring.t, -(-alg.n // 8)), dtype=np.uint8)
+
+
 def _add_cosets(ring: ChainRing, W: np.ndarray, R: np.ndarray, out: np.ndarray):
     """Writes the cosets W + r, r in R, as bit-planes: row i len(W) + j of
     out is W[j] + R[i].  add_planes's ripple carry holds up to four planes
-    per word written, so a slice of about _BATCH_BYTES of them spans
+    per word written, so a slice of about _BLOCK_BYTES of them spans
     representatives when W is small and rows of W when it is large."""
     cosets = out.reshape(len(R), *W.shape)
-    step = max(1, _BATCH_BYTES // (4 * W.shape[-1]))  # words per slice
+    step = max(1, _BLOCK_BYTES // (4 * W.shape[-1]))  # words per slice
     per, rows = max(1, step // len(W)), min(len(W), step)
     for i in range(0, len(R), per):
         for j in range(0, len(W), rows):
@@ -276,28 +358,30 @@ def _add_cosets(ring: ChainRing, W: np.ndarray, R: np.ndarray, out: np.ndarray):
             ring.add_planes(W[None, w], R[i : i + per, None], out=cosets[i : i + per, w])
 
 
-def _walk(alg: GroupAlgebra, comp: CodeComponent) -> CodewordSet:
-    """One member's code <s^k e> by additive closure, from W = {0}.
+def _walk(alg: GroupAlgebra, comp: CodeComponent) -> np.ndarray:
+    """One member's code <s^k e> by additive closure from W = {0}, as its
+    generator list (CodewordSet): bit-planes of shape (m, t, ceil(n/8)).
 
     For each translate b of s^k e, in multi-index order of the group
     element (the order fixes the rows, and so the reported witness),
     {c : c b in W} is an ideal (s^m), m counting the powers s^j b outside
     W.  The cosets W + c b, c < 2^m, are new and disjoint, and doubling
-    appends them: for j < m, rows [size, 2 size) are rows [0, size) plus
-    s^j b.  So coset c holds W + c b in both ring families, as for c < 2^j
-    the payload c has no bit j and 2^j is s^j: (c + 2^j) b = c b + s^j b.
-    A translate with m = 0 stays in W (W only grows) and is dropped.
-    W is also an R-span (_Span), whose residues are canonical: translates
-    still waiting keep theirs across each add and are reduced again only
-    from the first pivot it wrote.  Past its rows and the span's one row
-    per pivot, the walk holds the t - k powers s^j s^k e (twice over) and
-    one slice of cosets (_add_cosets).  It raises, naming the member, on
-    outgrowing its size formula and on ending off it.
+    lists them: for j < m, rows [size, 2 size) are rows [0, size) plus
+    s^j b, so b adds s^0 b, ..., s^(m-1) b to the generator list.  Coset c
+    holds W + c b in both ring families, as for c < 2^j the payload c has
+    no bit j and 2^j is s^j: (c + 2^j) b = c b + s^j b.  A translate with
+    m = 0 stays in W (W only grows) and is dropped.  W is kept only as an
+    R-span (_Span), whose residues are canonical: translates still waiting
+    keep theirs across each add and are reduced again only from the first
+    pivot it wrote.  So the walk holds no word: only its generator list,
+    the span's one row per pivot and the t - k powers s^j s^k e (twice
+    over).  It raises, naming the member, on outgrowing its size formula
+    and on ending off it.
     """
     ring, n, t = alg.ring, alg.n, alg.ring.t
     want = code_size(alg, [comp])
-    planes = np.zeros((want, t, -(-n // 8)), dtype=np.uint8)  # row 0: the zero word
-    size, span = 1, _Span(ring)
+    # a walk of 2^m words has m generators: outgrowing the formula raises before gens overflows
+    gens, size, span = _zero_words(alg, max(want.bit_length() - 1, 0)), 1, _Span(ring)
     base = comp.generator
     if not base.is_zero():
         # row j holds s^j base (nonzero for j < t - k, as e has a unit
@@ -320,37 +404,33 @@ def _walk(alg: GroupAlgebra, comp: CodeComponent) -> CodewordSet:
                 if size << m > want:
                     raise InvariantError(f"member {comp.label_dict()}: closure outgrows the size formula")
                 first = span.add(res[0, 0])
-                reps = ring.to_planes(powers[:m, n - head[0]])
-                head, res = head[1:], res[:, 1:]
-                for j in range(m):
-                    _add_cosets(ring, planes[:size], reps[j : j + 1], planes[size : 2 * size])
-                    size *= 2
+                count = size.bit_length() - 1
+                gens[count : count + m] = ring.to_planes(powers[:m, n - head[0]])
+                head, res, size = head[1:], res[:, 1:], size << m
     if size != want:
         raise InvariantError(f"member {comp.label_dict()}: {size} words walked, not the size formula's")
-    return CodewordSet(alg, planes)
+    return gens
 
 
 def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) -> CodewordSet:
-    """The direct sum of the components' codes, as the outer sum of their walks.
+    """The direct sum of the components' codes, from their walks' generator lists.
 
-    A word of the sum is one word of each member's own walk (_walk) summed:
-    with member sizes s_1, s_2, ..., row i_1 + s_1 (i_2 + s_2 (...)) is the
-    sum of word i_j of each walk, as each member appends the cosets of the
-    rows so far by its nonzero words.  The budget gate takes the whole
-    sum's size formula.  Nothing here certifies the components:
-    analyze_code does so with check_components.
+    Each member's walk (_walk) gives its generator list, and the sum's is
+    theirs concatenated, the first member in the low bits: with member
+    sizes s_1, s_2, ..., row i_1 + s_1 (i_2 + s_2 (...)) is the sum of word
+    i_j of each member.  The budget gate takes the whole sum's size
+    formula, so it bounds the words walked, which is time; the bytes a
+    walk and its weighing hold are bounded by the block (CodewordSet).
+    Nothing here certifies the components: analyze_code does so with
+    check_components.
     """
     predicted = code_size(alg, components)
     if predicted > budget:
         raise BudgetExceeded(predicted, budget)
-    walks = [_walk(alg, comp) for comp in components]
+    walks = [CodewordSet(alg, _walk(alg, comp)) for comp in components]
     if len(walks) == 1:
         return walks[0]
-    planes, size = np.zeros((predicted, alg.ring.t, -(-alg.n // 8)), dtype=np.uint8), 1  # row 0: zero
-    for walk in walks:
-        _add_cosets(alg.ring, planes[:size], walk.planes[1:], planes[size : size * len(walk)])
-        size *= len(walk)
-    return CodewordSet(alg, planes, walks)
+    return CodewordSet(alg, np.concatenate([_zero_words(alg, 0)] + [w.gens for w in walks]), walks)
 
 
 # -- closed forms and bounds ------------------------------------------
@@ -496,8 +576,7 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
     if size <= budget:
         words = enumerate_codewords(alg, components, budget)  # checks each summand's size
         rep.size_method = "both-agree"
-        own = [w.min_nonzero() for w in words.summands()]  # each component's (weight, word)
-        got = own[0] if len(own) == 1 else words.min_nonzero()  # the sum's
+        own, got = words.minima()  # each component's (weight, word), and the sum's
     else:
         own = [enumerate_codewords(alg, [c], budget).min_nonzero()
                if c.k < ring.t and min_weight_formula(alg.group, c.block) is None

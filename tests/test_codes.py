@@ -588,11 +588,11 @@ REFERENCE_LIMIT_BITS = 12  # codes of at most 4096 words
 
 
 @st.composite
-def small_codes(draw):
+def small_codes(draw, rings=("z2", "z4", "z8", "f2u2", "f2u3", "z512", "f2u9")):
     """1-3 distinct family members with k chosen so that |C| <= 2^12."""
     spec = draw(st.sampled_from([C15, GroupSpec((3, 5), (2, 1))]))
     # z512 and f2u9 store payloads as uint16 and words as nine bit-planes
-    ring = parse_ring(draw(st.sampled_from(["z2", "z4", "z8", "f2u2", "f2u3", "z512", "f2u9"])))
+    ring = parse_ring(draw(st.sampled_from(rings)))
     fam = primitive_family(spec, ring)
     members = draw(st.lists(st.integers(0, len(fam) - 1), min_size=1, max_size=3, unique=True))
     ks = [draw(st.integers(0, ring.t)) for _ in members]
@@ -630,15 +630,56 @@ def test_summands_are_own_walks(case):
     assert np.array_equal(sums, words.rows)
 
 
+def first_lightest(rows):
+    """(weight, row) of the first nonzero row of least Hamming weight; None if none."""
+    w = np.count_nonzero(rows, axis=1)
+    live = np.flatnonzero(w)
+    if not live.size:
+        return None
+    i = live[np.argmin(w[live])]
+    return int(w[i]), rows[i]
+
+
+def assert_same_minimum(got, want):
+    """got, a (weight, word) of min_nonzero or None, is want of first_lightest."""
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0] == want[0] and np.array_equal(got[1].coeffs, want[1])
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_codes())
 def test_weights_count_nonzero_coefficients(case):
-    """The popcount of the OR of a word's bit-planes is its Hamming weight,
-    over the whole set and over each member's walk."""
+    """The popcount of the OR of a word's bit-planes is its Hamming weight:
+    min_nonzero and minima give the first lightest nonzero row, over the
+    whole set and over each member's walk."""
     alg, comps = case
     words = enumerate_codewords(alg, comps)
-    for part in [words, *words.summands()]:
-        assert np.array_equal(part.weights(), np.count_nonzero(part.rows, axis=1))
+    own, whole = words.minima()
+    for part, got in [(words, whole), *zip(words.summands(), own)]:
+        want = first_lightest(part.rows)
+        assert_same_minimum(got, want)
+        assert_same_minimum(part.min_nonzero(), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_codes(rings=("z2", "z4", "z8", "f2u3", "f2u9")), st.integers(1, 256))
+def test_streamed_minimum_matches_reference(case, block_bytes):
+    """With blocks of a few bytes a code spans many blocks, formed one at a
+    time; its length, its rows and its first lightest nonzero word (weight
+    and witness) are the reference walk's, for the sum and each member."""
+    alg, comps = case
+    ref = reference_rows(alg, comps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "_BLOCK_BYTES", block_bytes)
+        words = enumerate_codewords(alg, comps)
+        assert len(words) == len(ref)
+        assert np.array_equal(words.rows, ref)
+        assert_same_minimum(words.min_nonzero(), first_lightest(ref))
+        own, whole = words.minima()
+    assert_same_minimum(whole, first_lightest(ref))
+    for comp, got in zip(comps, own):
+        assert_same_minimum(got, first_lightest(reference_rows(alg, [comp])))
 
 
 # -- the span behind the walk's membership test ------------------------
@@ -719,6 +760,27 @@ def test_walk_transient_bytes_are_bounded(ring_name):
         tracemalloc.stop()
     assert len(words) == 1 << 16
     assert peak < 1.5 * words.planes.nbytes
+
+
+@pytest.mark.parametrize("block_bytes", [1 << 16, 1 << 20])
+@pytest.mark.parametrize("ring_name", ["z65536", "f2u16"])
+def test_weighing_holds_one_block(monkeypatch, ring_name, block_bytes):
+    """A walk and its weighing peak below twice the block bound, whatever
+    the word count: the 2^16 words of a t = 16 ring at n = 15 take 2 MB of
+    planes, and are weighed a block at a time, none of them stored."""
+    monkeypatch.setattr(codes, "_BLOCK_BYTES", block_bytes)
+    ring = parse_ring(ring_name)
+    comp = _component(C15, ring, (0, 0), None, 0)
+    comp.generator  # formed once, outside the walk
+    tracemalloc.start()
+    try:
+        words = enumerate_codewords(GroupAlgebra(ring, C15), [comp])
+        weight = words.min_nonzero()[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 1 << 16 and weight == min_weight_formula(C15, (0, 0))
+    assert peak < 2 * block_bytes
 
 
 def test_row_width():
