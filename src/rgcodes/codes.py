@@ -15,12 +15,14 @@ certifies each family once, so a code is valid exactly when each
 component is the member its label names (idempotents.family_member) and
 no label repeats, which needs no product.
 It weighs every code as a direct sum, one component being a sum of one:
-a sum that fits the budget is enumerated once, from its members' own
-walks (CodewordSet.minima); over budget, each live member with no
-closed-form weight is walked on its own if it fits.  A split
-component's only probe is its generator: the products
-s^k (1 - g_1)...(1 - g_l) hat(H) are nonzero in the components of all its
-block's members, so are words of none (see weight_probes).
+a sum that fits the budget is walked once for its weight and witness,
+and a member's own weight is its binary residue code's (residue_weight),
+but a lone member's in budget, the walk's.  Over budget that holds under
+the gate of the R-walk it replaced (no closed form, own code in budget):
+a wider gate would change reports.  A split component's only probe is
+its generator: the products s^k (1 - g_1)...(1 - g_l) hat(H) are nonzero
+in the components of all its block's members, so are words of none (see
+weight_probes).
 
 Enumeration is the independent check.  Each member's module is found by
 additive closure over its generator's translates, the cosets of each by
@@ -48,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .arith import GroupSpec, InvariantError, euler_phi
-from .chain_ring import ChainRing
+from .chain_ring import F2, ChainRing
 from .group_algebra import AlgebraElem, GroupAlgebra, grid_order
 from .idempotents import family_member, primitive_family
 
@@ -173,35 +175,34 @@ class CodewordSet:
     def __len__(self):
         return 1 << len(self.gens)
 
-    def _low(self, bits: int, lows=None) -> np.ndarray:
+    def _low(self, bits: int) -> np.ndarray:
         """Rows [0, 2^bits) as planes: the subset sums of g_0, ..., g_(bits-1).
 
         Each generator g_j doubles the rows so far (rows [size, 2 size) are
         rows [0, size) plus g_j).  A sum's table is the outer sum of its
-        members' tables over their share of the bits (lows: those tables,
-        already formed), as row i_1 + 2^b_1 i_2 is word i_1 of the first
-        plus word i_2 of the second.
+        members' tables over their share of the bits, as row i_1 + 2^b_1 i_2
+        is word i_1 of the first plus word i_2 of the second.
         """
         out = _zero_words(self.algebra, 1 << bits)
         if self.members is None:
             cosets = [self.gens[j : j + 1] for j in range(bits)]
         else:
             cosets = []
-            for i, part in enumerate(self.members):
+            for part in self.members:
                 b = min(bits, len(part.gens))
                 bits -= b
-                cosets.append((lows[i] if lows else part._low(b))[1 : 1 << b])
+                cosets.append(part._low(b)[1 : 1 << b])
         size = 1
         for reps in cosets:
             _add_cosets(self.algebra.ring, out[:size], reps, out[size : size * (1 + len(reps))])
             size *= 1 + len(reps)
         return out
 
-    def _blocks(self, low=None):
-        """Yields (start, rows [start, start + 2^a) as planes) in row order,
-        low being the first block.  Every later block is written over one
-        buffer, so a block is read before the next is asked for."""
-        low = self._low(self.low_bits) if low is None else low
+    def _blocks(self):
+        """Yields (start, rows [start, start + 2^a) as planes) in row order.
+        Every block after the first is written over one buffer, so a block
+        is read before the next is asked for."""
+        low = self._low(self.low_bits)
         yield 0, low
         ring, a = self.algebra.ring, len(low).bit_length() - 1
         high = self.gens[a:]
@@ -232,17 +233,22 @@ class CodewordSet:
             out[start : start + len(block)] = ring.from_planes(block, n)
         return out
 
-    def min_nonzero(self, low=None):
+    def min_nonzero(self):
         """(weight, word) of the first lightest nonzero word in row order;
-        None for the zero code.  Each block is weighed as it is formed (low:
-        the first block, if formed): a weight is the popcount of the OR of
-        the word's planes."""
-        n, best = self.algebra.n, None
-        for _, block in self._blocks(low):
-            support = block[:, 0]
+        None for the zero code.  Each block is weighed as it is formed: a
+        weight is the popcount of the OR of the word's planes, counted in
+        8-byte lanes of a zero-padded buffer."""
+        n, best, width = self.algebra.n, None, self.gens.shape[2]
+        buf = np.zeros((1 << self.low_bits, -(-width // 8) * 8), dtype=np.uint8)
+        support = buf[:, :width]
+        for _, block in self._blocks():
+            np.copyto(support, block[:, 0])
             for j in range(1, block.shape[1]):
-                support = support | block[:, j]
-            w = np.add.reduce(np.bitwise_count(support), axis=1, dtype=np.intp)
+                support |= block[:, j]
+            lanes = np.bitwise_count(buf.view(np.uint64))
+            w = lanes[:, 0].astype(np.intp)
+            for j in range(1, lanes.shape[1]):
+                w += lanes[:, j]
             w[w == 0] = n + 1  # the zero word; every word weighs at most n
             pos = int(np.argmin(w))
             if w[pos] <= n and (best is None or w[pos] < best[0]):
@@ -250,27 +256,6 @@ class CodewordSet:
         if best is None:
             return None
         return best[0], AlgebraElem(self.algebra, self.algebra.ring.from_planes(best[1], n))
-
-    def summands(self):
-        """Each member's own set: [self] for one member, none for the empty sum."""
-        return [self] if self.members is None else list(self.members)
-
-    def minima(self):
-        """(own, whole): min_nonzero of each summand, and of the whole set.
-
-        While the whole set fits one block, its table is the outer sum of
-        its members' tables, so each member's is formed once for both.
-        """
-        fits = self.low_bits == len(self.gens)
-        own, lows = [], []
-        for part in self.summands():
-            low = part._low(part.low_bits)
-            own.append(part.min_nonzero(low))
-            if fits:
-                lows.append(low)
-        if self.members is None:  # one member, its own summand
-            return own, own[0]
-        return own, self.min_nonzero(self._low(self.low_bits, lows if fits else None))
 
 
 class _Span:
@@ -433,6 +418,28 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
     return CodewordSet(alg, np.concatenate([_zero_words(alg, 0)] + [w.gens for w in walks]), walks)
 
 
+def residue_weight(alg: GroupAlgebra, comp: CodeComponent):
+    """(weight, word) first lightest in F2G e', e' = e mod s (bit 0 of each
+    payload): for k < t the minimum weight of <s^k e>, as s^(t-1-k) <s^k e>
+    = s^(t-1) RGe is F2G e' (Norton and Salagean 2000).  A roll by one
+    multiplies by a, so the first shift a^d e' in the span of the earlier
+    ones (an XOR basis keyed by leading bit) gives the dimension d, checked
+    against the member's; CodewordSet over F2 weighs the 2^d subset sums."""
+    x, basis, shifts = (comp.element.coeffs & 1).astype(F2.dtype), {}, []
+    while True:
+        v = int.from_bytes(np.packbits(x).tobytes(), "big")
+        while v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if not v:
+            break
+        basis[v.bit_length()] = v
+        shifts.append(x)
+        x = np.roll(x, 1)
+    if len(shifts) != component_dimension(alg.group, comp.block):
+        raise InvariantError(f"member {comp.label_dict()}: residue code of dimension {len(shifts)}")
+    return CodewordSet(GroupAlgebra(F2, alg.group), F2.to_planes(np.array(shifts))).min_nonzero()
+
+
 # -- closed forms and bounds ------------------------------------------
 
 
@@ -535,9 +542,10 @@ def _weigh(alg: GroupAlgebra, comp: CodeComponent, got):
 
     Returns (exact, lower, best): the exact minimum weight or None, the
     lower bound (None where the closed form applies), and the lightest
-    probe as (weight, word).  got is the walked minimum as (weight, word),
-    or None if analyze_code walked none; a walked weight must equal the
-    closed form or lie between the lower bound and the lightest probe.
+    probe as (weight, word).  got is the member's walked or residue code
+    minimum (weight, word) (see analyze_code), or None if none was taken;
+    it must equal the closed form or lie between the lower bound and the
+    lightest probe.
     """
     spec = alg.group
     best = min_weight_upper_bound(alg, comp)
@@ -563,26 +571,28 @@ def _weigh(alg: GroupAlgebra, comp: CodeComponent, got):
 def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) -> CodeReport:
     """Size and minimum weight with enumeration cross-checks where affordable.
 
-    Certifies the components once, first, and decides every walk: the
-    whole sum when it fits the budget, otherwise each live member that has
-    no closed-form weight and fits on its own.  Every code is weighed as a
-    direct sum; a single component is a sum of one, and its component's
-    weight facts are the code's.
+    Certifies the components once, first, and walks the whole sum over R
+    when it fits the budget.  A live member's own weight is its residue
+    code's (residue_weight), but a lone member's in budget, the walk's;
+    over budget only under the gate of the R-walk it replaced, as a wider
+    one would change the reports.  Every code is weighed as a direct sum;
+    a single component is a sum of one, whose weight facts are the code's.
     """
     check_components(alg, components)
     ring, size = alg.ring, code_size(alg, components)
     rep = CodeReport(ring.designator(), alg.group.designator(),
                      [c.label_dict() for c in components], size, "formula")
+    live = [c for c in components if c.k < ring.t]
     if size <= budget:
         words = enumerate_codewords(alg, components, budget)  # checks each summand's size
         rep.size_method = "both-agree"
-        own, got = words.minima()  # each component's (weight, word), and the sum's
+        got = words.min_nonzero()
+        own = [got] if len(components) == 1 else [residue_weight(alg, c) for c in live]
     else:
-        own = [enumerate_codewords(alg, [c], budget).min_nonzero()
-               if c.k < ring.t and min_weight_formula(alg.group, c.block) is None
-               and code_size(alg, [c]) <= budget else None for c in components]
+        own = [residue_weight(alg, c) if min_weight_formula(alg.group, c.block) is None
+               and code_size(alg, [c]) <= budget else None for c in live]
         got = None
-    parts = [_weigh(alg, c, g) for c, g in zip(components, own) if c.k < ring.t]
+    parts = [_weigh(alg, c, g) for c, g in zip(live, own)]
     if not parts:
         return rep
 

@@ -22,7 +22,7 @@ from itertools import product
 
 from .arith import GroupSpec, block_labels, euler_phi, factorize, mult_ord
 from .chain_ring import F2, parse_ring
-from .codes import CodeComponent, analyze_code, enumerate_codewords
+from .codes import CodeComponent, analyze_code, enumerate_codewords, residue_weight
 from .f2_oracle import primitive_idempotents_f2
 from .group_algebra import GroupAlgebra
 from .idempotents import (family_member, lift_idempotent, primitive_family, split_block,
@@ -165,7 +165,7 @@ def criterion_word_counts():
 
 @_criterion("min-weights")
 def criterion_min_weights():
-    """Enumerated minimum weights 15/10/6 at n = 15, equal for k = 0 and 1."""
+    """Walked and residue code (codes.residue_weight) weights 15/10/6 at n = 15, k = 0 and 1."""
     ring = parse_ring("z4")
     alg = GroupAlgebra(ring, C15)
     want = {(0, 0): 15, (1, 0): 10, (0, 1): 6}
@@ -174,13 +174,13 @@ def criterion_min_weights():
         per_k = []
         for k in (0, 1):
             comp = CodeComponent(rec.element, rec.block, rec.split, k)
-            got = enumerate_codewords(alg, [comp]).min_nonzero()
-            if got is None or got[0] != expected:
-                return False, f"block {block} k={k}: weight {got} != {expected}"
+            got, residue = enumerate_codewords(alg, [comp]).min_nonzero(), residue_weight(alg, comp)
+            if got is None or got[0] != expected or residue[0] != expected:
+                return False, f"block {block} k={k}: weight {got}, residue {residue} != {expected}"
             per_k.append(got[0])
         if per_k[0] != per_k[1]:
             return False, f"block {block}: weight depends on k"
-    return True, "weights 15/10/6 for k in {0,1}"
+    return True, "weights 15/10/6 for k in {0,1}, as their residue codes'"
 
 
 @_criterion("bound-sandwich")

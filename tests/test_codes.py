@@ -228,7 +228,7 @@ def test_multiples_over_z65536(k):
 
 def test_in_budget_sum_walked_once(monkeypatch):
     """A direct sum that fits the budget is enumerated once; its split member
-    is weighed from its own walk inside that enumeration, not enumerated again."""
+    is weighed from its binary residue code, not enumerated again."""
     calls = []
     walk = codes.enumerate_codewords
 
@@ -470,7 +470,7 @@ def test_empty_sum_is_the_zero_code():
     alg = GroupAlgebra(Z4, C15)
     words = enumerate_codewords(alg, [])
     assert len(words) == 1 and not words.planes.any()
-    assert words.summands() == [] and words.min_nonzero() is None
+    assert summands(words) == [] and words.min_nonzero() is None
     for budget, method in [(DEFAULT_BUDGET, "both-agree"), (0, "formula")]:
         rep = analyze_code(alg, [], budget)
         assert (rep.size, rep.size_method, rep.weight_method) == (1, method, "undefined")
@@ -484,7 +484,7 @@ def test_member_walk_holds_no_reference_cycle():
     gc.disable()
     try:
         words = enumerate_codewords(GroupAlgebra(Z4, C15), [comp])
-        assert words.summands() == [words]
+        assert summands(words) == [words]
         ref = weakref.ref(words)
         del words
         assert ref() is None
@@ -620,7 +620,7 @@ def test_summands_are_own_walks(case):
     alg, comps = case
     ring, n = alg.ring, alg.n
     words = enumerate_codewords(alg, comps)
-    walks = words.summands()
+    walks = summands(words)
     assert [len(walk) for walk in walks] == [code_size(alg, [c]) for c in comps]
     for comp, walk in zip(comps, walks):
         assert np.array_equal(walk.rows, enumerate_codewords(alg, [comp]).rows)
@@ -628,6 +628,12 @@ def test_summands_are_own_walks(case):
     for walk in walks[1:]:  # row i_1 + s_1 i_2 is word i_1 plus word i_2
         sums = ring.add_arr(walk.rows[:, None, :], sums[None, :, :]).reshape(-1, n)
     assert np.array_equal(sums, words.rows)
+
+
+def summands(words):
+    """Each member's own set of an enumerated sum: [words] for one member,
+    none for the empty sum."""
+    return [words] if words.members is None else list(words.members)
 
 
 def first_lightest(rows):
@@ -651,15 +657,12 @@ def assert_same_minimum(got, want):
 @given(small_codes())
 def test_weights_count_nonzero_coefficients(case):
     """The popcount of the OR of a word's bit-planes is its Hamming weight:
-    min_nonzero and minima give the first lightest nonzero row, over the
-    whole set and over each member's walk."""
+    min_nonzero gives the first lightest nonzero row, over the whole set and
+    over each member's walk."""
     alg, comps = case
     words = enumerate_codewords(alg, comps)
-    own, whole = words.minima()
-    for part, got in [(words, whole), *zip(words.summands(), own)]:
-        want = first_lightest(part.rows)
-        assert_same_minimum(got, want)
-        assert_same_minimum(part.min_nonzero(), want)
+    for part in [words, *summands(words)]:
+        assert_same_minimum(part.min_nonzero(), first_lightest(part.rows))
 
 
 @settings(max_examples=60, deadline=None)
@@ -676,10 +679,56 @@ def test_streamed_minimum_matches_reference(case, block_bytes):
         assert len(words) == len(ref)
         assert np.array_equal(words.rows, ref)
         assert_same_minimum(words.min_nonzero(), first_lightest(ref))
-        own, whole = words.minima()
-    assert_same_minimum(whole, first_lightest(ref))
-    for comp, got in zip(comps, own):
-        assert_same_minimum(got, first_lightest(reference_rows(alg, [comp])))
+        for comp, part in zip(comps, summands(words)):
+            assert_same_minimum(part.min_nonzero(), first_lightest(reference_rows(alg, [comp])))
+
+
+RESIDUE_CASES = [(spec, ring) for spec in (C15, GroupSpec((3, 5), (2, 1)))
+                 for ring in ("z2", "z4", "z8", "f2u2", "f2u3")] + [(C15, "z65536")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(RESIDUE_CASES), st.data())
+def test_residue_weight_is_the_walked_weight(case, data):
+    """For every member and every k < t, the minimum weight of the walk over
+    R is that of the binary residue code F2G e', e' = e mod s, whose
+    witness is a word of F2G e'.  k is drawn from those whose code has at
+    most 2^16 words; k = t - 1 always qualifies."""
+    spec, ring = case[0], parse_ring(case[1])
+    alg = GroupAlgebra(ring, spec)
+    rec = data.draw(st.sampled_from(primitive_family(spec, ring)))
+    d = component_dimension(spec, rec.block)
+    k = data.draw(st.integers(max(0, ring.t - 16 // d), ring.t - 1))
+    comp = CodeComponent(rec.element, rec.block, rec.split, k)
+    weight, word = codes.residue_weight(alg, comp)
+    assert weight == enumerate_codewords(alg, [comp]).min_nonzero()[0]
+    residue = word.algebra.element(rec.element.coeffs & 1)
+    assert word.weight() == weight and word * residue == word
+
+
+def test_residue_weights_at_165():
+    """The split members of the four split blocks at n = 165 over z4 weigh
+    48, 48, 60 and 88 from their residue codes, as table --k 1 reports for
+    (1,1,1) and (1,1,0)."""
+    spec = GroupSpec((3, 5, 11), (1, 1, 1))
+    alg = GroupAlgebra(Z4, spec)
+    want = {(1, 1, 1): 48, (0, 1, 1): 48, (1, 0, 1): 60, (1, 1, 0): 88}
+    for block, weight in want.items():
+        comp = _component(spec, Z4, block, "(1)", 1)
+        assert codes.residue_weight(alg, comp)[0] == weight, block
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_residue_dimension_off_formula_names_member(monkeypatch, delta):
+    """A residue code whose dimension is not the component's raises,
+    naming the member."""
+    dimension = codes.component_dimension
+    monkeypatch.setattr(codes, "component_dimension",
+                        lambda spec, block: dimension(spec, block) + delta)
+    comp = _component(C15, Z4, (1, 1), "(1)", 0)
+    with pytest.raises(InvariantError, match=r"member \{'block': \[1, 1\], 'split': '\(1\)', "
+                                             r"'k': 0\}: residue code of dimension 4"):
+        codes.residue_weight(GroupAlgebra(Z4, C15), comp)
 
 
 # -- the span behind the walk's membership test ------------------------
@@ -742,24 +791,35 @@ def test_span_matches_closure(case):
         assert ring.sub_arr(x, r).tobytes() in members
 
 
-@pytest.mark.parametrize("ring_name", ["z65536", "f2u16"])
-def test_walk_transient_bytes_are_bounded(ring_name):
-    """The walk keeps only its generator's t - k powers, its span one row per
-    pivot, and appends its cosets in byte-bounded slices: the 2^16 words of
-    a t = 16 ring at n = 15 peak below 1.5 times their row array, with no
-    table of a pivot's 2^16 multiples and not all 2^16 - 1 coset
-    representatives at once."""
-    ring = parse_ring(ring_name)
-    comp = _component(C15, ring, (0, 0), None, 0)
+def _walk_peak(alg, comp):
+    """(generator list, tracemalloc peak) of one member's walk."""
     comp.generator  # formed once, outside the walk
     tracemalloc.start()
     try:
-        words = enumerate_codewords(GroupAlgebra(ring, C15), [comp])
-        peak = tracemalloc.get_traced_memory()[1]
+        gens = codes._walk(alg, comp)
+        return gens, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(words) == 1 << 16
-    assert peak < 1.5 * words.planes.nbytes
+
+
+@pytest.mark.parametrize("ring_name", ["z65536", "f2u16"])
+def test_walk_transient_bytes_are_bounded(ring_name):
+    """The walk holds its generator list, at most n span rows of n payloads,
+    the 2 (t - k) n payloads of its power table and one chunk of waiting
+    translates' residues ((t - k) n payloads each, at most 64 KB), and no
+    word: the 2^16 words of a t = 16 ring at n = 15 (2 MB as planes) peak
+    less than five times those holdings above the same member's 2-word walk
+    at k = t - 1, which measures numpy's and Python's fixed overhead."""
+    ring = parse_ring(ring_name)
+    alg, n, item = GroupAlgebra(ring, C15), C15.n, np.dtype(ring.dtype).itemsize
+    member = family_member(C15, ring, (0, 0), None).element
+    _, fixed = _walk_peak(alg, CodeComponent(member, (0, 0), None, ring.t - 1))
+    comp = CodeComponent(member, (0, 0), None, 0)
+    gens, peak = _walk_peak(alg, comp)
+    chunk = min(n, max(1, (1 << 16) // (ring.t * n * item)))  # translates per lookup (_walk)
+    holdings = gens.nbytes + n * n * item + 2 * ring.t * n * item + chunk * ring.t * n * item
+    assert len(gens) == 16
+    assert peak - fixed < 5 * holdings
 
 
 @pytest.mark.parametrize("block_bytes", [1 << 16, 1 << 20])
