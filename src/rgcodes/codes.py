@@ -24,6 +24,16 @@ its generator: the products s^k (1 - g_1)...(1 - g_l) hat(H) are nonzero
 in the components of all its block's members, so are words of none (see
 weight_probes).
 
+Two member facts are formed once per process, as every code is a direct
+sum of members: the walk of <s^k e> with its weighed minimum
+(_member_walk), and the residue code's weight, which does not depend on
+k (residue_weight).  Each is keyed by the algebra, the label, k (for
+the walk) and the member's payload bytes, so an entry is a pure function
+of its key, sound after primitive_family.cache_clear() and whether or not
+check_components ran; a fact's checks (the walk's sizes, the residue
+dimension) run once, when it is formed.  check_components, each sum's
+concatenation and weighing, and the probes run on every call.
+
 Enumeration is the independent check.  Each member's module is found by
 additive closure over its generator's translates, the cosets of each by
 doubling over its powers (_walk), so its words are the subset sums of a
@@ -45,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -159,9 +169,11 @@ class CodewordSet:
     all, whose subset sums fit _BLOCK_BYTES with one intp weight each:
     block h is the low table of the subset sums of g_0, ..., g_(a-1) plus
     the sum of g_(a+i) over the set bits i of h.  rows decodes every word
-    into a (words, n) payload array, and planes keeps every word's planes.
-    members: a direct sum's members' own sets, whose generator lists gens
-    concatenates, the first member in the low bits.
+    into a (words, n) payload array.  members: a direct sum's members' own
+    sets, whose generator lists gens concatenates, the first member in the
+    low bits.  A member's set is shared by every code that holds it
+    (_member_walk): its minimum is weighed once, and a (low_bits) reads
+    _BLOCK_BYTES when blocks are formed, not when the set was made.
     """
 
     def __init__(self, alg: GroupAlgebra, gens: np.ndarray, members=None):
@@ -169,11 +181,14 @@ class CodewordSet:
         gens.setflags(write=False)
         self.gens = gens
         self.members = members
-        fit = _BLOCK_BYTES // (math.prod(gens.shape[1:]) + np.dtype(np.intp).itemsize)
-        self.low_bits = min(len(gens), max(fit.bit_length() - 1, 0))
 
     def __len__(self):
         return 1 << len(self.gens)
+
+    @property
+    def low_bits(self) -> int:
+        fit = _BLOCK_BYTES // (math.prod(self.gens.shape[1:]) + np.dtype(np.intp).itemsize)
+        return min(len(self.gens), max(fit.bit_length() - 1, 0))
 
     def _low(self, bits: int) -> np.ndarray:
         """Rows [0, 2^bits) as planes: the subset sums of g_0, ..., g_(bits-1).
@@ -218,14 +233,6 @@ class CodewordSet:
             yield h << a, block
 
     @property
-    def planes(self) -> np.ndarray:
-        """Every word as planes, shape (words, t, ceil(n/8))."""
-        out = _zero_words(self.algebra, len(self))
-        for start, block in self._blocks():
-            out[start : start + len(block)] = block
-        return out
-
-    @property
     def rows(self) -> np.ndarray:
         ring, n = self.algebra.ring, self.algebra.n
         out = np.empty((len(self), n), dtype=ring.dtype)
@@ -256,6 +263,11 @@ class CodewordSet:
         if best is None:
             return None
         return best[0], AlgebraElem(self.algebra, self.algebra.ring.from_planes(best[1], n))
+
+    @cached_property
+    def minimum(self):
+        """min_nonzero, weighed once per set."""
+        return self.min_nonzero()
 
 
 class _Span:
@@ -397,22 +409,35 @@ def _walk(alg: GroupAlgebra, comp: CodeComponent) -> np.ndarray:
     return gens
 
 
+@lru_cache(maxsize=None)
+def _member_walk(alg: GroupAlgebra, block: tuple, split, k: int, element: bytes) -> CodewordSet:
+    """The set of <s^k e> (_walk) for the e of alg with these payload
+    bytes, formed once per process.  Its words are a function of alg, e
+    and k, and its size checks of the label, so with all of them in the
+    key an entry is sound whatever else is cached or cleared.  A walk
+    that raises leaves no entry."""
+    elem = AlgebraElem(alg, np.frombuffer(element, dtype=alg.ring.dtype))
+    return CodewordSet(alg, _walk(alg, CodeComponent(elem, block, split, k)))
+
+
 def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) -> CodewordSet:
     """The direct sum of the components' codes, from their walks' generator lists.
 
-    Each member's walk (_walk) gives its generator list, and the sum's is
-    theirs concatenated, the first member in the low bits: with member
-    sizes s_1, s_2, ..., row i_1 + s_1 (i_2 + s_2 (...)) is the sum of word
-    i_j of each member.  The budget gate takes the whole sum's size
-    formula, so it bounds the words walked, which is time; the bytes a
-    walk and its weighing hold are bounded by the block (CodewordSet).
-    Nothing here certifies the components: analyze_code does so with
-    check_components.
+    Each member's walk (_member_walk) gives its generator list, and the
+    sum's is theirs concatenated, the first member in the low bits: with
+    member sizes s_1, s_2, ..., row i_1 + s_1 (i_2 + s_2 (...)) is the sum
+    of word i_j of each member.  A lone member's set is its walk's own,
+    shared with every other code that holds it; a sum's is formed afresh.
+    The budget gate takes the whole sum's size formula, so it bounds the
+    words walked, which is time; the bytes a walk and its weighing hold
+    are bounded by the block (CodewordSet).  Nothing here certifies the
+    components: analyze_code does so with check_components.
     """
     predicted = code_size(alg, components)
     if predicted > budget:
         raise BudgetExceeded(predicted, budget)
-    walks = [CodewordSet(alg, _walk(alg, comp)) for comp in components]
+    walks = [_member_walk(alg, tuple(c.block), c.split, c.k, c.element.coeffs.tobytes())
+             for c in components]
     if len(walks) == 1:
         return walks[0]
     return CodewordSet(alg, np.concatenate([_zero_words(alg, 0)] + [w.gens for w in walks]), walks)
@@ -421,11 +446,20 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
 def residue_weight(alg: GroupAlgebra, comp: CodeComponent):
     """(weight, word) first lightest in F2G e', e' = e mod s (bit 0 of each
     payload): for k < t the minimum weight of <s^k e>, as s^(t-1-k) <s^k e>
-    = s^(t-1) RGe is F2G e' (Norton and Salagean 2000).  A roll by one
-    multiplies by a, so the first shift a^d e' in the span of the earlier
-    ones (an XOR basis keyed by leading bit) gives the dimension d, checked
-    against the member's; CodewordSet over F2 weighs the 2^d subset sums."""
-    x, basis, shifts = (comp.element.coeffs & 1).astype(F2.dtype), {}, []
+    = s^(t-1) RGe is F2G e' (Norton and Salagean 2000).  It does not depend
+    on k, so it is weighed once per member and process (_residue_weight)."""
+    return _residue_weight(alg, tuple(comp.block), comp.split, comp.element.coeffs.tobytes())
+
+
+@lru_cache(maxsize=None)
+def _residue_weight(alg: GroupAlgebra, block: tuple, split, element: bytes):
+    """residue_weight of the member of alg with these payload bytes.  A roll
+    by one multiplies by a, so the first shift a^d e' in the span of the
+    earlier ones (an XOR basis keyed by leading bit) gives the dimension d,
+    checked against the member's; CodewordSet over F2 weighs the 2^d subset
+    sums.  Like _member_walk's, each entry is a function of its key."""
+    x = (np.frombuffer(element, dtype=alg.ring.dtype) & 1).astype(F2.dtype)
+    basis, shifts = {}, []
     while True:
         v = int.from_bytes(np.packbits(x).tobytes(), "big")
         while v.bit_length() in basis:
@@ -435,8 +469,9 @@ def residue_weight(alg: GroupAlgebra, comp: CodeComponent):
         basis[v.bit_length()] = v
         shifts.append(x)
         x = np.roll(x, 1)
-    if len(shifts) != component_dimension(alg.group, comp.block):
-        raise InvariantError(f"member {comp.label_dict()}: residue code of dimension {len(shifts)}")
+    if len(shifts) != component_dimension(alg.group, block):
+        member = {"block": list(block), "split": split}
+        raise InvariantError(f"member {member}: residue code of dimension {len(shifts)}")
     return CodewordSet(GroupAlgebra(F2, alg.group), F2.to_planes(np.array(shifts))).min_nonzero()
 
 
@@ -577,6 +612,9 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
     over budget only under the gate of the R-walk it replaced, as a wider
     one would change the reports.  Every code is weighed as a direct sum;
     a single component is a sum of one, whose weight facts are the code's.
+    Member walks, a lone member's walked minimum and residue weights are
+    formed once per process (see the module docstring); the certificate,
+    a sum's weighing and the probes are formed on every call.
     """
     check_components(alg, components)
     ring, size = alg.ring, code_size(alg, components)
@@ -586,7 +624,7 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
     if size <= budget:
         words = enumerate_codewords(alg, components, budget)  # checks each summand's size
         rep.size_method = "both-agree"
-        got = words.min_nonzero()
+        got = words.minimum
         own = [got] if len(components) == 1 else [residue_weight(alg, c) for c in live]
     else:
         own = [residue_weight(alg, c) if min_weight_formula(alg.group, c.block) is None

@@ -1,8 +1,10 @@
 import gc
+import importlib.util
 import math
 import tracemalloc
 import weakref
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -469,7 +471,7 @@ def test_empty_sum_is_the_zero_code():
     walked in budget and by formula at budget 0, with no weight."""
     alg = GroupAlgebra(Z4, C15)
     words = enumerate_codewords(alg, [])
-    assert len(words) == 1 and not words.planes.any()
+    assert len(words) == 1 and not planes(words).any()
     assert summands(words) == [] and words.min_nonzero() is None
     for budget, method in [(DEFAULT_BUDGET, "both-agree"), (0, "formula")]:
         rep = analyze_code(alg, [], budget)
@@ -479,7 +481,8 @@ def test_empty_sum_is_the_zero_code():
 
 def test_member_walk_holds_no_reference_cycle():
     """One member's walk is its own summand without storing itself, so it is
-    freed as its last reference goes, with the cyclic collector off."""
+    freed as its last reference, the member cache's, goes, with the cyclic
+    collector off."""
     comp = _component(C15, Z4, (0, 1), None, 0)
     gc.disable()
     try:
@@ -487,6 +490,8 @@ def test_member_walk_holds_no_reference_cycle():
         assert summands(words) == [words]
         ref = weakref.ref(words)
         del words
+        assert ref() is not None  # shared with every code that holds the member
+        codes._member_walk.cache_clear()
         assert ref() is None
     finally:
         gc.enable()
@@ -630,6 +635,14 @@ def test_summands_are_own_walks(case):
     assert np.array_equal(sums, words.rows)
 
 
+def planes(words):
+    """Every word of a CodewordSet as bit-planes, shape (words, t, ceil(n/8))."""
+    out = codes._zero_words(words.algebra, len(words))
+    for start, block in words._blocks():
+        out[start : start + len(block)] = block
+    return out
+
+
 def summands(words):
     """Each member's own set of an enumerated sum: [words] for one member,
     none for the empty sum."""
@@ -721,13 +734,13 @@ def test_residue_weights_at_165():
 @pytest.mark.parametrize("delta", [-1, 1])
 def test_residue_dimension_off_formula_names_member(monkeypatch, delta):
     """A residue code whose dimension is not the component's raises,
-    naming the member."""
+    naming the member by its label: the residue code has no k."""
     dimension = codes.component_dimension
     monkeypatch.setattr(codes, "component_dimension",
                         lambda spec, block: dimension(spec, block) + delta)
     comp = _component(C15, Z4, (1, 1), "(1)", 0)
-    with pytest.raises(InvariantError, match=r"member \{'block': \[1, 1\], 'split': '\(1\)', "
-                                             r"'k': 0\}: residue code of dimension 4"):
+    with pytest.raises(InvariantError, match=r"member \{'block': \[1, 1\], 'split': '\(1\)'\}: "
+                                             r"residue code of dimension 4"):
         codes.residue_weight(GroupAlgebra(Z4, C15), comp)
 
 
@@ -850,9 +863,9 @@ def test_row_width():
         ring = parse_ring(ring_name)
         comp = _component(spec, ring, (0,) * len(spec.primes), None, k)
         words = enumerate_codewords(GroupAlgebra(ring, spec), [comp])
-        assert words.planes.shape[1:] == (ring.t, -(-spec.n // 8))
-        assert words.planes.flags.c_contiguous  # not a view into wider rows
-    assert words.planes[0].nbytes == 42  # z4 at n = 165, against 165 as payload bytes
+        assert planes(words).shape[1:] == words.gens.shape[1:] == (ring.t, -(-spec.n // 8))
+        assert words.gens.flags.c_contiguous  # not a view into wider rows
+    assert planes(words)[0].nbytes == 42  # z4 at n = 165, against 165 as payload bytes
 
 
 @pytest.mark.parametrize("factor", [0.5, 2])
@@ -881,3 +894,93 @@ def test_weigh_rejects_walked_weight(block, split, got, match):
     comp = _component(C15, Z4, block, split, 0)
     with pytest.raises(InvariantError, match=match):
         codes._weigh(GroupAlgebra(Z4, C15), comp, got)
+
+
+# -- member facts, formed once per process -----------------------------
+
+
+def _clear_member_caches():
+    codes._member_walk.cache_clear()
+    codes._residue_weight.cache_clear()
+
+
+def test_member_facts_formed_once(monkeypatch):
+    """A code analysed twice, then a code sharing one of its members at
+    another k: each (member, k) is walked once, each member's residue code
+    weighed once, and every report equals the one a cold analysis makes."""
+    walked = []
+    walk = codes._walk
+    monkeypatch.setattr(codes, "_walk", lambda alg, comp:
+                        walked.append((comp.block, comp.split, comp.k)) or walk(alg, comp))
+    alg = GroupAlgebra(Z4, C15)
+    split, other, third = (_component(C15, Z4, (1, 1), "(1)", 1), _component(C15, Z4, (1, 0), None, 0),
+                           _component(C15, Z4, (0, 1), None, 1))
+    split0 = CodeComponent(split.element, split.block, split.split, 0)
+    codes_in_turn = [[split, other], [split, other], [split0, third]]
+    warm = [analyze_code(alg, comps).to_json_dict() for comps in codes_in_turn]
+    assert walked == [((1, 1), "(1)", 1), ((1, 0), None, 0), ((1, 1), "(1)", 0), ((0, 1), None, 1)]
+    info = codes._residue_weight.cache_info()
+    assert (info.misses, info.hits) == (3, 3)  # split, other, third; split twice again, other once
+    assert warm[0] == warm[1]
+    cold = []
+    for comps in codes_in_turn:
+        _clear_member_caches()
+        cold.append(analyze_code(alg, comps).to_json_dict())
+    assert cold == warm
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _bench_workloads()
+SWEEP_REFERENCE = WORKLOADS.load_reference()["sweep"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["z2", "z4", "f2u3"]), st.data())
+def test_warm_reports_are_cold_reports(ring_name, data):
+    """A sweep code at n = 15 is reported alike with the member caches
+    cleared and warmed by the same members at other k, and both reports
+    have the digest frozen in bench/reference.json."""
+    group, ring = "3^1,5^1", parse_ring(ring_name)
+    families = {(group, ring_name): (GroupAlgebra(ring, C15), primitive_family(C15, ring))}
+    count = len(families[(group, ring_name)][1])
+    members = sorted(data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=3, unique=True)))
+    ks = st.integers(0, ring.t - 1)
+    code = (group, ring_name, tuple((i, data.draw(ks)) for i in members))
+    warmer = (group, ring_name, tuple((i, data.draw(ks)) for i in members))
+    _clear_member_caches()
+    cold = WORKLOADS.analyze(families, code)
+    _clear_member_caches()
+    WORKLOADS.analyze(families, warmer)
+    warm = WORKLOADS.analyze(families, code)
+    assert cold.to_json_dict() == warm.to_json_dict()
+    assert WORKLOADS.report_digest(warm) == SWEEP_REFERENCE[WORKLOADS.code_key(code)]
+
+
+@pytest.mark.parametrize("case,match", [
+    ("one coefficient changed", "not a member"),
+    ("non-idempotent under a registered label", "not a member"),
+    ("registered element under another split", "is the family member"),
+])
+def test_warm_label_is_still_certified(case, match):
+    """With the walk and residue weight of the split members of block (1,1)
+    already formed, a component forged under one of their labels is still
+    refused by check_components, and forms no member fact."""
+    alg = GroupAlgebra(Z4, C15)
+    one, two = _component(C15, Z4, (1, 1), "(1)", 0), _component(C15, Z4, (1, 1), "(2)", 0)
+    for comps in ([one], [two], [one, two]):
+        analyze_code(alg, comps)
+    walks, residues = codes._member_walk.cache_info(), codes._residue_weight.cache_info()
+    assert walks.currsize == residues.currsize == 2
+    forged_alg, forged = _forged(case)
+    with pytest.raises(ValueError, match=match) as exc:
+        analyze_code(forged_alg, forged)
+    assert exc.traceback[-1].name == "check_components"
+    assert codes._member_walk.cache_info() == walks
+    assert codes._residue_weight.cache_info() == residues
