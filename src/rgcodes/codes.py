@@ -39,12 +39,15 @@ additive closure over its generator's translates, the cosets of each by
 doubling over its powers (_walk), so its words are the subset sums of a
 generator list: the powers s^j b of each fresh translate b in turn.  A
 walk keeps its words only as an R-span in Howell form (_Span), which
-decides membership exactly.  A direct sum's generator list is its
-members' lists concatenated, as RG is the direct sum of its ideals RGe.
+decides membership exactly.  <s^k e> = s^k RGe is walked in the quotient
+(R/s^(t-k))G as <e mod s^(t-k)>, which x -> s^k x maps onto it one to
+one and support for support.  A direct sum's generator list is its
+members' lists in turn, as RG is the direct sum of its ideals RGe.
 Every word is still formed and weighed, a block at a time (CodewordSet),
 so the bytes held are a few blocks of _BLOCK_BYTES, whatever the word
-count.  A word is t bit-planes (plane i packs bit i of every
-coefficient; 42 bytes for z4 at n = 165), so adding a generator is plane
+count.  A word is the t - k bit-planes of its quotient (plane i packs
+bit i of every coefficient; 21 bytes for <s e> over z4 at n = 165, one
+plane added by XOR at k = t - 1), so adding a generator is plane
 arithmetic (ChainRing.add_planes) and a weight is the popcount of the OR
 of the planes.  Past an up-front budget gate and each walk's own size
 checks, nothing in the enumeration consults the count or weight
@@ -161,23 +164,27 @@ def code_size(alg: GroupAlgebra, components) -> int:
 class CodewordSet:
     """A code as the subset sums of its generator list, zero word first.
 
-    gens holds the generators g_0, g_1, ... as bit-planes, shape
-    (m, t, ceil(n/8)) (ChainRing.to_planes), and row r of the code is the
-    sum of g_i over the set bits i of r: 2^m words, in the order the walk
-    finds them (_walk).  No row store is kept.  The rows are formed in
+    A code s^k M, M a submodule of RG, is walked and weighed in the quotient
+    algebra (R/s^(t-k))G (_quotient), as the map x -> s^k x, on payloads
+    x << k, takes M mod s^(t-k) onto it one to one and support for
+    support.  gens holds the generators g_0, g_1, ... there as bit-planes,
+    shape (m, t - k, ceil(n/8)) (ChainRing.to_planes), and row r of the code
+    is the sum of g_i over the set bits i of r: 2^m words, in the order the
+    walk finds them (_walk).  No row store is kept.  The rows are formed in
     blocks (_blocks) of 2^a rows, a (low_bits) the most generators, up to
     all, whose subset sums fit _BLOCK_BYTES with one intp weight each:
     block h is the low table of the subset sums of g_0, ..., g_(a-1) plus
-    the sum of g_(a+i) over the set bits i of h.  rows decodes every word
-    into a (words, n) payload array.  members: a direct sum's members' own
-    sets, whose generator lists gens concatenates, the first member in the
-    low bits.  A member's set is shared by every code that holds it
-    (_member_walk): its minimum is weighed once, and a (low_bits) reads
-    _BLOCK_BYTES when blocks are formed, not when the set was made.
+    the sum of g_(a+i) over the set bits i of h.  rows decodes every word,
+    and min_nonzero its witness, into algebra, the code's own, by << k.
+    members: a direct sum's members' own sets, whose generator lists gens
+    holds, the first member in the low bits.  A member's set is shared by
+    every code that holds it (_member_walk): its minimum is weighed once,
+    and a (low_bits) reads _BLOCK_BYTES when blocks are formed, not when
+    the set was made.
     """
 
-    def __init__(self, alg: GroupAlgebra, gens: np.ndarray, members=None):
-        self.algebra = alg
+    def __init__(self, alg: GroupAlgebra, gens: np.ndarray, members=None, k: int = 0):
+        self.algebra, self.k, self.quotient = alg, k, _quotient(alg, k)
         gens.setflags(write=False)
         self.gens = gens
         self.members = members
@@ -192,25 +199,11 @@ class CodewordSet:
 
     def _low(self, bits: int) -> np.ndarray:
         """Rows [0, 2^bits) as planes: the subset sums of g_0, ..., g_(bits-1).
-
-        Each generator g_j doubles the rows so far (rows [size, 2 size) are
-        rows [0, size) plus g_j).  A sum's table is the outer sum of its
-        members' tables over their share of the bits, as row i_1 + 2^b_1 i_2
-        is word i_1 of the first plus word i_2 of the second.
-        """
-        out = _zero_words(self.algebra, 1 << bits)
-        if self.members is None:
-            cosets = [self.gens[j : j + 1] for j in range(bits)]
-        else:
-            cosets = []
-            for part in self.members:
-                b = min(bits, len(part.gens))
-                bits -= b
-                cosets.append(part._low(b)[1 : 1 << b])
-        size = 1
-        for reps in cosets:
-            _add_cosets(self.algebra.ring, out[:size], reps, out[size : size * (1 + len(reps))])
-            size *= 1 + len(reps)
+        Each generator g_j doubles the rows so far: rows [2^j, 2^(j+1)) are
+        rows [0, 2^j) plus g_j."""
+        out = _zero_words(self.quotient, 1 << bits)
+        for j in range(bits):
+            _add_cosets(self.quotient.ring, out[: 1 << j], self.gens[j : j + 1], out[1 << j : 2 << j])
         return out
 
     def _blocks(self):
@@ -219,12 +212,12 @@ class CodewordSet:
         is read before the next is asked for."""
         low = self._low(self.low_bits)
         yield 0, low
-        ring, a = self.algebra.ring, len(low).bit_length() - 1
+        ring, a = self.quotient.ring, len(low).bit_length() - 1
         high = self.gens[a:]
         if not len(high):
             return
         block = np.empty_like(low)
-        sums = _zero_words(self.algebra, len(high) + 1)  # sums[j]: g_(a+i) over the set bits i >= j of h
+        sums = _zero_words(self.quotient, len(high) + 1)  # sums[j]: g_(a+i) over the set bits i >= j of h
         for h in range(1, 1 << len(high)):
             c = (h & -h).bit_length() - 1  # from h - 1 to h, bit c is set and the bits below it clear
             ring.add_planes(sums[c + 1], high[c], out=sums[c])
@@ -234,10 +227,11 @@ class CodewordSet:
 
     @property
     def rows(self) -> np.ndarray:
-        ring, n = self.algebra.ring, self.algebra.n
-        out = np.empty((len(self), n), dtype=ring.dtype)
+        ring, n = self.quotient.ring, self.algebra.n
+        out = np.empty((len(self), n), dtype=self.algebra.ring.dtype)
         for start, block in self._blocks():
             out[start : start + len(block)] = ring.from_planes(block, n)
+        out <<= self.k
         return out
 
     def min_nonzero(self):
@@ -262,12 +256,20 @@ class CodewordSet:
                 best = int(w[pos]), block[pos].copy()
         if best is None:
             return None
-        return best[0], AlgebraElem(self.algebra, self.algebra.ring.from_planes(best[1], n))
+        word = self.quotient.ring.from_planes(best[1], n).astype(self.algebra.ring.dtype) << self.k
+        return best[0], AlgebraElem(self.algebra, word)
 
     @cached_property
     def minimum(self):
         """min_nonzero, weighed once per set."""
         return self.min_nonzero()
+
+
+@lru_cache(maxsize=None)
+def _quotient(alg: GroupAlgebra, k: int) -> GroupAlgebra:
+    """(R/s^(t-k))G, in which a code s^k M of alg is walked and weighed
+    (CodewordSet); formed once per algebra and k."""
+    return GroupAlgebra(ChainRing(alg.ring.family, alg.ring.t - k), alg.group)
 
 
 class _Span:
@@ -355,9 +357,10 @@ def _add_cosets(ring: ChainRing, W: np.ndarray, R: np.ndarray, out: np.ndarray):
             ring.add_planes(W[None, w], R[i : i + per, None], out=cosets[i : i + per, w])
 
 
-def _walk(alg: GroupAlgebra, comp: CodeComponent) -> np.ndarray:
+def _walk(alg: GroupAlgebra, comp: CodeComponent, k: int | None = None) -> np.ndarray:
     """One member's code <s^k e> by additive closure from W = {0}, as its
-    generator list (CodewordSet): bit-planes of shape (m, t, ceil(n/8)).
+    generator list (CodewordSet): bit-planes of shape (m, t, ceil(n/8)),
+    t alg's own; _member_walk passes a quotient, where k = 0.
 
     For each translate b of s^k e, in multi-index order of the group
     element (the order fixes the rows, and so the reported witness),
@@ -372,10 +375,12 @@ def _walk(alg: GroupAlgebra, comp: CodeComponent) -> np.ndarray:
     keep theirs across each add and are reduced again only from the first
     pivot it wrote.  So the walk holds no word: only its generator list,
     the span's one row per pivot and the t - k powers s^j s^k e (twice
-    over).  It raises, naming the member, on outgrowing its size formula
+    over).  It raises, naming the member at k (comp.k unless given: a walk
+    in a quotient names its caller's k), on outgrowing its size formula
     and on ending off it.
     """
     ring, n, t = alg.ring, alg.n, alg.ring.t
+    label = dict(comp.label_dict(), k=comp.k if k is None else k)
     want = code_size(alg, [comp])
     # a walk of 2^m words has m generators: outgrowing the formula raises before gens overflows
     gens, size, span = _zero_words(alg, max(want.bit_length() - 1, 0)), 1, _Span(ring)
@@ -399,32 +404,38 @@ def _walk(alg: GroupAlgebra, comp: CodeComponent) -> np.ndarray:
                     break
                 head, res, m = head[fresh], res[:, fresh], int(ms[fresh[0]])
                 if size << m > want:
-                    raise InvariantError(f"member {comp.label_dict()}: closure outgrows the size formula")
+                    raise InvariantError(f"member {label}: closure outgrows the size formula")
                 first = span.add(res[0, 0])
                 count = size.bit_length() - 1
                 gens[count : count + m] = ring.to_planes(powers[:m, n - head[0]])
                 head, res, size = head[1:], res[:, 1:], size << m
     if size != want:
-        raise InvariantError(f"member {comp.label_dict()}: {size} words walked, not the size formula's")
+        raise InvariantError(f"member {label}: {size} words walked, not the size formula's")
     return gens
 
 
 @lru_cache(maxsize=None)
 def _member_walk(alg: GroupAlgebra, block: tuple, split, k: int, element: bytes) -> CodewordSet:
-    """The set of <s^k e> (_walk) for the e of alg with these payload
-    bytes, formed once per process.  Its words are a function of alg, e
-    and k, and its size checks of the label, so with all of them in the
-    key an entry is sound whatever else is cached or cleared.  A walk
-    that raises leaves no entry."""
-    elem = AlgebraElem(alg, np.frombuffer(element, dtype=alg.ring.dtype))
-    return CodewordSet(alg, _walk(alg, CodeComponent(elem, block, split, k)))
+    """The set of <s^k e> for the e of alg with these payload bytes, formed
+    once per process: for k < t the walk (_walk) of <e mod s^(t-k)> in
+    (R/s^(t-k))G (CodewordSet), for k = t the zero code's, with no
+    generator, in alg.  Its words are a function of alg, e and k, and its
+    size checks of the label, so with all of them in the key an entry is
+    sound whatever else is cached or cleared.  A walk that raises leaves
+    no entry."""
+    j = k if k < alg.ring.t else 0
+    q = _quotient(alg, j)
+    elem = AlgebraElem(q, np.frombuffer(element, dtype=alg.ring.dtype) & q.ring.mask)
+    return CodewordSet(alg, _walk(q, CodeComponent(elem, block, split, k - j), k), k=j)
 
 
 def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) -> CodewordSet:
     """The direct sum of the components' codes, from their walks' generator lists.
 
     Each member's walk (_member_walk) gives its generator list, and the
-    sum's is theirs concatenated, the first member in the low bits: with
+    sum's is theirs in turn, the first member in the low bits, in the
+    quotient of the least k among the members with a generator: a
+    member's planes are raised by its own k less that one.  With
     member sizes s_1, s_2, ..., row i_1 + s_1 (i_2 + s_2 (...)) is the sum
     of word i_j of each member.  A lone member's set is its walk's own,
     shared with every other code that holds it; a sum's is formed afresh.
@@ -440,7 +451,13 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
              for c in components]
     if len(walks) == 1:
         return walks[0]
-    return CodewordSet(alg, np.concatenate([_zero_words(alg, 0)] + [w.gens for w in walks]), walks)
+    live = [w for w in walks if len(w.gens)]  # none from the zero code at k = t
+    k = min((w.k for w in live), default=0)
+    gens, row = _zero_words(_quotient(alg, k), sum(len(w.gens) for w in live)), 0
+    for w in live:  # x -> s^(k_i - k) x: a word of its quotient into this one
+        gens[row : row + len(w.gens), w.k - k :] = w.gens
+        row += len(w.gens)
+    return CodewordSet(alg, gens, walks, k)
 
 
 def residue_weight(alg: GroupAlgebra, comp: CodeComponent):
