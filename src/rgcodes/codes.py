@@ -24,15 +24,15 @@ its generator: the products s^k (1 - g_1)...(1 - g_l) hat(H) are nonzero
 in the components of all its block's members, so are words of none (see
 weight_probes).
 
-Two member facts are formed once per process, as every code is a direct
+One member fact is formed once per process, as every code is a direct
 sum of members: the walk of <s^k e> with its weighed minimum
-(_member_walk), and the residue code's weight, which does not depend on
-k (residue_weight).  Each is keyed by the algebra, the label, k (for
-the walk) and the member's payload bytes, so an entry is a pure function
-of its key, sound after primitive_family.cache_clear() and whether or not
-check_components ran; a fact's checks (the walk's sizes, the residue
-dimension) run once, when it is formed.  check_components, each sum's
-concatenation and weighing, and the probes run on every call.
+(_member_walk).  The residue code's weight does not depend on k, and is
+the walk's at k = t - 1 (residue_weight).  A walk is keyed by the
+algebra, the label, k and the member's payload bytes, so an entry is a
+pure function of its key, sound after primitive_family.cache_clear() and
+whether or not check_components ran; its size checks run once, when it
+is formed.  check_components, each sum's concatenation and weighing, and
+the probes run on every call.
 
 Enumeration is the independent check.  Each member's module is found by
 additive closure over its generator's translates, the cosets of each by
@@ -63,7 +63,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .arith import GroupSpec, InvariantError, euler_phi
-from .chain_ring import F2, ChainRing
+from .chain_ring import ChainRing
 from .group_algebra import AlgebraElem, GroupAlgebra, grid_order
 from .idempotents import family_member, primitive_family
 
@@ -176,18 +176,15 @@ class CodewordSet:
     block h is the low table of the subset sums of g_0, ..., g_(a-1) plus
     the sum of g_(a+i) over the set bits i of h.  rows decodes every word,
     and min_nonzero its witness, into algebra, the code's own, by << k.
-    members: a direct sum's members' own sets, whose generator lists gens
-    holds, the first member in the low bits.  A member's set is shared by
-    every code that holds it (_member_walk): its minimum is weighed once,
-    and a (low_bits) reads _BLOCK_BYTES when blocks are formed, not when
-    the set was made.
+    A member's set is shared by every code that holds it (_member_walk):
+    its minimum is weighed once, and a (low_bits) reads _BLOCK_BYTES when
+    blocks are formed, not when the set was made.
     """
 
-    def __init__(self, alg: GroupAlgebra, gens: np.ndarray, members=None, k: int = 0):
+    def __init__(self, alg: GroupAlgebra, gens: np.ndarray, k: int = 0):
         self.algebra, self.k, self.quotient = alg, k, _quotient(alg, k)
         gens.setflags(write=False)
         self.gens = gens
-        self.members = members
 
     def __len__(self):
         return 1 << len(self.gens)
@@ -457,39 +454,17 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
     for w in live:  # x -> s^(k_i - k) x: a word of its quotient into this one
         gens[row : row + len(w.gens), w.k - k :] = w.gens
         row += len(w.gens)
-    return CodewordSet(alg, gens, walks, k)
+    return CodewordSet(alg, gens, k)
 
 
 def residue_weight(alg: GroupAlgebra, comp: CodeComponent):
-    """(weight, word) first lightest in F2G e', e' = e mod s (bit 0 of each
-    payload): for k < t the minimum weight of <s^k e>, as s^(t-1-k) <s^k e>
-    = s^(t-1) RGe is F2G e' (Norton and Salagean 2000).  It does not depend
-    on k, so it is weighed once per member and process (_residue_weight)."""
-    return _residue_weight(alg, tuple(comp.block), comp.split, comp.element.coeffs.tobytes())
-
-
-@lru_cache(maxsize=None)
-def _residue_weight(alg: GroupAlgebra, block: tuple, split, element: bytes):
-    """residue_weight of the member of alg with these payload bytes.  A roll
-    by one multiplies by a, so the first shift a^d e' in the span of the
-    earlier ones (an XOR basis keyed by leading bit) gives the dimension d,
-    checked against the member's; CodewordSet over F2 weighs the 2^d subset
-    sums.  Like _member_walk's, each entry is a function of its key."""
-    x = (np.frombuffer(element, dtype=alg.ring.dtype) & 1).astype(F2.dtype)
-    basis, shifts = {}, []
-    while True:
-        v = int.from_bytes(np.packbits(x).tobytes(), "big")
-        while v.bit_length() in basis:
-            v ^= basis[v.bit_length()]
-        if not v:
-            break
-        basis[v.bit_length()] = v
-        shifts.append(x)
-        x = np.roll(x, 1)
-    if len(shifts) != component_dimension(alg.group, block):
-        member = {"block": list(block), "split": split}
-        raise InvariantError(f"member {member}: residue code of dimension {len(shifts)}")
-    return CodewordSet(GroupAlgebra(F2, alg.group), F2.to_planes(np.array(shifts))).min_nonzero()
+    """(weight, word) first lightest in <s^(t-1) e> = s^(t-1) RGe, which is
+    F2G e', e' = e mod s: for k < t the minimum weight of <s^k e>, as
+    s^(t-1-k) <s^k e> = s^(t-1) RGe (Norton and Salagean 2000).  It does not
+    depend on k, so it is the member's walk at k = t - 1 (_member_walk),
+    shared with every code that holds the member at that k."""
+    return _member_walk(alg, tuple(comp.block), comp.split, alg.ring.t - 1,
+                        comp.element.coeffs.tobytes()).minimum
 
 
 # -- closed forms and bounds ------------------------------------------
@@ -629,9 +604,9 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
     over budget only under the gate of the R-walk it replaced, as a wider
     one would change the reports.  Every code is weighed as a direct sum;
     a single component is a sum of one, whose weight facts are the code's.
-    Member walks, a lone member's walked minimum and residue weights are
-    formed once per process (see the module docstring); the certificate,
-    a sum's weighing and the probes are formed on every call.
+    Member walks and their weighed minima, a residue weight among them,
+    are formed once per process (see the module docstring); the
+    certificate, a sum's weighing and the probes are formed on every call.
     """
     check_components(alg, components)
     ring, size = alg.ring, code_size(alg, components)

@@ -165,22 +165,22 @@ def criterion_word_counts():
 
 @_criterion("min-weights")
 def criterion_min_weights():
-    """Walked and residue code (codes.residue_weight) weights 15/10/6 at n = 15, k = 0 and 1."""
-    ring = parse_ring("z4")
+    """Walked weights 15/10/6 at n = 15 over z8 (t = 3), k = 0 and 1, each its
+    residue code's (codes.residue_weight): the walk at k = t - 1 = 2."""
+    ring = parse_ring("z8")
     alg = GroupAlgebra(ring, C15)
     want = {(0, 0): 15, (1, 0): 10, (0, 1): 6}
     for block, expected in want.items():
         rec = family_member(C15, ring, block, None)
-        per_k = []
-        for k in (0, 1):
-            comp = CodeComponent(rec.element, rec.block, rec.split, k)
-            got, residue = enumerate_codewords(alg, [comp]).min_nonzero(), residue_weight(alg, comp)
-            if got is None or got[0] != expected or residue[0] != expected:
-                return False, f"block {block} k={k}: weight {got}, residue {residue} != {expected}"
-            per_k.append(got[0])
-        if per_k[0] != per_k[1]:
-            return False, f"block {block}: weight depends on k"
-    return True, "weights 15/10/6 for k in {0,1}, as their residue codes'"
+        comps = [CodeComponent(rec.element, rec.block, rec.split, k) for k in (0, 1)]
+        residue = residue_weight(alg, comps[0])
+        if residue is None or residue[0] != expected:
+            return False, f"block {block}: residue weight {residue} != {expected}"
+        for comp in comps:
+            got = enumerate_codewords(alg, [comp]).min_nonzero()
+            if got is None or got[0] != expected:
+                return False, f"block {block} k={comp.k}: weight {got} != {expected}"
+    return True, "weights 15/10/6 for k in {0,1} over z8, as their residue codes' at k = 2"
 
 
 @_criterion("bound-sandwich")

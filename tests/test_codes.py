@@ -472,12 +472,12 @@ def test_zero_code_at_k_equals_t():
 
 
 def test_empty_sum_is_the_zero_code():
-    """No components: one word and no summands; analyze_code reports size 1,
+    """No components: one word, the zero word; analyze_code reports size 1,
     walked in budget and by formula at budget 0, with no weight."""
     alg = GroupAlgebra(Z4, C15)
     words = enumerate_codewords(alg, [])
     assert len(words) == 1 and not planes(words).any()
-    assert summands(words) == [] and words.min_nonzero() is None
+    assert words.min_nonzero() is None
     for budget, method in [(DEFAULT_BUDGET, "both-agree"), (0, "formula")]:
         rep = analyze_code(alg, [], budget)
         assert (rep.size, rep.size_method, rep.weight_method) == (1, method, "undefined")
@@ -485,14 +485,12 @@ def test_empty_sum_is_the_zero_code():
 
 
 def test_member_walk_holds_no_reference_cycle():
-    """One member's walk is its own summand without storing itself, so it is
-    freed as its last reference, the member cache's, goes, with the cyclic
-    collector off."""
+    """One member's walk is freed as its last reference, the member cache's,
+    goes, with the cyclic collector off."""
     comp = _component(C15, Z4, (0, 1), None, 0)
     gc.disable()
     try:
         words = enumerate_codewords(GroupAlgebra(Z4, C15), [comp])
-        assert summands(words) == [words]
         ref = weakref.ref(words)
         del words
         assert ref() is not None  # shared with every code that holds the member
@@ -625,15 +623,13 @@ def test_enumeration_matches_reference(case):
 @settings(max_examples=40, deadline=None)
 @given(small_codes())
 def test_summands_are_own_walks(case):
-    """Each summand of an enumerated sum is that member's own walk, row for
-    row, and the sum's rows are the ring sums of the members' words."""
+    """The rows of an enumerated sum are the ring sums of the words of its
+    members' own walks, the first member in the low bits."""
     alg, comps = case
     ring, n = alg.ring, alg.n
     words = enumerate_codewords(alg, comps)
-    walks = summands(words)
+    walks = summands(alg, comps)
     assert [len(walk) for walk in walks] == [code_size(alg, [c]) for c in comps]
-    for comp, walk in zip(comps, walks):
-        assert np.array_equal(walk.rows, enumerate_codewords(alg, [comp]).rows)
     sums = walks[0].rows
     for walk in walks[1:]:  # row i_1 + s_1 i_2 is word i_1 plus word i_2
         sums = ring.add_arr(walk.rows[:, None, :], sums[None, :, :]).reshape(-1, n)
@@ -649,10 +645,9 @@ def planes(words):
     return out
 
 
-def summands(words):
-    """Each member's own set of an enumerated sum: [words] for one member,
-    none for the empty sum."""
-    return [words] if words.members is None else list(words.members)
+def summands(alg, comps):
+    """Each component's own set: the walk that a sum of them shares."""
+    return [enumerate_codewords(alg, [c]) for c in comps]
 
 
 def first_lightest(rows):
@@ -680,7 +675,7 @@ def test_weights_count_nonzero_coefficients(case):
     over each member's walk."""
     alg, comps = case
     words = enumerate_codewords(alg, comps)
-    for part in [words, *summands(words)]:
+    for part in [words, *summands(alg, comps)]:
         assert_same_minimum(part.min_nonzero(), first_lightest(part.rows))
 
 
@@ -698,39 +693,40 @@ def test_streamed_minimum_matches_reference(case, block_bytes):
         assert len(words) == len(ref)
         assert np.array_equal(words.rows, ref)
         assert_same_minimum(words.min_nonzero(), first_lightest(ref))
-        for comp, part in zip(comps, summands(words)):
+        for comp, part in zip(comps, summands(alg, comps)):
             assert_same_minimum(part.min_nonzero(), first_lightest(reference_rows(alg, [comp])))
 
 
-RESIDUE_CASES = [(spec, ring) for spec in (C15, GroupSpec((3, 5), (2, 1)))
-                 for ring in ("z2", "z4", "z8", "f2u2", "f2u3")] + [(C15, "z65536")]
+LIFTED_CASES = [(spec, ring) for spec in (C15, GroupSpec((3, 5), (2, 1)))
+                for ring in ("z4", "z8", "f2u2", "f2u3")] + [(C15, "z65536")]  # t >= 2
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(RESIDUE_CASES), st.data())
+@given(st.sampled_from(LIFTED_CASES), st.data())
 def test_residue_weight_is_the_walked_weight(case, data):
-    """For every member and every k < t, the minimum weight of the walk over
-    R is that of the binary residue code F2G e', e' = e mod s, whose
-    witness is a word of F2G e'.  k is drawn from those whose code has at
-    most 2^16 words; k = t - 1 always qualifies."""
+    """For every member and every k < t - 1, the minimum weight of <s^k e>
+    is that of its residue code <s^(t-1) e> = F2G e', e' = e mod s
+    (residue_weight): the first lightest word of the reference walk of
+    <s^(t-1) e>, a word of alg that s^(t-1) divides and e fixes.  k is drawn
+    from those whose code has at most 2^16 words, so a member of dimension
+    above 8 is not drawn."""
     spec, ring = case[0], parse_ring(case[1])
     alg = GroupAlgebra(ring, spec)
-    rec = data.draw(st.sampled_from(primitive_family(spec, ring)))
+    rec = data.draw(st.sampled_from([r for r in primitive_family(spec, ring)
+                                     if component_dimension(spec, r.block) <= 8]))
     d = component_dimension(spec, rec.block)
-    k = data.draw(st.integers(max(0, ring.t - 16 // d), ring.t - 1))
+    k = data.draw(st.integers(max(0, ring.t - 16 // d), ring.t - 2))
     comp = CodeComponent(rec.element, rec.block, rec.split, k)
     weight, word = codes.residue_weight(alg, comp)
     assert weight == enumerate_codewords(alg, [comp]).min_nonzero()[0]
-    residue = word.algebra.element(rec.element.coeffs & 1)
-    assert word.weight() == weight and word * residue == word
-
-
-QUOTIENT_CASES = [(spec, ring) for spec in (C15, GroupSpec((3, 5), (2, 1)))
-                  for ring in ("z4", "z8", "f2u2", "f2u3")] + [(C15, "z65536")]
+    residue = CodeComponent(rec.element, rec.block, rec.split, ring.t - 1)
+    assert_same_minimum((weight, word), first_lightest(reference_rows(alg, [residue])))
+    assert word.algebra == alg and not (word.coeffs & ((1 << (ring.t - 1)) - 1)).any()
+    assert word * rec.element == word and word.weight() == weight
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(QUOTIENT_CASES), st.data())
+@given(st.sampled_from(LIFTED_CASES), st.data())
 def test_quotient_walk_is_the_ring_walk(case, data):
     """<s^k e> is walked in (R/s^(t-k))G as the walk over R would walk it:
     for every member and every k < t whose code has at most 2^16 words, its
@@ -797,14 +793,16 @@ def test_residue_weights_at_165():
 
 @pytest.mark.parametrize("delta", [-1, 1])
 def test_residue_dimension_off_formula_names_member(monkeypatch, delta):
-    """A residue code whose dimension is not the component's raises,
-    naming the member by its label: the residue code has no k."""
+    """A residue code whose dimension is not the component's fails its walk
+    at k = t - 1 (here 1) by its size checks, which name the member at that
+    k: 16 words outgrow 2^3 and fall short of 2^5."""
     dimension = codes.component_dimension
     monkeypatch.setattr(codes, "component_dimension",
                         lambda spec, block: dimension(spec, block) + delta)
     comp = _component(C15, Z4, (1, 1), "(1)", 0)
-    with pytest.raises(InvariantError, match=r"member \{'block': \[1, 1\], 'split': '\(1\)'\}: "
-                                             r"residue code of dimension 4"):
+    match = "closure outgrows the size formula" if delta < 0 else "16 words walked"
+    with pytest.raises(InvariantError, match=r"member \{'block': \[1, 1\], 'split': '\(1\)', "
+                                             rf"'k': 1\}}: {match}"):
         codes.residue_weight(GroupAlgebra(Z4, C15), comp)
 
 
@@ -968,13 +966,13 @@ def test_weigh_rejects_walked_weight(block, split, got, match):
 
 def _clear_member_caches():
     codes._member_walk.cache_clear()
-    codes._residue_weight.cache_clear()
 
 
 def test_member_facts_formed_once(monkeypatch):
-    """A code analysed twice, then a code sharing one of its members at
-    another k: each (member, k) is walked once, each member's residue code
-    weighed once, and every report equals the one a cold analysis makes."""
+    """A code analysed twice, then codes sharing its members at other k:
+    each (member, k) is walked once, a residue code being the member's walk
+    at k = t - 1 (here 1), whether a code or a residue weight formed it
+    first, and every report equals the one a cold analysis makes."""
     walked = []  # each walk's label, at the k of _member_walk's key
     walk = codes._walk
     monkeypatch.setattr(codes, "_walk", lambda alg, comp, k:
@@ -982,12 +980,18 @@ def test_member_facts_formed_once(monkeypatch):
     alg = GroupAlgebra(Z4, C15)
     split, other, third = (_component(C15, Z4, (1, 1), "(1)", 1), _component(C15, Z4, (1, 0), None, 0),
                            _component(C15, Z4, (0, 1), None, 1))
-    split0 = CodeComponent(split.element, split.block, split.split, 0)
-    codes_in_turn = [[split, other], [split, other], [split0, third]]
+    split0, other1, third0 = (CodeComponent(c.element, c.block, c.split, 1 - c.k)
+                              for c in (split, other, third))
+    codes_in_turn = [[split, other], [split, other], [split0, third], [third0, other1]]
     warm = [analyze_code(alg, comps).to_json_dict() for comps in codes_in_turn]
-    assert walked == [((1, 1), "(1)", 1), ((1, 0), None, 0), ((1, 1), "(1)", 0), ((0, 1), None, 1)]
-    info = codes._residue_weight.cache_info()
-    assert (info.misses, info.hits) == (3, 3)  # split, other, third; split twice again, other once
+    assert walked == [
+        ((1, 1), "(1)", 1), ((1, 0), None, 0),  # the first sum; split's residue is its walk
+        ((1, 0), None, 1),  # other's residue, read by the fourth sum as its walk
+        ((1, 1), "(1)", 0), ((0, 1), None, 1),  # the third sum; third's residue is its walk
+        ((0, 1), None, 0),  # the fourth sum
+    ]
+    info = codes._member_walk.cache_info()
+    assert (info.misses, info.hits) == (6, 10)  # each code looks up two walks and two residues
     assert warm[0] == warm[1]
     cold = []
     for comps in codes_in_turn:
@@ -1036,18 +1040,17 @@ def test_warm_reports_are_cold_reports(ring_name, data):
     ("registered element under another split", "is the family member"),
 ])
 def test_warm_label_is_still_certified(case, match):
-    """With the walk and residue weight of the split members of block (1,1)
-    already formed, a component forged under one of their labels is still
-    refused by check_components, and forms no member fact."""
+    """With the walks of the split members of block (1,1) at k = 0 and their
+    residue walks at k = 1 already formed, a component forged under one of
+    their labels is still refused by check_components, and forms no walk."""
     alg = GroupAlgebra(Z4, C15)
     one, two = _component(C15, Z4, (1, 1), "(1)", 0), _component(C15, Z4, (1, 1), "(2)", 0)
     for comps in ([one], [two], [one, two]):
         analyze_code(alg, comps)
-    walks, residues = codes._member_walk.cache_info(), codes._residue_weight.cache_info()
-    assert walks.currsize == residues.currsize == 2
+    walks = codes._member_walk.cache_info()
+    assert walks.currsize == 4
     forged_alg, forged = _forged(case)
     with pytest.raises(ValueError, match=match) as exc:
         analyze_code(forged_alg, forged)
     assert exc.traceback[-1].name == "check_components"
     assert codes._member_walk.cache_info() == walks
-    assert codes._residue_weight.cache_info() == residues
