@@ -34,15 +34,17 @@ whether or not check_components ran; its size checks run once, when it
 is formed.  check_components, each sum's concatenation and weighing, and
 the probes run on every call.
 
-Enumeration is the independent check.  Each member's module is found by
-additive closure over its generator's translates, the cosets of each by
-doubling over its powers (_walk), so its words are the subset sums of a
-generator list: the powers s^j b of each fresh translate b in turn.  A
-walk keeps its words only as an R-span in Howell form (_Span), which
-decides membership exactly.  <s^k e> = s^k RGe is walked in the quotient
-(R/s^(t-k))G as <e mod s^(t-k)>, which x -> s^k x maps onto it one to
-one and support for support.  A direct sum's generator list is its
-members' lists in turn, as RG is the direct sum of its ideals RGe.
+Enumeration is the independent check.  One primitive closes every walk:
+_walk finds the R-span of one element's translates by additive closure,
+the cosets of each by doubling over its powers, so its words are the
+subset sums of a generator list: the powers s^j b of each fresh
+translate b in turn.  A walk keeps its words only as an R-span in Howell
+form (_Span), whose one reduction decides membership exactly and grows
+the span.  <s^k e> = s^k RGe is walked in the quotient (R/s^(t-k))G as
+the span of e mod s^(t-k), which x -> s^k x maps onto it one to one and
+support for support; the zero code at k = t forms no walk.  A direct
+sum's generator list is its members' lists in turn, as RG is the direct
+sum of its ideals RGe.
 Every word is still formed and weighed, a block at a time (CodewordSet),
 so the bytes held are a few blocks of _BLOCK_BYTES, whatever the word
 count.  A word is the t - k bit-planes of its quotient (plane i packs
@@ -68,7 +70,7 @@ from .group_algebra import AlgebraElem, GroupAlgebra, grid_order
 from .idempotents import family_member, primitive_family
 
 DEFAULT_BUDGET = 1 << 20
-_BLOCK_BYTES = 1 << 20  # words and weights per block (CodewordSet); planes per slice (_add_cosets)
+_BLOCK_BYTES = 1 << 20  # words and weights per block (CodewordSet)
 
 
 class BudgetExceeded(Exception):
@@ -194,22 +196,18 @@ class CodewordSet:
         fit = _BLOCK_BYTES // (math.prod(self.gens.shape[1:]) + np.dtype(np.intp).itemsize)
         return min(len(self.gens), max(fit.bit_length() - 1, 0))
 
-    def _low(self, bits: int) -> np.ndarray:
-        """Rows [0, 2^bits) as planes: the subset sums of g_0, ..., g_(bits-1).
-        Each generator g_j doubles the rows so far: rows [2^j, 2^(j+1)) are
-        rows [0, 2^j) plus g_j."""
-        out = _zero_words(self.quotient, 1 << bits)
-        for j in range(bits):
-            _add_cosets(self.quotient.ring, out[: 1 << j], self.gens[j : j + 1], out[1 << j : 2 << j])
-        return out
-
     def _blocks(self):
         """Yields (start, rows [start, start + 2^a) as planes) in row order.
-        Every block after the first is written over one buffer, so a block
-        is read before the next is asked for."""
-        low = self._low(self.low_bits)
+        The first block is the low table, rows [0, 2^a): each g_j, j < a,
+        doubles the rows so far, rows [2^j, 2^(j+1)) being rows [0, 2^j)
+        plus g_j.  Block h adds one sum of the rest to the table.  Every
+        block after the first is written over one buffer, so a block is
+        read before the next is asked for."""
+        ring, a = self.quotient.ring, self.low_bits
+        low = _zero_words(self.quotient, 1 << a)
+        for j in range(a):
+            ring.add_planes(low[: 1 << j], self.gens[j], out=low[1 << j : 2 << j])
         yield 0, low
-        ring, a = self.quotient.ring, len(low).bit_length() - 1
         high = self.gens[a:]
         if not len(high):
             return
@@ -219,7 +217,7 @@ class CodewordSet:
             c = (h & -h).bit_length() - 1  # from h - 1 to h, bit c is set and the bits below it clear
             ring.add_planes(sums[c + 1], high[c], out=sums[c])
             sums[:c] = sums[c]
-            _add_cosets(ring, low, sums[:1], block)
+            ring.add_planes(low, sums[0], out=block)
             yield h << a, block
 
     @property
@@ -284,55 +282,45 @@ class _Span:
     (prod 2^(t-v)) the span has, and a reduction step forms its multiple
     (x_p >> v) * row by one ring.mul_arr, as every multiple in this module
     is formed.
-
-    A residue is canonical: it is the one element of x + span whose entry at
-    each pivot has only its low v bits, since two such differ by a span
-    element whose first nonzero entry would be a multiple of s^v below s^v.
-    So a residue mod the span before add, reduced from the first pivot add
-    wrote on (rows before it are unchanged), is the residue mod the new span.
     """
 
     def __init__(self, ring: ChainRing):
         self.ring = ring
         self.rows = {}  # pivot column -> (v, the row)
 
-    def reduce(self, X, start=0):
+    def reduce(self, X):
         """Residues of X (..., n): each is its row of X minus a span element,
-        and is 0 iff that row is in the span.  Pivots before start are
-        skipped, which is exact for residues carried across add (see add)."""
+        and is 0 iff that row is in the span."""
         ring = self.ring
         for p in sorted(self.rows):
-            if p >= start:
-                v, row = self.rows[p]
-                X = ring.sub_arr(X, ring.mul_arr((X[..., p] >> v)[..., None], row))
+            v, row = self.rows[p]
+            q = X[..., p, None] >> v
+            if q.any():  # else every multiple of this row is 0
+                X = ring.sub_arr(X, ring.mul_arr(q, row))
         return X
 
     def add(self, x):
-        """Grow the span by R x, keeping the Howell property.  Returns the
-        first pivot column written (len(x) if none): residues mod the old
-        span, reduced from it on, are residues mod the new one."""
+        """Grow the span by R x, keeping the Howell property: each vector
+        queued is reduced, and its residue, if nonzero, becomes the row of
+        its first nonzero column p, where it has fewer low zero bits w than
+        the row it displaces (reduce left only the low v bits there)."""
         ring, t = self.ring, self.ring.t
-        todo, first = [x.copy()], len(x)  # a kept view would pin the caller's whole array
+        todo = [x.copy()]  # a kept view would pin the caller's whole array
         while todo:
-            x = todo.pop()
-            while x.any():
-                p = int(np.flatnonzero(x)[0])
-                a = int(x[p])
-                w = (a & -a).bit_length() - 1  # a = s^w times a unit
-                v, row = self.rows.get(p, (t, None))
-                if w >= v:
-                    x = ring.sub_arr(x, ring.mul_arr(a >> v, row))
-                    continue
-                if a >> w != 1:  # make the pivot s^w
-                    x = ring.mul_arr(ring.inv(a >> w), x)
-                self.rows[p] = (w, x)
-                first = min(first, p)
-                if row is not None:  # s^v at p is now a multiple of s^w
-                    todo.append(row)
-                if (x & ((1 << w) - 1)).any():  # else s^(t-w) x = 0
-                    todo.append(ring.mul_arr(ring.s_pow_payload(t - w), x))
-                break
-        return first
+            x = self.reduce(todo.pop())
+            if not x.any():
+                continue
+            p = int(np.flatnonzero(x)[0])
+            a = int(x[p])
+            w = (a & -a).bit_length() - 1  # a = s^w times a unit
+            if a >> w != 1:  # make the pivot s^w
+                x = ring.mul_arr(ring.inv(a >> w), x)
+            _, row = self.rows.get(p, (t, None))
+            self.rows[p] = (w, x)
+            if row is not None:  # s^v at p is now a multiple of s^w
+                todo.append(row)
+            if (x & ((1 << w) - 1)).any():  # else s^(t-w) x = 0
+                todo.append(ring.mul_arr(ring.s_pow_payload(t - w), x))
 
 
 def _zero_words(alg: GroupAlgebra, count: int) -> np.ndarray:
@@ -340,72 +328,49 @@ def _zero_words(alg: GroupAlgebra, count: int) -> np.ndarray:
     return np.zeros((count, alg.ring.t, -(-alg.n // 8)), dtype=np.uint8)
 
 
-def _add_cosets(ring: ChainRing, W: np.ndarray, R: np.ndarray, out: np.ndarray):
-    """Writes the cosets W + r, r in R, as bit-planes: row i len(W) + j of
-    out is W[j] + R[i].  add_planes's ripple carry holds up to four planes
-    per word written, so a slice of about _BLOCK_BYTES of them spans
-    representatives when W is small and rows of W when it is large."""
-    cosets = out.reshape(len(R), *W.shape)
-    step = max(1, _BLOCK_BYTES // (4 * W.shape[-1]))  # words per slice
-    per, rows = max(1, step // len(W)), min(len(W), step)
-    for i in range(0, len(R), per):
-        for j in range(0, len(W), rows):
-            w = slice(j, j + rows)
-            ring.add_planes(W[None, w], R[i : i + per, None], out=cosets[i : i + per, w])
+def _walk(alg: GroupAlgebra, x: AlgebraElem, want: int, label) -> np.ndarray:
+    """The R-span of the translates of x in alg by additive closure from
+    W = {0}, as its generator list (CodewordSet): bit-planes of shape
+    (m, t, ceil(n/8)).  want is its size formula, label names it.
 
-
-def _walk(alg: GroupAlgebra, comp: CodeComponent, k: int | None = None) -> np.ndarray:
-    """One member's code <s^k e> by additive closure from W = {0}, as its
-    generator list (CodewordSet): bit-planes of shape (m, t, ceil(n/8)),
-    t alg's own; _member_walk passes a quotient, where k = 0.
-
-    For each translate b of s^k e, in multi-index order of the group
-    element (the order fixes the rows, and so the reported witness),
-    {c : c b in W} is an ideal (s^m), m counting the powers s^j b outside
-    W.  The cosets W + c b, c < 2^m, are new and disjoint, and doubling
-    lists them: for j < m, rows [size, 2 size) are rows [0, size) plus
-    s^j b, so b adds s^0 b, ..., s^(m-1) b to the generator list.  Coset c
-    holds W + c b in both ring families, as for c < 2^j the payload c has
-    no bit j and 2^j is s^j: (c + 2^j) b = c b + s^j b.  A translate with
-    m = 0 stays in W (W only grows) and is dropped.  W is kept only as an
-    R-span (_Span), whose residues are canonical: translates still waiting
-    keep theirs across each add and are reduced again only from the first
-    pivot it wrote.  So the walk holds no word: only its generator list,
-    the span's one row per pivot and the t - k powers s^j s^k e (twice
-    over).  It raises, naming the member at k (comp.k unless given: a walk
-    in a quotient names its caller's k), on outgrowing its size formula
-    and on ending off it.
+    For each translate b of x, in multi-index order of the group element
+    (the order fixes the rows, and so the reported witness), {c : c b in W}
+    is an ideal (s^m), m counting the powers s^j b outside W.  The cosets
+    W + c b, c < 2^m, are new and disjoint, and doubling lists them: for
+    j < m, rows [size, 2 size) are rows [0, size) plus s^j b, so b adds
+    s^0 b, ..., s^(m-1) b to the generator list.  Coset c holds W + c b in
+    both ring families, as for c < 2^j the payload c has no bit j and 2^j
+    is s^j: (c + 2^j) b = c b + s^j b.  A translate with m = 0 stays in W
+    (W only grows) and is dropped.  W is kept only as an R-span (_Span),
+    and the translates still waiting are reduced against it again after
+    each add.  So the walk holds no word: only its generator list, the
+    span's one row per pivot and the t powers s^j x (twice over).  It
+    raises, naming label, on outgrowing want and on ending off it.
     """
     ring, n, t = alg.ring, alg.n, alg.ring.t
-    label = dict(comp.label_dict(), k=comp.k if k is None else k)
-    want = code_size(alg, [comp])
     # a walk of 2^m words has m generators: outgrowing the formula raises before gens overflows
     gens, size, span = _zero_words(alg, max(want.bit_length() - 1, 0)), 1, _Span(ring)
-    base = comp.generator
-    if not base.is_zero():
-        # row j holds s^j base (nonzero for j < t - k, as e has a unit
-        # coefficient) twice over, so a^k s^j base is a slice of it
-        table = ring.mul_arr((1 << np.arange(t - comp.k))[:, None], np.concatenate([base.coeffs] * 2))
-        powers = np.lib.stride_tricks.sliding_window_view(table, n, axis=1)
-        chunk = max(1, (1 << 16) // (len(powers) * n * table.itemsize))  # translates per lookup
-        # head: a chunk's translates still waiting, res: their powers' residues
-        order = grid_order(alg.group)
-        for i in range(0, len(order), chunk):
-            head, first = order[i : i + chunk], 0
-            res = powers[:, n - head]
-            while head.size:
-                res = span.reduce(res, start=first)
-                ms = res.any(axis=2).sum(axis=0)
-                fresh = np.flatnonzero(ms)
-                if not fresh.size:
-                    break
-                head, res, m = head[fresh], res[:, fresh], int(ms[fresh[0]])
-                if size << m > want:
-                    raise InvariantError(f"member {label}: closure outgrows the size formula")
-                first = span.add(res[0, 0])
-                count = size.bit_length() - 1
-                gens[count : count + m] = ring.to_planes(powers[:m, n - head[0]])
-                head, res, size = head[1:], res[:, 1:], size << m
+    # row j holds s^j x twice over, so a^i s^j x is a slice of it
+    table = ring.mul_arr((1 << np.arange(t))[:, None], np.concatenate([x.coeffs] * 2))
+    powers = np.lib.stride_tricks.sliding_window_view(table, n, axis=1)
+    chunk = max(1, (1 << 16) // (len(powers) * n * table.itemsize))  # translates per lookup
+    order = grid_order(alg.group)
+    for i in range(0, len(order), chunk):
+        head = order[i : i + chunk]  # the chunk's translates still waiting
+        while head.size:
+            res = span.reduce(powers[:, n - head])
+            ms = res.any(axis=2).sum(axis=0)
+            fresh = np.flatnonzero(ms)
+            if not fresh.size:
+                break
+            head, m = head[fresh], int(ms[fresh[0]])
+            if size << m > want:
+                raise InvariantError(f"member {label}: closure outgrows the size formula")
+            span.add(res[0, fresh[0]])
+            count = size.bit_length() - 1
+            gens[count : count + m] = ring.to_planes(powers[:m, n - head[0]])
+            head, size = head[1:], size << m
+            del res  # not held while the next pass gathers
     if size != want:
         raise InvariantError(f"member {label}: {size} words walked, not the size formula's")
     return gens
@@ -414,16 +379,18 @@ def _walk(alg: GroupAlgebra, comp: CodeComponent, k: int | None = None) -> np.nd
 @lru_cache(maxsize=None)
 def _member_walk(alg: GroupAlgebra, block: tuple, split, k: int, element: bytes) -> CodewordSet:
     """The set of <s^k e> for the e of alg with these payload bytes, formed
-    once per process: for k < t the walk (_walk) of <e mod s^(t-k)> in
+    once per process: for k < t the walk (_walk) of e mod s^(t-k) in
     (R/s^(t-k))G (CodewordSet), for k = t the zero code's, with no
     generator, in alg.  Its words are a function of alg, e and k, and its
     size checks of the label, so with all of them in the key an entry is
     sound whatever else is cached or cleared.  A walk that raises leaves
     no entry."""
-    j = k if k < alg.ring.t else 0
-    q = _quotient(alg, j)
-    elem = AlgebraElem(q, np.frombuffer(element, dtype=alg.ring.dtype) & q.ring.mask)
-    return CodewordSet(alg, _walk(q, CodeComponent(elem, block, split, k - j), k), k=j)
+    if k == alg.ring.t:
+        return CodewordSet(alg, _zero_words(alg, 0))
+    q = _quotient(alg, k)
+    e = AlgebraElem(q, np.frombuffer(element, dtype=alg.ring.dtype) & q.ring.mask)
+    want = code_size_formula(alg.group, alg.ring, block, k)
+    return CodewordSet(alg, _walk(q, e, want, {"block": list(block), "split": split, "k": k}), k)
 
 
 def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) -> CodewordSet:

@@ -1,0 +1,99 @@
+"""A registry of mutants: each breaks one piece of the program, and every
+test it names must fail on the broken copy.
+
+    python tests/mutants.py [name ...]
+
+For each mutant (all of them if none is named) the runner copies the tree
+to a temporary directory, checks that the text it replaces occurs exactly
+once in its file, replaces it there and runs the named tests in the copy,
+with hypothesis seeded so that a run repeats.  It exits 1 if a named test
+passes or is not run.  The file is not named test_*.py, so a plain pytest
+run does not collect it.  A new gate or cross-check lands with its mutant.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CODES = "src/rgcodes/codes.py"
+T = "tests/test_codes.py::"
+
+# name -> (file, old text, new text, ids of the tests that must fail)
+MUTANTS = {
+    "span-add-drops-displaced-row": (
+        CODES, "                todo.append(row)\n", "                pass\n",
+        [T + "test_span_matches_closure", T + "test_enumeration_matches_reference"]),
+    "walk-stops-at-size-formula": (
+        CODES, "        while head.size:\n", "        while head.size and size < want:\n",
+        [T + "test_wrong_size_formula_fails[0.25]", T + "test_halved_member_formula_names_member",
+         T + "test_residue_dimension_off_formula_names_member[-1]"]),
+    "min-nonzero-keeps-last-minimum": (
+        CODES, "(best is None or w[pos] < best[0])", "(best is None or w[pos] <= best[0])",
+        [T + "test_streamed_minimum_matches_reference"]),
+    "witness-skips-shift-by-k": (
+        CODES, "astype(self.algebra.ring.dtype) << self.k", "astype(self.algebra.ring.dtype)",
+        [T + "test_residue_weight_is_the_walked_weight", T + "test_quotient_walk_is_the_ring_walk",
+         T + "test_mixed_k_sum_is_the_reference_walk"]),
+}
+
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
+
+
+def _has_outcome(report: str, test_id: str, outcome: str) -> bool:
+    """Whether pytest's -rA summary gives test_id, or a parametrization of
+    it, this outcome."""
+    head = f"{outcome} {test_id}"
+    return any(line.startswith(head) and line[len(head) : len(head) + 1] in ("", " ", "[")
+               for line in report.splitlines())
+
+
+def run(name: str, tmp: Path) -> list:
+    """The problems found with one mutant; empty if each named test fails."""
+    path, old, new, test_ids = MUTANTS[name]
+    tree = tmp / name
+    shutil.copytree(ROOT, tree, ignore=IGNORE)
+    target = tree / path
+    text = target.read_text()
+    if text.count(old) != 1:
+        return [f"{path} holds the text to replace {text.count(old)} times, not once"]
+    target.write_text(text.replace(old, new))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    where = subprocess.run([sys.executable, "-c", "import rgcodes; print(rgcodes.__file__)"],
+                           cwd=tree, env=env, capture_output=True, text=True).stdout.strip()
+    if not Path(where).is_relative_to(tree):
+        return [f"the copy imports rgcodes from {where!r}"]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *test_ids],
+        cwd=tree, env=env, capture_output=True, text=True)
+    problems = []
+    for test_id in test_ids:
+        if _has_outcome(result.stdout, test_id, "PASSED"):
+            problems.append(f"{test_id} passes")
+        elif not _has_outcome(result.stdout, test_id, "FAILED"):
+            problems.append(f"{test_id} did not run to a failure")
+    return problems
+
+
+def main(argv) -> int:
+    names = argv or list(MUTANTS)
+    unknown = [n for n in names if n not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            problems = run(name, Path(tmp))
+            failed += bool(problems)
+            print(f"{'FAIL' if problems else 'ok':6} {name}" + "".join(f"\n       {p}" for p in problems))
+    print(f"{len(names) - failed}/{len(names)} mutants caught")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -738,7 +738,8 @@ def test_quotient_walk_is_the_ring_walk(case, data):
     d = component_dimension(spec, rec.block)
     k = data.draw(st.integers(max(0, ring.t - 16 // d), ring.t - 1))
     comp = CodeComponent(rec.element, rec.block, rec.split, k)
-    words, full = enumerate_codewords(alg, [comp]), codes._walk(alg, comp)
+    full = codes._walk(alg, comp.generator, code_size(alg, [comp]), comp.label_dict())
+    words = enumerate_codewords(alg, [comp])
     assert words.k == k and words.gens.shape[1:] == (ring.t - k, full.shape[2])
     raised = np.zeros_like(full)
     raised[:, k:] = words.gens
@@ -844,17 +845,13 @@ def small_spans(draw):
 @given(small_spans())
 def test_span_matches_closure(case):
     """A residue of reduce is zero exactly for the span's elements, and
-    every residue differs from its query by a span element.  A residue
-    carried across add and reduced from the first pivot add wrote is the
-    residue mod the grown span.  Each row is kept once: 0 before its pivot
-    p and s^v at p, the 2^(t - v) multiples of the rows multiplying to the
-    span's word count."""
+    every residue differs from its query by a span element.  Each row is
+    kept once: 0 before its pivot p and s^v at p, the 2^(t - v) multiples
+    of the rows multiplying to the span's word count."""
     ring, rows, queries = case
     span = codes._Span(ring)
     for row in rows:  # as in the walk: add the residue of a new vector
-        before = span.reduce(queries)
-        first = span.add(span.reduce(row))
-        assert np.array_equal(span.reduce(before, start=first), span.reduce(queries))
+        span.add(span.reduce(row))
     members, words = span_closure(ring, rows)
     for p, (v, row) in span.rows.items():
         assert row.shape == rows[0].shape and not row[:p].any() and row[p] == 1 << v
@@ -866,12 +863,11 @@ def test_span_matches_closure(case):
         assert ring.sub_arr(x, r).tobytes() in members
 
 
-def _walk_peak(alg, comp):
-    """(generator list, tracemalloc peak) of one member's walk."""
-    comp.generator  # formed once, outside the walk
+def _walk_peak(alg, x, want):
+    """(generator list, tracemalloc peak) of the walk of x."""
     tracemalloc.start()
     try:
-        gens = codes._walk(alg, comp)
+        gens = codes._walk(alg, x, want, {})
         return gens, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -880,17 +876,19 @@ def _walk_peak(alg, comp):
 @pytest.mark.parametrize("ring_name", ["z65536", "f2u16"])
 def test_walk_transient_bytes_are_bounded(ring_name):
     """The walk holds its generator list, at most n span rows of n payloads,
-    the 2 (t - k) n payloads of its power table and one chunk of waiting
-    translates' residues ((t - k) n payloads each, at most 64 KB), and no
-    word: the 2^16 words of a t = 16 ring at n = 15 (2 MB as planes) peak
-    less than five times those holdings above the same member's 2-word walk
-    at k = t - 1, which measures numpy's and Python's fixed overhead."""
+    the 2 t n payloads of its power table and one chunk of waiting
+    translates' residues (t n payloads each, at most 64 KB), and no word:
+    the 2^16 words of a t = 16 ring at n = 15 (2 MB as planes) peak less
+    than five times those holdings above the same member's 2-word walk at
+    k = t - 1, in (R/s)G as _member_walk walks it, which measures numpy's
+    and Python's fixed overhead."""
     ring = parse_ring(ring_name)
     alg, n, item = GroupAlgebra(ring, C15), C15.n, np.dtype(ring.dtype).itemsize
     member = family_member(C15, ring, (0, 0), None).element
-    _, fixed = _walk_peak(alg, CodeComponent(member, (0, 0), None, ring.t - 1))
-    comp = CodeComponent(member, (0, 0), None, 0)
-    gens, peak = _walk_peak(alg, comp)
+    residue = codes._quotient(alg, ring.t - 1)
+    _, fixed = _walk_peak(residue, AlgebraElem(residue, member.coeffs & residue.ring.mask),
+                          code_size_formula(C15, ring, (0, 0), ring.t - 1))
+    gens, peak = _walk_peak(alg, member, code_size_formula(C15, ring, (0, 0), 0))
     chunk = min(n, max(1, (1 << 16) // (ring.t * n * item)))  # translates per lookup (_walk)
     holdings = gens.nbytes + n * n * item + 2 * ring.t * n * item + chunk * ring.t * n * item
     assert len(gens) == 16
@@ -933,12 +931,16 @@ def test_row_width():
     assert planes(words)[0].nbytes == 21  # z4 at n = 165 and k = 1, against 165 as payload bytes
 
 
-@pytest.mark.parametrize("factor", [0.5, 2])
+@pytest.mark.parametrize("factor", [0.25, 0.5, 2])
 def test_wrong_size_formula_fails(monkeypatch, factor):
-    """The walk never stops at the predicted size: a wrong formula raises."""
+    """The walk never stops at the predicted size: a wrong formula raises.
+    The walk passes 4, 16 and 64 words, so a quarter of the formula is a
+    size it reaches exactly, and a half one it steps over."""
     alg = GroupAlgebra(Z4, C15)
     comp = _component(C15, Z4, (0, 1), None, 0)  # 256 words
-    monkeypatch.setattr(codes, "code_size", lambda alg, components: int(256 * factor))
+    formula = codes.code_size_formula
+    monkeypatch.setattr(codes, "code_size_formula", lambda spec, ring, block, k:
+                        int(formula(spec, ring, block, k) * factor))
     with pytest.raises(InvariantError):
         enumerate_codewords(alg, [comp])
     # a budget between the wrong and the true size: a formula below it
@@ -975,8 +977,8 @@ def test_member_facts_formed_once(monkeypatch):
     first, and every report equals the one a cold analysis makes."""
     walked = []  # each walk's label, at the k of _member_walk's key
     walk = codes._walk
-    monkeypatch.setattr(codes, "_walk", lambda alg, comp, k:
-                        walked.append((comp.block, comp.split, k)) or walk(alg, comp, k))
+    monkeypatch.setattr(codes, "_walk", lambda alg, x, want, label: walked.append(
+        (tuple(label["block"]), label["split"], label["k"])) or walk(alg, x, want, label))
     alg = GroupAlgebra(Z4, C15)
     split, other, third = (_component(C15, Z4, (1, 1), "(1)", 1), _component(C15, Z4, (1, 0), None, 0),
                            _component(C15, Z4, (0, 1), None, 1))
