@@ -7,12 +7,14 @@ F2-dimension of the component of e; minimum weights have closed forms
 for components whose block has at most one nonzero index, and
 lower/upper bounds otherwise, all through one per-component path
 (_weigh).  Each closed form is a function of the block's l nonzero
-indices and D = prod_i p_i^j_i (_block_order).  Each component forms
-its generator s^k e once (CodeComponent.generator).  analyze_code
-checks a code's premise once (check_components) and alone decides the
-walks.  The premise is a fact about the family: primitive_family
-certifies each family once, so a code is valid exactly when each
-component is the member its label names (idempotents.family_member) and
+indices and their primes p_i and levels j_i alone, D = prod_i p_i^j_i
+(_block_order) and phi(D) among them, so none factors an integer.  Each
+component forms its generator s^k e once, by shifting its payloads k
+bits up (CodeComponent.generator).  analyze_code checks a code's premise
+once (check_components) and alone decides the walks.  The premise is a
+fact about the family: primitive_family certifies each family once, so a
+code is valid exactly when each component is the member its label names
+(idempotents.family_member, one lookup in the family's label index) and
 no label repeats, which needs no product.
 It weighs every code as a direct sum, one component being a sum of one:
 a sum that fits the budget is walked once for its weight and witness,
@@ -31,8 +33,12 @@ the walk's at k = t - 1 (residue_weight).  A walk is keyed by the
 algebra, the label, k and the member's payload bytes, so an entry is a
 pure function of its key, sound after primitive_family.cache_clear() and
 whether or not check_components ran; its size checks run once, when it
-is formed.  check_components, each sum's concatenation and weighing, and
-the probes run on every call.
+is formed.  The step a_i^(p^j) - a_i^(p^(j-1)) of a single-index
+block's second probe is formed once per algebra, i and j (_probe_step).
+Every call still forms the certificate (check_components: a label
+lookup, and an equality test unless the component holds the member's
+own element), each probe's product with s^k e and its weight, and a
+sum's concatenated generator list and weighing.
 
 Enumeration is the independent check.  One primitive closes every walk:
 _walk finds the R-span of one element's translates by additive closure,
@@ -64,7 +70,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import GroupSpec, InvariantError, euler_phi
+from .arith import GroupSpec, InvariantError
 from .chain_ring import ChainRing
 from .group_algebra import AlgebraElem, GroupAlgebra, grid_order
 from .idempotents import family_member, primitive_family
@@ -98,8 +104,11 @@ class CodeComponent:
 
     @cached_property
     def generator(self) -> AlgebraElem:
-        """s^k e, the generator of the code."""
-        return self.element.scalar_mul(self.element.algebra.ring.s_pow_payload(self.k))
+        """s^k e, the generator of the code: s^k is the payload bit 1 << k in
+        both ring families (ChainRing.s_pow_payload), so s^k e shifts each
+        payload up by k and drops the bits at t and above."""
+        ring = self.element.algebra.ring
+        return AlgebraElem(self.element.algebra, (self.element.coeffs << self.k) & ring.mask)
 
     def label_dict(self):
         return {"block": list(self.block), "split": self.split, "k": self.k}
@@ -112,13 +121,14 @@ def check_components(alg: GroupAlgebra, components):
 
     Members of one certified family are idempotent and pairwise orthogonal,
     so a label lookup (idempotents.family_member) and an equality test
-    decide it, with no product in RG once the family is built.  Equality
-    compares the algebras too, so every component lies in alg.
+    decide it, with no product in RG once the family is built.  The
+    member's own element passes by identity; any other must be equal to it,
+    and equality compares the algebras too, so every component lies in alg.
     """
     labels = [(tuple(c.block), c.split) for c in components]
     for c, (block, split) in zip(components, labels):
         rec = family_member(alg.group, alg.ring, block, split)
-        if rec is not None and rec.element == c.element:
+        if rec is not None and (rec.element is c.element or rec.element == c.element):
             continue
         named = f"component labelled block {block} split {split}"
         for r in primitive_family(alg.group, alg.ring):
@@ -138,9 +148,12 @@ def _block_order(spec: GroupSpec, block):
 
 def component_dimension(spec: GroupSpec, block) -> int:
     """F2-dimension of one primitive component of the given block: the
-    block's phi(D) dimensions shared by its 2^(l-1) members (one if l = 0)."""
-    l, d = _block_order(spec, block)
-    num, den = euler_phi(d), 1 << max(l - 1, 0)
+    block's phi(D) dimensions shared by its 2^(l-1) members (one if l = 0),
+    phi(D) = prod_i (p_i - 1) p_i^(j_i - 1) over the block's nonzero indices,
+    as the p_i are distinct primes."""
+    levels = [(p, j) for p, j in zip(spec.primes, block) if j > 0]
+    num = math.prod((p - 1) * p ** (j - 1) for p, j in levels)
+    den = 1 << max(len(levels) - 1, 0)
     if num % den:
         raise InvariantError(f"block {tuple(block)}: dimension {num}/{den} is not an integer")
     return num // den
@@ -299,28 +312,31 @@ class _Span:
                 X = ring.sub_arr(X, ring.mul_arr(q, row))
         return X
 
-    def add(self, x):
-        """Grow the span by R x, keeping the Howell property: each vector
-        queued is reduced, and its residue, if nonzero, becomes the row of
-        its first nonzero column p, where it has fewer low zero bits w than
-        the row it displaces (reduce left only the low v bits there)."""
+    def add(self, r):
+        """Grow the span by R r, for r a residue of reduce, keeping the
+        Howell property.  r, and each vector queued after it once reduced,
+        becomes, if nonzero, the row of its first nonzero column p, where it
+        has fewer low zero bits w than the row it displaces (reduce left
+        only the low v bits there).  Only what is queued, the displaced row
+        and s^(t-w) times the new row, is reduced here."""
         ring, t = self.ring, self.ring.t
-        todo = [x.copy()]  # a kept view would pin the caller's whole array
-        while todo:
+        x, todo = r.copy(), []  # a kept view would pin the caller's whole array
+        while True:
+            if x.any():
+                p = int(np.flatnonzero(x)[0])
+                a = int(x[p])
+                w = (a & -a).bit_length() - 1  # a = s^w times a unit
+                if a >> w != 1:  # make the pivot s^w
+                    x = ring.mul_arr(ring.inv(a >> w), x)
+                _, row = self.rows.get(p, (t, None))
+                self.rows[p] = (w, x)
+                if row is not None:  # s^v at p is now a multiple of s^w
+                    todo.append(row)
+                if (x & ((1 << w) - 1)).any():  # else s^(t-w) x = 0
+                    todo.append(ring.mul_arr(ring.s_pow_payload(t - w), x))
+            if not todo:
+                return
             x = self.reduce(todo.pop())
-            if not x.any():
-                continue
-            p = int(np.flatnonzero(x)[0])
-            a = int(x[p])
-            w = (a & -a).bit_length() - 1  # a = s^w times a unit
-            if a >> w != 1:  # make the pivot s^w
-                x = ring.mul_arr(ring.inv(a >> w), x)
-            _, row = self.rows.get(p, (t, None))
-            self.rows[p] = (w, x)
-            if row is not None:  # s^v at p is now a multiple of s^w
-                todo.append(row)
-            if (x & ((1 << w) - 1)).any():  # else s^(t-w) x = 0
-                todo.append(ring.mul_arr(ring.s_pow_payload(t - w), x))
 
 
 def _zero_words(alg: GroupAlgebra, count: int) -> np.ndarray:
@@ -475,7 +491,6 @@ def weight_probes(alg: GroupAlgebra, comp: CodeComponent):
     nonzero in RGe' for all 2^(l-1) >= 2 members e', while a word of
     <s^k e> vanishes in every other member's component.
     """
-    spec = alg.group
     out = []
     gen = comp.generator
     if not gen.is_zero():
@@ -484,13 +499,18 @@ def weight_probes(alg: GroupAlgebra, comp: CodeComponent):
     nonzero = [i for i, j in enumerate(comp.block) if j > 0]
     if len(nonzero) == 1:
         (i1,) = nonzero
-        j = comp.block[i1]
-        p = spec.primes[i1]
-        diff = alg.generator_power(i1, p**j) - alg.generator_power(i1, p ** (j - 1))
-        probe = diff * gen
+        probe = _probe_step(alg, i1, comp.block[i1]) * gen
         if not probe.is_zero():
             out.append(probe)
     return out
+
+
+@lru_cache(maxsize=None)
+def _probe_step(alg: GroupAlgebra, i: int, j: int) -> AlgebraElem:
+    """a_i^(p^j) - a_i^(p^(j-1)), p = p_i, the factor of weight_probes'
+    second probe; formed once per algebra, i and j."""
+    p = alg.group.primes[i]
+    return alg.generator_power(i, p**j) - alg.generator_power(i, p ** (j - 1))
 
 
 def min_weight_upper_bound(alg: GroupAlgebra, comp: CodeComponent):
@@ -573,7 +593,8 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
     a single component is a sum of one, whose weight facts are the code's.
     Member walks and their weighed minima, a residue weight among them,
     are formed once per process (see the module docstring); the
-    certificate, a sum's weighing and the probes are formed on every call.
+    certificate, a sum's weighing and the probes' products are formed on
+    every call.
     """
     check_components(alg, components)
     ring, size = alg.ring, code_size(alg, components)

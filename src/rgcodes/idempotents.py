@@ -17,8 +17,11 @@ one place that squares.  The F2 refinement oracle builds nothing; it only
 checks the members (see primitive_family).  primitive_family certifies
 each family once, and verify_family raises on any false flag, so no
 certificate is stored.  Its labelled records are the one source of family
-facts: family_member finds a member by its (block, split) label, and
-codes.check_components compares each component with it.
+facts.  They come as a Family, a tuple of the records that also carries
+their index by (block, split) label, formed with the family and cached
+with it, so no second cache is kept: family_member finds a member by its
+label in one lookup, and codes.check_components compares each component
+with it.
 """
 
 from __future__ import annotations
@@ -146,9 +149,20 @@ def lift_idempotent(f: AlgebraElem, ring: ChainRing) -> AlgebraElem:
     return w
 
 
+class Family(tuple):
+    """The records of one primitive family, in order, with the index of
+    each by its (block, split) label, formed with the family."""
+
+    def __new__(cls, records):
+        family = super().__new__(cls, records)
+        family.index = {(r.block, r.split): r for r in family}
+        return family
+
+
 @lru_cache(maxsize=None)
 def primitive_family(spec: GroupSpec, ring: ChainRing):
-    """All primitive idempotents of RG as labelled records, sorted by block.
+    """All primitive idempotents of RG as labelled records, sorted by block,
+    in a Family: its label index is formed here, once per family.
 
     Every block takes its members from split_block, evaluated over R.  The
     F2 oracle only checks them: each member's residue must be a distinct
@@ -175,14 +189,13 @@ def primitive_family(spec: GroupSpec, ring: ChainRing):
     if unused:
         raise InvariantError("the family does not use each oracle primitive once")
     verify_family([r.element for r in records], alg)
-    return tuple(records)
+    return Family(records)
 
 
 def family_member(spec: GroupSpec, ring: ChainRing, block, split):
-    """The record of primitive_family(spec, ring) labelled (block, split), or None."""
-    block = tuple(block)
-    return next((r for r in primitive_family(spec, ring)
-                 if r.block == block and r.split == split), None)
+    """The record of primitive_family(spec, ring) labelled (block, split), or
+    None: one lookup in the family's label index."""
+    return primitive_family(spec, ring).index.get((tuple(block), split))
 
 
 # the flags of verify_family, in the order it reports them

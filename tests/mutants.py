@@ -25,7 +25,7 @@ T = "tests/test_codes.py::"
 # name -> (file, old text, new text, ids of the tests that must fail)
 MUTANTS = {
     "span-add-drops-displaced-row": (
-        CODES, "                todo.append(row)\n", "                pass\n",
+        CODES, "                    todo.append(row)\n", "                    pass\n",
         [T + "test_span_matches_closure", T + "test_enumeration_matches_reference"]),
     "walk-stops-at-size-formula": (
         CODES, "        while head.size:\n", "        while head.size and size < want:\n",
@@ -38,6 +38,24 @@ MUTANTS = {
         CODES, "astype(self.algebra.ring.dtype) << self.k", "astype(self.algebra.ring.dtype)",
         [T + "test_residue_weight_is_the_walked_weight", T + "test_quotient_walk_is_the_ring_walk",
          T + "test_mixed_k_sum_is_the_reference_walk"]),
+    "check-accepts-on-label-alone": (
+        CODES, "if rec is not None and (rec.element is c.element or rec.element == c.element):",
+        "if rec is not None:",
+        [T + "test_forged_components_raise[one coefficient changed-not a member]",
+         T + "test_forged_components_raise[non-idempotent under a registered label-not a member]",
+         T + "test_forged_components_raise[same bytes in another algebra-not a member]",
+         T + "test_member_sum_under_member_label_raises",
+         T + "test_warm_label_is_still_certified[one coefficient changed-not a member]"]),
+    "check-accepts-sum-of-split-members": (  # e (e + e') = e: the sum holds its label's member
+        CODES, "or rec.element == c.element)", "or rec.element * c.element == rec.element)",
+        [T + "test_member_sum_under_member_label_raises", T + "test_one_certificate_per_analysis"]),
+    "generator-shifted-by-k-minus-1": (
+        CODES, "(self.element.coeffs << self.k)", "(self.element.coeffs << max(self.k - 1, 0))",
+        [T + "test_generator_is_the_scalar_product", T + "test_split_walk_yields_no_codeword"]),
+    "phi-drops-prime-power": (
+        CODES, "(p - 1) * p ** (j - 1) for p, j in levels", "(p - 1) for p, j in levels",
+        [T + "test_component_dimension", T + "test_component_dimension_is_phi_over_members",
+         T + "test_closed_forms_match_per_factor_products[3^3,5^2,11^1]"]),
 }
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")

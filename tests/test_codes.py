@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgcodes import codes
-from rgcodes.arith import GroupSpec, InvariantError, block_labels
+from rgcodes.arith import GroupSpec, InvariantError, block_labels, euler_phi, is_odd_prime, validate_group
 from rgcodes.chain_ring import parse_ring
 from rgcodes.codes import (
     DEFAULT_BUDGET,
@@ -52,6 +52,52 @@ def test_component_dimension():
     spec45 = GroupSpec((3, 5), (2, 1))
     assert component_dimension(spec45, (2, 0)) == 6
     assert component_dimension(spec45, (2, 1)) == 12
+
+
+def _valid_groups(limit):
+    """Every group of order at most limit that passes validate_group, its
+    primes ascending."""
+    primes = [p for p in range(3, limit + 1, 2) if is_odd_prime(p)]
+
+    def grow(start, order, factors):
+        if factors:
+            spec = GroupSpec(*zip(*factors))
+            if validate_group(spec).ok:
+                yield spec
+        for i in range(start, len(primes)):
+            q, e = primes[i], 1
+            while order * q <= limit:
+                yield from grow(i + 1, order * q, factors + [(primes[i], e)])
+                q, e = q * primes[i], e + 1
+
+    return list(grow(0, 1, []))
+
+
+def test_component_dimension_is_phi_over_members():
+    """component_dimension, formed from the block's own primes, is its old
+    definition euler_phi(D) // 2^max(l - 1, 0) for every block of every
+    valid group with n <= 5000."""
+    groups = _valid_groups(5000)
+    assert len(groups) == 590
+    for spec in groups:
+        for block in block_labels(spec):
+            powers = [p**j for p, j in zip(spec.primes, block) if j > 0]
+            want = euler_phi(math.prod(powers)) // (1 << max(len(powers) - 1, 0))
+            assert component_dimension(spec, block) == want, (spec, block)
+
+
+@pytest.mark.parametrize("ring_name", ["z2", "z4", "z8", "z256", "z65536", "f2u2", "f2u3", "f2u16"])
+def test_generator_is_the_scalar_product(ring_name):
+    """The generator, each payload shifted up by k, is its old definition,
+    e times the ring scalar s^k, for every member and every 0 <= k <= t.
+    At k = t = 8 and 16 the shift is the payload dtype's width, where <<
+    gives 0, and s^t e is the zero element."""
+    ring = parse_ring(ring_name)
+    for rec in primitive_family(C15, ring):
+        for k in range(ring.t + 1):
+            gen = CodeComponent(rec.element, rec.block, rec.split, k).generator
+            assert gen == rec.element.scalar_mul(ring.s_pow_payload(k)), (rec.block, rec.split, k)
+        assert gen.is_zero()
 
 
 def test_code_size_formula():
@@ -445,6 +491,46 @@ def test_lookup_sound_after_cache_clear():
     assert products == [0]
     with pytest.raises(ValueError, match="family member"):
         check_components(alg, [CodeComponent(after[0].element, before[1].block, None, 0)])
+
+
+@pytest.mark.parametrize("spec,ring_name", [
+    (C15, "z4"), (GroupSpec((3, 5), (2, 1)), "f2u3"), (GroupSpec((3, 5, 11), (1, 1, 1)), "z2"),
+], ids=str)
+def test_family_member_is_the_labelled_record(spec, ring_name):
+    """family_member, one lookup in the family's label index, returns what its
+    old definition, a scan of the family, returns: the record itself for
+    every label, as a tuple or a list, and None for a label of no member."""
+    ring = parse_ring(ring_name)
+    family = primitive_family(spec, ring)
+
+    def scan(block, split):
+        return next((r for r in family if r.block == tuple(block) and r.split == split), None)
+
+    for rec in family:
+        assert family_member(spec, ring, rec.block, rec.split) is rec
+        assert family_member(spec, ring, list(rec.block), rec.split) is rec
+    splits = {r.split for r in family} | {"(0)", "(9)", "1"}
+    outside = [(1,) * (spec.r + 1), (spec.exponents[0] + 1,) + (0,) * (spec.r - 1)]
+    for block in [*block_labels(spec), *outside]:
+        for split in splits:
+            assert family_member(spec, ring, block, split) is scan(block, split), (block, split)
+    split_block = next(r.block for r in family if r.split is not None)
+    unknown = [((0,) * spec.r, "(1)"), (split_block, None), (split_block, "(9)")]
+    unknown += [(block, None) for block in outside]
+    for block, split in unknown:
+        assert family_member(spec, ring, block, split) is None
+
+
+def test_equal_copy_of_member_is_certified():
+    """check_components passes a member's own element by identity, and an
+    equal copy, another object, by equality; neither forms a product."""
+    alg = GroupAlgebra(Z4, C15)
+    with _products_in_check() as products:
+        for rec in primitive_family(C15, Z4):
+            copy = alg.element(rec.element.coeffs.copy())
+            assert copy is not rec.element and copy == rec.element
+            codes.check_components(alg, [CodeComponent(copy, rec.block, rec.split, 0)])
+    assert products == [0]
 
 
 def test_budget_gate():
