@@ -8,12 +8,11 @@ for components whose block has at most one nonzero index, and
 lower/upper bounds otherwise, all through one per-component path
 (_weigh).  Each closed form is a function of the block's l nonzero
 indices and their primes p_i and levels j_i alone, D = prod_i p_i^j_i
-(_block_order) and phi(D) among them, so none factors an integer.  Each
-component forms its generator s^k e once, by shifting its payloads k
-bits up (CodeComponent.generator).  analyze_code checks a code's premise
-once (check_components) and alone decides the walks.  The premise is a
-fact about the family: primitive_family certifies each family once, so a
-code is valid exactly when each component is the member its label names
+(_block_order) and phi(D) among them, so none factors an integer.
+analyze_code checks a code's premise once (check_components) and alone
+decides the walks.  The premise is a fact about the family:
+primitive_family certifies each family once, so a code is valid exactly
+when each component is the member its label names
 (idempotents.family_member, one lookup in the family's label index) and
 no label repeats, which needs no product.
 It weighs every code as a direct sum, one component being a sum of one:
@@ -26,19 +25,23 @@ its generator: the products s^k (1 - g_1)...(1 - g_l) hat(H) are nonzero
 in the components of all its block's members, so are words of none (see
 weight_probes).
 
-One member fact is formed once per process, as every code is a direct
-sum of members: the walk of <s^k e> with its weighed minimum
-(_member_walk).  The residue code's weight does not depend on k, and is
-the walk's at k = t - 1 (residue_weight).  A walk is keyed by the
-algebra, the label, k and the member's payload bytes, so an entry is a
-pure function of its key, sound after primitive_family.cache_clear() and
-whether or not check_components ran; its size checks run once, when it
-is formed.  The step a_i^(p^j) - a_i^(p^(j-1)) of a single-index
-block's second probe is formed once per algebra, i and j (_probe_step).
-Every call still forms the certificate (check_components: a label
-lookup, and an equality test unless the component holds the member's
-own element), each probe's product with s^k e and its weight, and a
-sum's concatenated generator list and weighing.
+Every code is a direct sum of members, and each member fact is formed
+once per process, on one record per member and k (_member): the
+generator s^k e, its payloads shifted k bits up; the size formula; the
+closed form or, for a split member, the lower bound; the step
+a_i^(p^j) - a_i^(p^(j-1)) of a single-index block's second probe; and,
+for a member that is walked, the walk of <s^k e> with its weighed
+minimum.  The residue code's weight does not depend on k, and is the
+walk of the record at k = t - 1 (residue_weight).  A record is keyed by
+the algebra, the label, k and the member's payload bytes, so it is a
+pure function of its key, sound after any cache_clear and whether or not
+check_components ran; a walk's size checks run once, when it is formed.
+A component finds its record once, by one bytes key
+(CodeComponent.member).  Every call still forms the certificate
+(check_components: a label lookup, and an equality test unless the
+component holds the member's own element), each probe's product with
+s^k e and its weight, and a sum's concatenated generator list and
+weighing.
 
 Enumeration is the independent check.  One primitive closes every walk:
 _walk finds the R-span of one element's translates by additive closure,
@@ -103,12 +106,15 @@ class CodeComponent:
             raise ValueError(f"need 0 <= k <= {t}, got k={self.k}")
 
     @cached_property
+    def member(self) -> _Member:
+        """The record of this component's member at its k (_member), found once."""
+        return _member(self.element.algebra, tuple(self.block), self.split, self.k,
+                       self.element.coeffs.tobytes())
+
+    @property
     def generator(self) -> AlgebraElem:
-        """s^k e, the generator of the code: s^k is the payload bit 1 << k in
-        both ring families (ChainRing.s_pow_payload), so s^k e shifts each
-        payload up by k and drops the bits at t and above."""
-        ring = self.element.algebra.ring
-        return AlgebraElem(self.element.algebra, (self.element.coeffs << self.k) & ring.mask)
+        """s^k e, the generator of the code."""
+        return self.member.generator
 
     def label_dict(self):
         return {"block": list(self.block), "split": self.split, "k": self.k}
@@ -167,10 +173,7 @@ def code_size_formula(spec: GroupSpec, ring: ChainRing, block, k: int) -> int:
 
 
 def code_size(alg: GroupAlgebra, components) -> int:
-    out = 1
-    for c in components:
-        out *= code_size_formula(alg.group, alg.ring, c.block, c.k)
-    return out
+    return math.prod(c.member.size for c in components)
 
 
 # -- enumeration ------------------------------------------------------
@@ -191,7 +194,7 @@ class CodewordSet:
     block h is the low table of the subset sums of g_0, ..., g_(a-1) plus
     the sum of g_(a+i) over the set bits i of h.  rows decodes every word,
     and min_nonzero its witness, into algebra, the code's own, by << k.
-    A member's set is shared by every code that holds it (_member_walk):
+    A member's set is shared by every code that holds it (_Member.walk):
     its minimum is weighed once, and a (low_bits) reads _BLOCK_BYTES when
     blocks are formed, not when the set was made.
     """
@@ -392,27 +395,74 @@ def _walk(alg: GroupAlgebra, x: AlgebraElem, want: int, label) -> np.ndarray:
     return gens
 
 
+class _Member:
+    """The facts of one member e of alg at one k, each formed once (_member).
+
+    generator is s^k e: s^k is the payload bit 1 << k in both ring families
+    (ChainRing.s_pow_payload), so each payload is shifted up by k and the
+    bits at t and above dropped.  size is the size formula of <s^k e> and
+    exact its closed form, None for a split member, whose lower bound is
+    lower.  step is a_i^(p^j) - a_i^(p^(j-1)) for a block whose one nonzero
+    index i is at level j, else None (weight_probes).  walk is the set of
+    <s^k e> (CodewordSet): for k < t the walk (_walk) of e mod s^(t-k) in
+    (R/s^(t-k))G, for k = t the zero code's, with no generator, in alg.
+    lower, step and walk are formed when first read, and a walk that raises
+    is not kept.  residue is the record at k = t - 1.
+    """
+
+    def __init__(self, alg: GroupAlgebra, block: tuple, split, k: int, element: bytes):
+        self.algebra, self.block, self.split, self.k, self.element = alg, block, split, k, element
+        ring = alg.ring
+        self.generator = AlgebraElem(alg, (np.frombuffer(element, dtype=ring.dtype) << k) & ring.mask)
+        self.size = code_size_formula(alg.group, ring, block, k)
+        self.exact = min_weight_formula(alg.group, block)
+
+    @cached_property
+    def lower(self) -> int:
+        return min_weight_lower_bound(self.algebra.group, self.block, self.split)
+
+    @cached_property
+    def step(self) -> AlgebraElem | None:
+        alg = self.algebra
+        nonzero = [i for i, j in enumerate(self.block) if j > 0]
+        if len(nonzero) != 1:
+            return None
+        (i,) = nonzero
+        p, j = alg.group.primes[i], self.block[i]
+        return alg.generator_power(i, p**j) - alg.generator_power(i, p ** (j - 1))
+
+    @cached_property
+    def walk(self) -> CodewordSet:
+        alg, k = self.algebra, self.k
+        if k == alg.ring.t:
+            return CodewordSet(alg, _zero_words(alg, 0))
+        q = _quotient(alg, k)
+        e = AlgebraElem(q, np.frombuffer(self.element, dtype=alg.ring.dtype) & q.ring.mask)
+        label = {"block": list(self.block), "split": self.split, "k": k}
+        return CodewordSet(alg, _walk(q, e, self.size, label), k)
+
+    @cached_property
+    def _residue(self) -> _Member:
+        return _member(self.algebra, self.block, self.split, self.algebra.ring.t - 1, self.element)
+
+    @property
+    def residue(self) -> _Member:
+        # a record does not hold itself, so dropping the cache frees it
+        return self if self.k == self.algebra.ring.t - 1 else self._residue
+
+
 @lru_cache(maxsize=None)
-def _member_walk(alg: GroupAlgebra, block: tuple, split, k: int, element: bytes) -> CodewordSet:
-    """The set of <s^k e> for the e of alg with these payload bytes, formed
-    once per process: for k < t the walk (_walk) of e mod s^(t-k) in
-    (R/s^(t-k))G (CodewordSet), for k = t the zero code's, with no
-    generator, in alg.  Its words are a function of alg, e and k, and its
-    size checks of the label, so with all of them in the key an entry is
-    sound whatever else is cached or cleared.  A walk that raises leaves
-    no entry."""
-    if k == alg.ring.t:
-        return CodewordSet(alg, _zero_words(alg, 0))
-    q = _quotient(alg, k)
-    e = AlgebraElem(q, np.frombuffer(element, dtype=alg.ring.dtype) & q.ring.mask)
-    want = code_size_formula(alg.group, alg.ring, block, k)
-    return CodewordSet(alg, _walk(q, e, want, {"block": list(block), "split": split, "k": k}), k)
+def _member(alg: GroupAlgebra, block: tuple, split, k: int, element: bytes) -> _Member:
+    """The record of alg's member with these payload bytes at k, formed once
+    per process: its facts are functions of its key, so an entry is sound
+    whatever else is cached or cleared."""
+    return _Member(alg, block, split, k, element)
 
 
 def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) -> CodewordSet:
     """The direct sum of the components' codes, from their walks' generator lists.
 
-    Each member's walk (_member_walk) gives its generator list, and the
+    Each member's walk (_Member.walk) gives its generator list, and the
     sum's is theirs in turn, the first member in the low bits, in the
     quotient of the least k among the members with a generator: a
     member's planes are raised by its own k less that one.  With
@@ -427,8 +477,7 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
     predicted = code_size(alg, components)
     if predicted > budget:
         raise BudgetExceeded(predicted, budget)
-    walks = [_member_walk(alg, tuple(c.block), c.split, c.k, c.element.coeffs.tobytes())
-             for c in components]
+    walks = [c.member.walk for c in components]
     if len(walks) == 1:
         return walks[0]
     live = [w for w in walks if len(w.gens)]  # none from the zero code at k = t
@@ -444,10 +493,9 @@ def residue_weight(alg: GroupAlgebra, comp: CodeComponent):
     """(weight, word) first lightest in <s^(t-1) e> = s^(t-1) RGe, which is
     F2G e', e' = e mod s: for k < t the minimum weight of <s^k e>, as
     s^(t-1-k) <s^k e> = s^(t-1) RGe (Norton and Salagean 2000).  It does not
-    depend on k, so it is the member's walk at k = t - 1 (_member_walk),
-    shared with every code that holds the member at that k."""
-    return _member_walk(alg, tuple(comp.block), comp.split, alg.ring.t - 1,
-                        comp.element.coeffs.tobytes()).minimum
+    depend on k, so it is the walk of the member's record at k = t - 1
+    (_Member.residue), shared with every code that holds the member at that k."""
+    return comp.member.residue.walk.minimum
 
 
 # -- closed forms and bounds ------------------------------------------
@@ -491,26 +539,13 @@ def weight_probes(alg: GroupAlgebra, comp: CodeComponent):
     nonzero in RGe' for all 2^(l-1) >= 2 members e', while a word of
     <s^k e> vanishes in every other member's component.
     """
-    out = []
-    gen = comp.generator
-    if not gen.is_zero():
-        out.append(gen)
-
-    nonzero = [i for i, j in enumerate(comp.block) if j > 0]
-    if len(nonzero) == 1:
-        (i1,) = nonzero
-        probe = _probe_step(alg, i1, comp.block[i1]) * gen
+    rec = comp.member
+    out = [] if rec.generator.is_zero() else [rec.generator]
+    if rec.step is not None:  # formed on every call, as is each probe's weight
+        probe = rec.step * rec.generator
         if not probe.is_zero():
             out.append(probe)
     return out
-
-
-@lru_cache(maxsize=None)
-def _probe_step(alg: GroupAlgebra, i: int, j: int) -> AlgebraElem:
-    """a_i^(p^j) - a_i^(p^(j-1)), p = p_i, the factor of weight_probes'
-    second probe; formed once per algebra, i and j."""
-    p = alg.group.primes[i]
-    return alg.generator_power(i, p**j) - alg.generator_power(i, p ** (j - 1))
 
 
 def min_weight_upper_bound(alg: GroupAlgebra, comp: CodeComponent):
@@ -561,18 +596,17 @@ def _weigh(alg: GroupAlgebra, comp: CodeComponent, got):
     it must equal the closed form or lie between the lower bound and the
     lightest probe.
     """
-    spec = alg.group
     best = min_weight_upper_bound(alg, comp)
     if best is None:  # s^k e != 0 for k < t whenever e != 0
         raise InvariantError("a live component has a zero generator")
-    formula = min_weight_formula(spec, comp.block)
+    formula = comp.member.exact
     if formula is not None:
         if best[0] != formula:
             raise InvariantError("no probe attains the formula")
         if got is not None and got[0] != formula:
             raise InvariantError("enumeration disagrees with formula")
         return formula, None, best
-    lower = min_weight_lower_bound(spec, comp.block, comp.split)
+    lower = comp.member.lower
     if got is None:
         return (lower if best[0] == lower else None), lower, best
     if got[0] < lower:
@@ -591,10 +625,10 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
     over budget only under the gate of the R-walk it replaced, as a wider
     one would change the reports.  Every code is weighed as a direct sum;
     a single component is a sum of one, whose weight facts are the code's.
-    Member walks and their weighed minima, a residue weight among them,
-    are formed once per process (see the module docstring); the
-    certificate, a sum's weighing and the probes' products are formed on
-    every call.
+    Member facts, walks and their weighed minima among them, are formed
+    once per process on the members' records (see the module docstring);
+    the certificate, a sum's weighing and the probes' products are formed
+    on every call.
     """
     check_components(alg, components)
     ring, size = alg.ring, code_size(alg, components)
@@ -607,8 +641,8 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
         got = words.minimum
         own = [got] if len(components) == 1 else [residue_weight(alg, c) for c in live]
     else:
-        own = [residue_weight(alg, c) if min_weight_formula(alg.group, c.block) is None
-               and code_size(alg, [c]) <= budget else None for c in live]
+        own = [residue_weight(alg, c) if c.member.exact is None and c.member.size <= budget
+               else None for c in live]
         got = None
     parts = [_weigh(alg, c, g) for c, g in zip(live, own)]
     if not parts:

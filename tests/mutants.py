@@ -50,12 +50,28 @@ MUTANTS = {
         CODES, "or rec.element == c.element)", "or rec.element * c.element == rec.element)",
         [T + "test_member_sum_under_member_label_raises", T + "test_one_certificate_per_analysis"]),
     "generator-shifted-by-k-minus-1": (
-        CODES, "(self.element.coeffs << self.k)", "(self.element.coeffs << max(self.k - 1, 0))",
-        [T + "test_generator_is_the_scalar_product", T + "test_split_walk_yields_no_codeword"]),
+        CODES, "<< k) & ring.mask", "<< max(k - 1, 0)) & ring.mask",
+        [T + "test_generator_is_the_scalar_product", T + "test_split_walk_yields_no_codeword",
+         T + "test_member_record_is_its_definitions"]),
     "phi-drops-prime-power": (
         CODES, "(p - 1) * p ** (j - 1) for p, j in levels", "(p - 1) for p, j in levels",
         [T + "test_component_dimension", T + "test_component_dimension_is_phi_over_members",
          T + "test_closed_forms_match_per_factor_products[3^3,5^2,11^1]"]),
+    "record-key-drops-k": (  # every component reads its member's record at k = 0
+        CODES, "tuple(self.block), self.split, self.k,", "tuple(self.block), self.split, 0,",
+        [T + "test_warm_reports_are_cold_reports", T + "test_cold_records_report_as_warm_ones",
+         "tests/test_cli.py::test_frozen_cli_digests"]),
+    "probe-product-held-on-record": (  # a warm call forms no product
+        CODES, "probe = rec.step * rec.generator",
+        'probe = rec.__dict__.get("probe") or rec.__dict__.setdefault("probe", rec.step * rec.generator)',
+        [T + "test_warm_analysis_forms_one_product"]),
+    "fft-rounding-guard-disabled": (
+        "src/rgcodes/group_algebra.py", "if err >= 0.25:", "if False:",
+        ["tests/test_group_algebra.py::test_fft_rounding_guard"]),
+    "family-checks-drops-count-flag": (
+        "src/rgcodes/idempotents.py", '"sum_to_one", "count_matches_formula")', '"sum_to_one")',
+        ["tests/test_cli.py::test_false_certificate_flag_exit_4",
+         "tests/test_idempotents.py::test_verify_family_flags_non_adjacent_overlap"]),
 }
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")

@@ -333,9 +333,9 @@ def test_halved_member_formula_names_member(monkeypatch):
     alg = GroupAlgebra(Z4, C15)
     formula = codes.code_size_formula
     for k in (0, 1):
-        comps = [_component(C15, Z4, (0, 1), None, k), _component(C15, Z4, (1, 0), None, k)]
         for scale, match in [(0.5, "closure outgrows"), (2, r"\d+ words walked")]:
-            codes._member_walk.cache_clear()
+            codes._member.cache_clear()  # and fresh components: each holds its record
+            comps = [_component(C15, Z4, (0, 1), None, k), _component(C15, Z4, (1, 0), None, k)]
             monkeypatch.setattr(codes, "code_size_formula", lambda spec, ring, block, j: int(
                 formula(spec, ring, block, j) * (scale if tuple(block) == (1, 0) else 1)))
             for order in (comps, comps[::-1], comps[1:]):
@@ -571,17 +571,20 @@ def test_empty_sum_is_the_zero_code():
 
 
 def test_member_walk_holds_no_reference_cycle():
-    """One member's walk is freed as its last reference, the member cache's,
-    goes, with the cyclic collector off."""
-    comp = _component(C15, Z4, (0, 1), None, 0)
+    """One member's record and walk are freed as their last references, the
+    component's and the member cache's, go, with the cyclic collector off;
+    also a record at k = t - 1, which is its own residue record."""
     gc.disable()
     try:
-        words = enumerate_codewords(GroupAlgebra(Z4, C15), [comp])
-        ref = weakref.ref(words)
-        del words
-        assert ref() is not None  # shared with every code that holds the member
-        codes._member_walk.cache_clear()
-        assert ref() is None
+        for k in (0, 1):
+            comp = _component(C15, Z4, (0, 1), None, k)
+            words = enumerate_codewords(GroupAlgebra(Z4, C15), [comp])
+            assert comp.member.residue.walk.minimum is not None
+            refs = [weakref.ref(words), weakref.ref(comp.member)]
+            del words, comp
+            assert all(ref() is not None for ref in refs)  # shared with every code that holds it
+            codes._member.cache_clear()
+            assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
 
@@ -966,7 +969,7 @@ def test_walk_transient_bytes_are_bounded(ring_name):
     translates' residues (t n payloads each, at most 64 KB), and no word:
     the 2^16 words of a t = 16 ring at n = 15 (2 MB as planes) peak less
     than five times those holdings above the same member's 2-word walk at
-    k = t - 1, in (R/s)G as _member_walk walks it, which measures numpy's
+    k = t - 1, in (R/s)G as _Member.walk walks it, which measures numpy's
     and Python's fixed overhead."""
     ring = parse_ring(ring_name)
     alg, n, item = GroupAlgebra(ring, C15), C15.n, np.dtype(ring.dtype).itemsize
@@ -1053,15 +1056,16 @@ def test_weigh_rejects_walked_weight(block, split, got, match):
 
 
 def _clear_member_caches():
-    codes._member_walk.cache_clear()
+    codes._member.cache_clear()
 
 
 def test_member_facts_formed_once(monkeypatch):
     """A code analysed twice, then codes sharing its members at other k:
-    each (member, k) is walked once, a residue code being the member's walk
-    at k = t - 1 (here 1), whether a code or a residue weight formed it
-    first, and every report equals the one a cold analysis makes."""
-    walked = []  # each walk's label, at the k of _member_walk's key
+    each (member, k) has one record and is walked once, a residue code
+    being the walk of the member's record at k = t - 1 (here 1), whether a
+    code or a residue weight formed it first, and every report equals the
+    one a cold analysis makes."""
+    walked = []  # each walk's label, at the k of its record's key
     walk = codes._walk
     monkeypatch.setattr(codes, "_walk", lambda alg, x, want, label: walked.append(
         (tuple(label["block"]), label["split"], label["k"])) or walk(alg, x, want, label))
@@ -1078,14 +1082,62 @@ def test_member_facts_formed_once(monkeypatch):
         ((1, 1), "(1)", 0), ((0, 1), None, 1),  # the third sum; third's residue is its walk
         ((0, 1), None, 0),  # the fourth sum
     ]
-    info = codes._member_walk.cache_info()
-    assert (info.misses, info.hits) == (6, 10)  # each code looks up two walks and two residues
+    info = codes._member.cache_info()
+    # a component finds its record once, a record its residue record once:
+    # the third and fourth codes find the residues (1,1)(1) and (0,1) at k = 1
+    # formed, and the fourth its (1,0) at k = 1, the first code's residue
+    assert (info.misses, info.hits) == (6, 3)
     assert warm[0] == warm[1]
     cold = []
     for comps in codes_in_turn:
         _clear_member_caches()
         cold.append(analyze_code(alg, comps).to_json_dict())
     assert cold == warm
+
+
+RECORD_RINGS = ("z2", "z4", "z8", "z65536", "f2u2", "f2u3", "f2u16")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([C15, GroupSpec((3, 5), (2, 1))]), st.sampled_from(RECORD_RINGS))
+def test_member_record_is_its_definitions(spec, ring_name):
+    """Every member's record at every 0 <= k <= t holds its facts'
+    definitions: e times the ring scalar s^k, the size formula, the closed
+    form or, for a split member, the lower bound, and for a block whose one
+    nonzero index i is at level j the step a_i^(p^j) - a_i^(p^(j-1))."""
+    ring = parse_ring(ring_name)
+    alg = GroupAlgebra(ring, spec)
+    for rec in primitive_family(spec, ring):
+        nonzero = [i for i, j in enumerate(rec.block) if j > 0]
+        step = None
+        if len(nonzero) == 1:
+            (i,) = nonzero
+            p, j = spec.primes[i], rec.block[i]
+            step = alg.generator_power(i, p**j) - alg.generator_power(i, p ** (j - 1))
+        for k in range(ring.t + 1):
+            member = CodeComponent(rec.element, rec.block, rec.split, k).member
+            label = (rec.block, rec.split, k)
+            assert member.generator == rec.element.scalar_mul(ring.s_pow_payload(k)), label
+            assert member.size == code_size_formula(spec, ring, rec.block, k), label
+            assert member.exact == min_weight_formula(spec, rec.block), label
+            if rec.split is not None:
+                assert member.lower == min_weight_lower_bound(spec, rec.block, rec.split), label
+            assert (member.step is None) if step is None else (member.step == step), label
+
+
+def test_warm_analysis_forms_one_product():
+    """A warm analysis of a single-index live member forms one RG product,
+    in and over budget: its second probe, step * s^k e, whose step is on the
+    member's record and whose product is formed on every call."""
+    alg, rec = GroupAlgebra(Z4, C15), family_member(C15, Z4, (0, 1), None)
+    products, mul = [], AlgebraElem.__mul__
+    for budget in (DEFAULT_BUDGET, 100):  # 256 words
+        analyze_code(alg, [CodeComponent(rec.element, rec.block, rec.split, 0)], budget)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(AlgebraElem, "__mul__", lambda a, b: products.append(budget) or mul(a, b))
+            rep = analyze_code(alg, [CodeComponent(rec.element, rec.block, rec.split, 0)], budget)
+        assert rep.min_weight == 6 and rep.upper_bound is None
+    assert products == [DEFAULT_BUDGET, 100]
 
 
 def _bench_workloads():
@@ -1122,23 +1174,42 @@ def test_warm_reports_are_cold_reports(ring_name, data):
     assert WORKLOADS.report_digest(warm) == SWEEP_REFERENCE[WORKLOADS.code_key(code)]
 
 
+def test_cold_records_report_as_warm_ones():
+    """200 sweep-pool codes, drawn by a seed of their own, are reported alike
+    with the record cache cleared before each analysis and with every
+    record warm, and with the digests frozen in bench/reference.json."""
+    families = WORKLOADS.build_families()
+    drawn = WORKLOADS.draw_codes(3301, families)[:200]
+    cold = []
+    for code in drawn:
+        _clear_member_caches()
+        cold.append(WORKLOADS.analyze(families, code))
+    for code in drawn:
+        WORKLOADS.analyze(families, code)
+    warm = [WORKLOADS.analyze(families, code) for code in drawn]
+    assert [r.to_json_dict() for r in cold] == [r.to_json_dict() for r in warm]
+    for code, rep in zip(drawn, warm):
+        assert WORKLOADS.report_digest(rep) == SWEEP_REFERENCE[WORKLOADS.code_key(code)]
+
+
 @pytest.mark.parametrize("case,match", [
     ("one coefficient changed", "not a member"),
     ("non-idempotent under a registered label", "not a member"),
     ("registered element under another split", "is the family member"),
 ])
 def test_warm_label_is_still_certified(case, match):
-    """With the walks of the split members of block (1,1) at k = 0 and their
-    residue walks at k = 1 already formed, a component forged under one of
-    their labels is still refused by check_components, and forms no walk."""
+    """With the records and walks of the split members of block (1,1) at
+    k = 0 and their residue walks at k = 1 already formed, a component
+    forged under one of their labels is still refused by check_components,
+    and forms no record."""
     alg = GroupAlgebra(Z4, C15)
     one, two = _component(C15, Z4, (1, 1), "(1)", 0), _component(C15, Z4, (1, 1), "(2)", 0)
     for comps in ([one], [two], [one, two]):
         analyze_code(alg, comps)
-    walks = codes._member_walk.cache_info()
-    assert walks.currsize == 4
+    records = codes._member.cache_info()
+    assert records.currsize == 4
     forged_alg, forged = _forged(case)
     with pytest.raises(ValueError, match=match) as exc:
         analyze_code(forged_alg, forged)
     assert exc.traceback[-1].name == "check_components"
-    assert codes._member_walk.cache_info() == walks
+    assert codes._member.cache_info() == records
