@@ -12,8 +12,11 @@ of u^i) for the polynomial family.  All ring arithmetic is on payloads:
 the ChainRing handle has scalar ops, which tests use as the reference,
 and vectorised variants on numpy arrays, so group-algebra code stays in
 numpy throughout.  Payload arrays also have a bit-plane form (to_planes,
-from_planes), in which addition is XOR for F2[u]/(u^t) and a ripple-carry
-adder for Z/2^t (add_planes); codeword enumeration stores words that way.
+from_planes): the plane axis first, then the words, then 64-bit lanes,
+so that each plane of a block of words is one contiguous run of machine
+words.  There addition is XOR for F2[u]/(u^t) and a ripple-carry adder
+over the planes for Z/2^t (add_planes); codeword enumeration stores
+words that way.
 A ring scalar is its payload wherever the package takes one
 (AlgebraElem.scalar_mul); from_int gives an integer's image and
 s_pow_payload the power s^k (the payload 1 << k, 0 at k = t).  In
@@ -140,8 +143,9 @@ class ChainRing:
         return A ^ B
 
     # -- bit-planes ----------------------------------------------------
-    # A payload array of shape (..., n) as planes of shape (..., t, ceil(n/8))
-    # uint8: plane i packs bit i of every coefficient, eight to a byte.
+    # A payload array of shape (..., n) as planes of shape (t, ..., L) uint64,
+    # L = ceil(n/64): plane i packs bit i of every coefficient, coefficient j
+    # at bit j % 64 of lane j // 64, and the bits past n are 0.
 
     @cached_property
     def _plane_bits(self):
@@ -151,24 +155,31 @@ class ChainRing:
         return bits
 
     def to_planes(self, A):
-        # packbits packs every nonzero entry as a set bit
-        return np.packbits(A[..., None, :] & self._plane_bits[:, None], axis=-1)
+        n = A.shape[-1]
+        bits = (A[..., None, :] & self._plane_bits[:, None]) != 0
+        bits = np.concatenate([bits, np.zeros(bits.shape[:-1] + (-n % 64,), dtype=bool)], axis=-1)
+        lanes = np.packbits(bits, axis=-1, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+        d = lanes.ndim  # the plane axis, second to last, to the front
+        return np.ascontiguousarray(lanes.transpose(d - 2, *range(d - 2), d - 1))
 
     def from_planes(self, P, n: int):
-        bits = np.unpackbits(P, axis=-1, count=n)
+        d = P.ndim  # the plane axis back to second to last
+        lanes = np.ascontiguousarray(P.transpose(*range(1, d - 1), 0, d - 1), dtype="<u8")
+        bits = np.unpackbits(lanes.view(np.uint8), axis=-1, count=n, bitorder="little")
         return np.einsum("...ij,i->...j", bits, self._plane_bits)
 
     def add_planes(self, A, B, out=None):
-        """add_arr on bit-planes; out must not overlap A or B."""
+        """add_arr on bit-planes, the plane axis leading; out must not
+        overlap A or B."""
         out = np.bitwise_xor(A, B, out=out)
         if self.family == FAMILY_INT:
             # ripple carry: the carry out of plane i is the majority of its
             # two bits and the carry into it, and the last one is dropped
             carry = None
             for i in range(self.t - 1):
-                a, b = A[..., i, :], B[..., i, :]
+                a, b = A[i], B[i]
                 carry = a & b if carry is None else a & b | carry & (a | b)
-                out[..., i + 1, :] ^= carry
+                out[i + 1] ^= carry
         return out
 
     def mul_arr(self, A, B):

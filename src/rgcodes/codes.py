@@ -56,11 +56,17 @@ sum's generator list is its members' lists in turn, as RG is the direct
 sum of its ideals RGe.
 Every word is still formed and weighed, a block at a time (CodewordSet),
 so the bytes held are a few blocks of _BLOCK_BYTES, whatever the word
-count.  A word is the t - k bit-planes of its quotient (plane i packs
-bit i of every coefficient; 21 bytes for <s e> over z4 at n = 165, one
-plane added by XOR at k = t - 1), so adding a generator is plane
-arithmetic (ChainRing.add_planes) and a weight is the popcount of the OR
-of the planes.  Past an up-front budget gate and each walk's own size
+count.  A word is the t - k bit-planes of its quotient, plane i packing
+bit i of every coefficient into ceil(n/64) 64-bit lanes, and a block of
+words is stored plane first, shape (t - k, words, lanes), so each plane
+of a block is one contiguous run of machine words (24 bytes a word for
+<s e> over z4 at n = 165, one plane added by XOR at k = t - 1).  Adding
+a generator to a block is plane arithmetic over whole planes
+(ChainRing.add_planes), and a weight is one OR-reduce over the plane
+axis, a popcount per lane and a sum over the lanes.  An in-budget
+direct sum's walked weight is at most each member's probes and exact
+weight, all weights of its nonzero words (analyze_code).  Past an
+up-front budget gate and each walk's own size
 checks, nothing in the enumeration consults the count or weight
 formulas, so agreement between the two is evidence, not construction.
 """
@@ -186,12 +192,14 @@ class CodewordSet:
     algebra (R/s^(t-k))G (_quotient), as the map x -> s^k x, on payloads
     x << k, takes M mod s^(t-k) onto it one to one and support for
     support.  gens holds the generators g_0, g_1, ... there as bit-planes,
-    shape (m, t - k, ceil(n/8)) (ChainRing.to_planes), and row r of the code
-    is the sum of g_i over the set bits i of r: 2^m words, in the order the
-    walk finds them (_walk).  No row store is kept.  The rows are formed in
-    blocks (_blocks) of 2^a rows, a (low_bits) the most generators, up to
-    all, whose subset sums fit _BLOCK_BYTES with one intp weight each:
-    block h is the low table of the subset sums of g_0, ..., g_(a-1) plus
+    plane first: shape (t - k, m, ceil(n/64)) uint64 (ChainRing.to_planes),
+    and row r of the code is the sum of g_i over the set bits i of r: 2^m
+    words, in the order the walk finds them (_walk).  No row store is kept.
+    The rows are formed in blocks (_blocks) of 2^a rows, shape
+    (t - k, 2^a, ceil(n/64)), a (low_bits) the most generators, up to all,
+    for which a block fits _BLOCK_BYTES with every byte a weighed row holds:
+    its lanes, their OR, its popcounts and its intp weight.
+    Block h is the low table of the subset sums of g_0, ..., g_(a-1) plus
     the sum of g_(a+i) over the set bits i of h.  rows decodes every word,
     and min_nonzero its witness, into algebra, the code's own, by << k.
     A member's set is shared by every code that holds it (_Member.walk):
@@ -205,12 +213,14 @@ class CodewordSet:
         self.gens = gens
 
     def __len__(self):
-        return 1 << len(self.gens)
+        return 1 << self.gens.shape[1]
 
     @property
     def low_bits(self) -> int:
-        fit = _BLOCK_BYTES // (math.prod(self.gens.shape[1:]) + np.dtype(np.intp).itemsize)
-        return min(len(self.gens), max(fit.bit_length() - 1, 0))
+        planes, m, lanes = self.gens.shape
+        # a weighed row: its planes' lanes, their OR, its popcounts and its intp weight
+        row = (planes + 1) * lanes * 8 + lanes + np.dtype(np.intp).itemsize
+        return min(m, max((_BLOCK_BYTES // row).bit_length() - 1, 0))
 
     def _blocks(self):
         """Yields (start, rows [start, start + 2^a) as planes) in row order.
@@ -222,18 +232,18 @@ class CodewordSet:
         ring, a = self.quotient.ring, self.low_bits
         low = _zero_words(self.quotient, 1 << a)
         for j in range(a):
-            ring.add_planes(low[: 1 << j], self.gens[j], out=low[1 << j : 2 << j])
+            ring.add_planes(low[:, : 1 << j], self.gens[:, j, None], out=low[:, 1 << j : 2 << j])
         yield 0, low
-        high = self.gens[a:]
-        if not len(high):
+        high = self.gens[:, a:]
+        if not high.shape[1]:
             return
         block = np.empty_like(low)
-        sums = _zero_words(self.quotient, len(high) + 1)  # sums[j]: g_(a+i) over the set bits i >= j of h
-        for h in range(1, 1 << len(high)):
+        sums = _zero_words(self.quotient, high.shape[1] + 1)  # sums[:, j]: g_(a+i) over the set bits i >= j of h
+        for h in range(1, 1 << high.shape[1]):
             c = (h & -h).bit_length() - 1  # from h - 1 to h, bit c is set and the bits below it clear
-            ring.add_planes(sums[c + 1], high[c], out=sums[c])
-            sums[:c] = sums[c]
-            ring.add_planes(low, sums[0], out=block)
+            ring.add_planes(sums[:, c + 1], high[:, c], out=sums[:, c])
+            sums[:, :c] = sums[:, c, None]
+            ring.add_planes(low, sums[:, 0, None], out=block)
             yield h << a, block
 
     @property
@@ -241,30 +251,26 @@ class CodewordSet:
         ring, n = self.quotient.ring, self.algebra.n
         out = np.empty((len(self), n), dtype=self.algebra.ring.dtype)
         for start, block in self._blocks():
-            out[start : start + len(block)] = ring.from_planes(block, n)
+            out[start : start + block.shape[1]] = ring.from_planes(block, n)
         out <<= self.k
         return out
 
     def min_nonzero(self):
         """(weight, word) of the first lightest nonzero word in row order;
         None for the zero code.  Each block is weighed as it is formed: a
-        weight is the popcount of the OR of the word's planes, counted in
-        8-byte lanes of a zero-padded buffer."""
-        n, best, width = self.algebra.n, None, self.gens.shape[2]
-        buf = np.zeros((1 << self.low_bits, -(-width // 8) * 8), dtype=np.uint8)
-        support = buf[:, :width]
+        weight is the popcount of the OR of the word's planes, one OR-reduce
+        over the plane axis, counted lane by lane and summed over the lanes
+        (the padding bits are 0)."""
+        n, best = self.algebra.n, None
         for _, block in self._blocks():
-            np.copyto(support, block[:, 0])
-            for j in range(1, block.shape[1]):
-                support |= block[:, j]
-            lanes = np.bitwise_count(buf.view(np.uint64))
+            lanes = np.bitwise_count(np.bitwise_or.reduce(block, axis=0))
             w = lanes[:, 0].astype(np.intp)
-            for j in range(1, lanes.shape[1]):
+            for j in range(1, lanes.shape[1]):  # a loop beats a reduce over so short an axis
                 w += lanes[:, j]
             w[w == 0] = n + 1  # the zero word; every word weighs at most n
             pos = int(np.argmin(w))
             if w[pos] <= n and (best is None or w[pos] < best[0]):
-                best = int(w[pos]), block[pos].copy()
+                best = int(w[pos]), block[:, pos].copy()
         if best is None:
             return None
         word = self.quotient.ring.from_planes(best[1], n).astype(self.algebra.ring.dtype) << self.k
@@ -343,14 +349,14 @@ class _Span:
 
 
 def _zero_words(alg: GroupAlgebra, count: int) -> np.ndarray:
-    """count zero words as bit-planes, shape (count, t, ceil(n/8))."""
-    return np.zeros((count, alg.ring.t, -(-alg.n // 8)), dtype=np.uint8)
+    """count zero words as bit-planes, shape (t, count, ceil(n/64)) uint64."""
+    return np.zeros((alg.ring.t, count, -(-alg.n // 64)), dtype=np.uint64)
 
 
 def _walk(alg: GroupAlgebra, x: AlgebraElem, want: int, label) -> np.ndarray:
     """The R-span of the translates of x in alg by additive closure from
     W = {0}, as its generator list (CodewordSet): bit-planes of shape
-    (m, t, ceil(n/8)).  want is its size formula, label names it.
+    (t, m, ceil(n/64)).  want is its size formula, label names it.
 
     For each translate b of x, in multi-index order of the group element
     (the order fixes the rows, and so the reported witness), {c : c b in W}
@@ -387,7 +393,7 @@ def _walk(alg: GroupAlgebra, x: AlgebraElem, want: int, label) -> np.ndarray:
                 raise InvariantError(f"member {label}: closure outgrows the size formula")
             span.add(res[0, fresh[0]])
             count = size.bit_length() - 1
-            gens[count : count + m] = ring.to_planes(powers[:m, n - head[0]])
+            gens[:, count : count + m] = ring.to_planes(powers[:m, n - head[0]])
             head, size = head[1:], size << m
             del res  # not held while the next pass gathers
     if size != want:
@@ -480,12 +486,13 @@ def enumerate_codewords(alg: GroupAlgebra, components, budget: int = DEFAULT_BUD
     walks = [c.member.walk for c in components]
     if len(walks) == 1:
         return walks[0]
-    live = [w for w in walks if len(w.gens)]  # none from the zero code at k = t
+    live = [w for w in walks if w.gens.shape[1]]  # none from the zero code at k = t
     k = min((w.k for w in live), default=0)
-    gens, row = _zero_words(_quotient(alg, k), sum(len(w.gens) for w in live)), 0
+    gens, row = _zero_words(_quotient(alg, k), sum(w.gens.shape[1] for w in live)), 0
     for w in live:  # x -> s^(k_i - k) x: a word of its quotient into this one
-        gens[row : row + len(w.gens), w.k - k :] = w.gens
-        row += len(w.gens)
+        m = w.gens.shape[1]
+        gens[w.k - k :, row : row + m] = w.gens
+        row += m
     return CodewordSet(alg, gens, k)
 
 
@@ -625,6 +632,9 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
     over budget only under the gate of the R-walk it replaced, as a wider
     one would change the reports.  Every code is weighed as a direct sum;
     a single component is a sum of one, whose weight facts are the code's.
+    Each member's probes and exact weight weigh nonzero words of the sum,
+    so an in-budget sum walked heavier than any of them raises
+    InvariantError.
     Member facts, walks and their weighed minima among them, are formed
     once per process on the members' records (see the module docstring);
     the certificate, a sum's weighing and the probes' products are formed
@@ -663,6 +673,10 @@ def analyze_code(alg: GroupAlgebra, components, budget: int = DEFAULT_BUDGET) ->
         if got is None:
             rep.upper_bound = lightest[0]
         else:
+            # each member's probes and exact weight weigh nonzero words of the sum
+            member = min(w for exact, _, best in parts for w in (exact, best[0]) if w is not None)
+            if got[0] > member:
+                raise InvariantError(f"the sum's walked weight {got[0]} exceeds a member word's {member}")
             rep.min_weight = got[0]
         exact = [part[0] for part in parts]
         if None not in exact:

@@ -65,6 +65,21 @@ MUTANTS = {
         CODES, "probe = rec.step * rec.generator",
         'probe = rec.__dict__.get("probe") or rec.__dict__.setdefault("probe", rec.step * rec.generator)',
         [T + "test_warm_analysis_forms_one_product"]),
+    "lane-sum-drops-last-lane": (  # a word at n = 75 spans two 64-bit lanes
+        CODES, "for j in range(1, lanes.shape[1]):", "for j in range(1, lanes.shape[1] - 1):",
+        [T + "test_row_width", T + "test_weights_count_nonzero_coefficients",
+         T + "test_streamed_minimum_matches_reference"]),
+    "weighing-stores-every-word": (
+        CODES, "for _, block in self._blocks():", "for _, block in [(h, b.copy()) for h, b in self._blocks()]:",
+        [T + "test_weighing_holds_one_block"]),
+    "member-size-formula-halved": (
+        CODES, "return 1 << ((ring.t - k) * component_dimension(spec, block))",
+        "return 1 << ((ring.t - k) * component_dimension(spec, block)) >> 1",
+        [T + "test_code_size_formula", T + "test_enumeration_matches_formula",
+         T + "test_enumeration_matches_reference"]),
+    "sum-weight-skips-member-cross-check": (
+        CODES, "if got[0] > member:", "if False:",
+        [T + "test_sum_heavier_than_a_member_word_raises"]),
     "fft-rounding-guard-disabled": (
         "src/rgcodes/group_algebra.py", "if err >= 0.25:", "if False:",
         ["tests/test_group_algebra.py::test_fft_rounding_guard"]),

@@ -200,14 +200,43 @@ def test_bit_planes_round_trip_and_add(case):
     ring, A, B = case
     n = A.shape[1]
     P = ring.to_planes(A)
-    assert P.shape == (3, ring.t, -(-n // 8)) and P.dtype == np.uint8
+    assert P.shape == (ring.t, 3, -(-n // 64)) and P.dtype == np.uint64
     assert np.array_equal(ring.from_planes(P, n), A) and ring.from_planes(P, n).dtype == ring.dtype
     got = ring.add_planes(P, ring.to_planes(B))
     assert np.array_equal(ring.from_planes(got, n), ring.add_arr(A, B))
     # one word's planes broadcast over the rows, written into a given buffer
     out = np.empty_like(P)
-    ring.add_planes(P, ring.to_planes(B[1]), out=out)
+    ring.add_planes(P, ring.to_planes(B[1])[:, None], out=out)
     assert np.array_equal(ring.from_planes(out, n), ring.add_arr(A, B[1]))
+
+
+@st.composite
+def lane_edges(draw):
+    """A ring of either family with t in {1, 2, 3, 9, 16} and two (rows, n)
+    payload arrays at the lane edges n in {1, 63, 64, 65, 75, 165}."""
+    ring = ChainRing(draw(st.sampled_from([FAMILY_INT, FAMILY_POLY])), draw(st.sampled_from([1, 2, 3, 9, 16])))
+    n = draw(st.sampled_from([1, 63, 64, 65, 75, 165]))
+    rows = hnp.arrays(ring.dtype, (draw(st.integers(1, 4)), n), elements=st.integers(0, ring.mask))
+    A, B = draw(rows), draw(rows)
+    A[0], B[0] = ring.mask, 1  # a sum that carries through every bit
+    return ring, A, B
+
+
+@settings(max_examples=150, deadline=None)
+@given(lane_edges())
+def test_plane_lanes_round_trip_add_and_pad_zero(case):
+    """Planes in 64-bit lanes, plane axis first: to_planes and from_planes
+    are inverse, add_planes is add_arr, and after an add every bit past n
+    in the last lane is still 0."""
+    ring, A, B = case
+    n = A.shape[1]
+    P, Q = ring.to_planes(A), ring.to_planes(B)
+    assert P.shape == (ring.t, len(A), -(-n // 64)) and P.flags.c_contiguous
+    assert np.array_equal(ring.from_planes(P, n), A)
+    got = ring.add_planes(P, Q)
+    assert np.array_equal(ring.from_planes(got, n), ring.add_arr(A, B))
+    pad = np.uint64(n % 64 or 64)  # the index of the last lane's first padding bit
+    assert not (got[..., -1] >> pad).any() and not (P[..., -1] >> pad).any()
 
 
 def test_str_payload():

@@ -344,6 +344,22 @@ def test_halved_member_formula_names_member(monkeypatch):
                     enumerate_codewords(alg, order)
 
 
+def test_sum_heavier_than_a_member_word_raises(monkeypatch):
+    """Every member probe and every member's exact weight weighs a nonzero
+    word of the direct sum, so a sum whose walked weight is above any of them
+    raises InvariantError (exit 4 from the CLI), where it used to read only
+    as sum_matches_component_min false.  The members' residue codes are
+    weighed before the patch, which reaches the sum's own weighing alone."""
+    alg = GroupAlgebra(Z4, C15)
+    comps = [_component(C15, Z4, (0, 1), None, 0), _component(C15, Z4, (1, 0), None, 1)]
+    assert analyze_code(alg, comps).min_weight == 6  # the members weigh 6 and 10
+    weigh = codes.CodewordSet.min_nonzero
+    for weight in (7, C15.n):
+        monkeypatch.setattr(codes.CodewordSet, "min_nonzero", lambda self: (weight, weigh(self)[1]))
+        with pytest.raises(InvariantError, match=rf"the sum's walked weight {weight} exceeds a member word's 6"):
+            analyze_code(alg, comps)
+
+
 def test_one_certificate_per_analysis():
     """check_components forms no product on any call, in or over budget: family
     members pass by their labels, and a component that is an idempotent but no
@@ -686,8 +702,9 @@ REFERENCE_LIMIT_BITS = 12  # codes of at most 4096 words
 
 @st.composite
 def small_codes(draw, rings=("z2", "z4", "z8", "f2u2", "f2u3", "z512", "f2u9")):
-    """1-3 distinct family members with k chosen so that |C| <= 2^12."""
-    spec = draw(st.sampled_from([C15, GroupSpec((3, 5), (2, 1))]))
+    """1-3 distinct family members with k chosen so that |C| <= 2^12; at
+    n = 75 a word spans two 64-bit lanes."""
+    spec = draw(st.sampled_from([C15, GroupSpec((3, 5), (2, 1)), GroupSpec((3, 5), (1, 2))]))
     # z512 and f2u9 store payloads as uint16 and words as nine bit-planes
     ring = parse_ring(draw(st.sampled_from(rings)))
     fam = primitive_family(spec, ring)
@@ -727,10 +744,10 @@ def test_summands_are_own_walks(case):
 
 def planes(words):
     """Every word of a CodewordSet as bit-planes of its quotient, shape
-    (words, t - k, ceil(n/8))."""
+    (t - k, words, ceil(n/64))."""
     out = codes._zero_words(words.quotient, len(words))
     for start, block in words._blocks():
-        out[start : start + len(block)] = block
+        out[:, start : start + block.shape[1]] = block
     return out
 
 
@@ -829,9 +846,9 @@ def test_quotient_walk_is_the_ring_walk(case, data):
     comp = CodeComponent(rec.element, rec.block, rec.split, k)
     full = codes._walk(alg, comp.generator, code_size(alg, [comp]), comp.label_dict())
     words = enumerate_codewords(alg, [comp])
-    assert words.k == k and words.gens.shape[1:] == (ring.t - k, full.shape[2])
+    assert words.k == k and words.gens.shape == (ring.t - k, *full.shape[1:])
     raised = np.zeros_like(full)
-    raised[:, k:] = words.gens
+    raised[k:] = words.gens
     assert np.array_equal(raised, full)
     got, want = words.min_nonzero(), codes.CodewordSet(alg, full).min_nonzero()
     assert got[0] == want[0] and got[1] == want[1] and got[1].algebra == alg
@@ -980,7 +997,7 @@ def test_walk_transient_bytes_are_bounded(ring_name):
     gens, peak = _walk_peak(alg, member, code_size_formula(C15, ring, (0, 0), 0))
     chunk = min(n, max(1, (1 << 16) // (ring.t * n * item)))  # translates per lookup (_walk)
     holdings = gens.nbytes + n * n * item + 2 * ring.t * n * item + chunk * ring.t * n * item
-    assert len(gens) == 16
+    assert gens.shape[1] == 16
     assert peak - fixed < 5 * holdings
 
 
@@ -1006,18 +1023,27 @@ def test_weighing_holds_one_block(monkeypatch, ring_name, block_bytes):
 
 
 def test_row_width():
-    """A word of <s^k e> is stored as the t - k bit-planes of its quotient
-    (R/s^(t-k))G, each of ceil(n/8) bytes, with no padding: one plane at
-    k = t - 1."""
-    spec165 = GroupSpec((3, 5, 11), (1, 1, 1))
-    for spec, ring_name, k in [(C15, "z512", 8), (C15, "f2u3", 2), (spec165, "z4", 1)]:
+    """A block of words of <s^k e> is stored plane first: the t - k
+    bit-planes of its quotient (R/s^(t-k))G, each a contiguous run of
+    ceil(n/64) 64-bit lanes per word, whose bits past n are 0; one plane at
+    k = t - 1.  At n = 75 a word spans two lanes, and each weight counts
+    both."""
+    spec75, spec165 = GroupSpec((3, 5), (1, 2)), GroupSpec((3, 5, 11), (1, 1, 1))
+    for spec, ring_name, k in [(C15, "z512", 8), (C15, "f2u3", 2), (spec75, "z4", 1), (spec165, "z4", 1)]:
         ring = parse_ring(ring_name)
         comp = _component(spec, ring, (0,) * len(spec.primes), None, k)
         words = enumerate_codewords(GroupAlgebra(ring, spec), [comp])
-        assert planes(words).shape[1:] == words.gens.shape[1:] == (ring.t - k, -(-spec.n // 8))
-        assert ring.t - k == 1
+        lanes = -(-spec.n // 64)
+        assert planes(words).shape == (ring.t - k, len(words), lanes)
+        assert words.gens.shape == (ring.t - k, len(words).bit_length() - 1, lanes)
+        assert ring.t - k == 1 and words.gens.dtype == np.uint64
         assert words.gens.flags.c_contiguous  # not a view into wider rows
-    assert planes(words)[0].nbytes == 21  # z4 at n = 165 and k = 1, against 165 as payload bytes
+        assert not (planes(words)[..., -1] >> np.uint64(spec.n % 64 or 64)).any()
+    assert planes(words)[:, 0].nbytes == 24  # z4 at n = 165 and k = 1, against 165 as payload bytes
+    alg = GroupAlgebra(Z4, spec75)
+    comps = [_component(spec75, Z4, (0, 1), None, 0), _component(spec75, Z4, (1, 1), "(1)", 1)]
+    for part in [enumerate_codewords(alg, comps), *summands(alg, comps)]:
+        assert_same_minimum(part.min_nonzero(), first_lightest(part.rows))
 
 
 @pytest.mark.parametrize("factor", [0.25, 0.5, 2])
