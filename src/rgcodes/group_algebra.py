@@ -65,6 +65,13 @@ class GroupAlgebra:
     ring: ChainRing
     group: GroupSpec
 
+    def __post_init__(self):
+        # the caches keyed by an algebra hash it on every lookup: form it once
+        object.__setattr__(self, "_hash", hash((self.ring, self.group)))
+
+    def __hash__(self):
+        return self._hash
+
     @property
     def n(self) -> int:
         return self.group.n

@@ -21,6 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CODES = "src/rgcodes/codes.py"
 T = "tests/test_codes.py::"
+F2 = "tests/test_f2_oracle.py::"
 
 # name -> (file, old text, new text, ids of the tests that must fail)
 MUTANTS = {
@@ -80,6 +81,12 @@ MUTANTS = {
     "sum-weight-skips-member-cross-check": (
         CODES, "if got[0] > member:", "if False:",
         [T + "test_sum_heavier_than_a_member_word_raises"]),
+    "oracle-drops-piece-e-plus-ec": (
+        "src/rgcodes/f2_oracle.py", "np.stack((ec, ec ^ rows), axis=1)", "np.stack((ec, 0 * rows), axis=1)",
+        [F2 + "test_oracle_is_the_product_refinement", F2 + "test_primitive_count_matches_formula"]),
+    "oracle-skips-last-coset": (
+        "src/rgcodes/f2_oracle.py", "    for coset in cosets:\n", "    for coset in cosets[:-1]:\n",
+        [F2 + "test_oracle_is_the_product_refinement", F2 + "test_primitive_count_matches_formula"]),
     "fft-rounding-guard-disabled": (
         "src/rgcodes/group_algebra.py", "if err >= 0.25:", "if False:",
         ["tests/test_group_algebra.py::test_fft_rounding_guard"]),

@@ -4,16 +4,49 @@ import numpy as np
 import pytest
 
 from rgcodes import f2_oracle
-from rgcodes.arith import GroupSpec, InvariantError, cyclotomic_cosets, validate_group
+from rgcodes.arith import GroupSpec, InvariantError, cyclotomic_cosets, require_valid, validate_group
 from rgcodes.chain_ring import F2
 from rgcodes.f2_oracle import (
     component_count_formula,
     coset_sums,
     primitive_idempotents_f2,
 )
-from rgcodes.group_algebra import GroupAlgebra
+from rgcodes.group_algebra import AlgebraElem, GroupAlgebra
 
 C15 = GroupSpec((3, 5), (1, 1))
+
+
+def reference_refinement(spec: GroupSpec):
+    """The refinement by RG products: every e*c is an AlgebraElem product of
+    n payloads.  primitive_idempotents_f2 must give the same elements in the
+    same order."""
+    require_valid(spec)
+    alg = GroupAlgebra(F2, spec)
+    working = [alg.one()]
+    for _, c in coset_sums(spec):
+        refined = []
+        for e in working:
+            ec = e * c
+            for piece in (ec, ec + e):  # ec + e = e * (c + 1) over F2
+                if not piece.is_zero():
+                    refined.append(piece)
+        working = refined
+    # one pass splits completely; order by least support exponent for callers
+    working.sort(key=lambda e: int(np.flatnonzero(e.coeffs)[0]))
+    if len(working) != component_count_formula(spec):
+        raise InvariantError("oracle family size disagrees with the count formula")
+    return tuple(working)
+
+
+def grid_groups(max_n: int):
+    """(spec, checks) over the groups of r <= 3 factors from a fixed prime
+    list, exponents 1..3 and n <= max_n."""
+    for r in (1, 2, 3):
+        for primes in combinations((3, 5, 11, 13, 19, 29, 37, 53, 59, 61), r):
+            for exps in product((1, 2, 3), repeat=r):
+                spec = GroupSpec(primes, exps)
+                if spec.n <= max_n:
+                    yield spec, validate_group(spec).checks
 
 
 def component_degrees(spec: GroupSpec):
@@ -67,20 +100,34 @@ def test_count_formula_exact_on_valid_groups():
     count matches the formula exactly when gcd(phi(p^a), phi(q^b)) = 2 for every
     pair: the pairwise check accepts 5^2,11^1 no longer (16 cosets, formula 8)."""
     accepted = refused = 0
-    for r in (1, 2, 3):
-        for primes in combinations((3, 5, 11, 13, 19, 29, 37, 53, 59, 61), r):
-            for exps in product((1, 2, 3), repeat=r):
-                spec = GroupSpec(primes, exps)
-                if spec.n > 20_000:
-                    continue
-                checks = validate_group(spec).checks
-                if not all(ok for name, ok, _ in checks if not name.startswith("gcd-condition")):
-                    continue
-                valid = all(ok for _, ok, _ in checks)
-                matches = len(cyclotomic_cosets(spec.n)) == component_count_formula(spec)
-                assert valid == matches, spec
-                accepted, refused = accepted + valid, refused + (not valid)
+    for spec, checks in grid_groups(20_000):
+        if not all(ok for name, ok, _ in checks if not name.startswith("gcd-condition")):
+            continue
+        valid = all(ok for _, ok, _ in checks)
+        matches = len(cyclotomic_cosets(spec.n)) == component_count_formula(spec)
+        assert valid == matches, spec
+        accepted, refused = accepted + valid, refused + (not valid)
     assert accepted > 100 and refused > 100
+
+
+def test_oracle_is_the_product_refinement():
+    """Coset coordinates give the product refinement's elements in its order,
+    on every valid grid group with n <= 1000 and at n = 3135."""
+    specs = [spec for spec, checks in grid_groups(1000) if all(ok for _, ok, _ in checks)]
+    specs.append(GroupSpec((3, 5, 11, 19), (1, 1, 1, 1)))
+    assert len(specs) > 20
+    for spec in specs:
+        assert primitive_idempotents_f2(spec) == reference_refinement(spec), spec
+
+
+def test_oracle_forms_no_product(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("the oracle formed an RG product")
+
+    primitive_idempotents_f2.cache_clear()
+    monkeypatch.setattr(AlgebraElem, "__mul__", refuse)
+    prims = primitive_idempotents_f2(GroupSpec((3, 5, 11), (2, 1, 1)))
+    assert len(prims) == 23
 
 
 def test_family_is_complete_orthogonal():

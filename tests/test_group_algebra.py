@@ -310,6 +310,9 @@ def test_repr_shows_pairs():
 def test_algebra_equality_and_errors():
     assert GroupAlgebra(Z4, C15) == GroupAlgebra(Z4, C15)
     assert GroupAlgebra(Z4, C15) != GroupAlgebra(F2, C15)
+    # the hash is formed once, from the same fields that equality compares
+    assert hash(GroupAlgebra(Z4, C15)) == hash((Z4, C15))
+    assert len({GroupAlgebra(Z4, C15), GroupAlgebra(Z4, C15), GroupAlgebra(F2, C15)}) == 2
     a, b = GroupAlgebra(Z4, C15), GroupAlgebra(Z4, C3)
     with pytest.raises(ValueError):
         a.one() * b.one()
