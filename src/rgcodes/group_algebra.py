@@ -12,19 +12,18 @@ through the per-group permutation ``grid_order``.  A subgroup is named by
 its levels, one per factor (see ``hat``); hat(H) hat(K) = hat(HK), whose
 levels are the factorwise minimum, so a product of hats is one hat.
 Sums, differences and products take two elements of one algebra; there
-is no power operator (lifting from F2 squares in
-idempotents.lift_idempotent).  A ring scalar enters as its payload
+is no power operator (idempotents.lift_idempotent squares in coset
+coordinates).  A ring scalar enters as its payload
 through ``scalar_mul``, and ``element`` takes payloads in [0, 2^t) only.
 The module is the algebra alone: families and their labels live in
 idempotents.
 
-Multiplication is cyclic convolution, exact in the ring.  A product whose
-sparser operand has at most SHIFT_ADD_MAX_TERMS nonzero terms (monomials,
-subgroup sums, 1 - g factors) accumulates coefficient * cyclic shift over
-that support.  Any other product goes through real FFTs of length n,
-O(n log n): payloads are split into 8-bit limbs (Z/2^t) or bit-planes
-(F2[u]/(u^t)), the digit convolutions are rounded to integers, and a
-rounding error of 1/4 or more raises InvariantError.
+Multiplication is cyclic convolution, exact in the ring, by one path:
+coefficient times cyclic shift of the denser operand, summed over the
+support of the sparser one.  Every product the construction and the
+codes form has a sparse operand (a monomial, a subgroup hat, a
+u-element, a two-term probe step); products of idempotents run on their
+m coset values in the sigma_2-fixed subalgebra (f2_oracle.coset_product).
 Elements are immutable; every operation allocates a fresh array.
 """
 
@@ -39,12 +38,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .arith import GroupSpec, InvariantError, crt_index, crt_multi
-from .chain_ring import F2, FAMILY_POLY, ChainRing
-
-# A product whose sparser operand has at most this many nonzero terms is
-# formed by shift-and-add, any other by FFT.  Crossover (timeit against a dense
-# operand at n = 15, 165 and 495): 4 to 7 terms over z4 and z8, 2 to 5 over f2u3.
-SHIFT_ADD_MAX_TERMS = 4
+from .chain_ring import F2, ChainRing
 
 
 @lru_cache(maxsize=None)
@@ -130,47 +124,6 @@ class GroupAlgebra:
         return self.hat(tuple(levels))
 
 
-def _shift_add_product(ring: ChainRing, a, b):
-    """Sum of coefficient * cyclic shift of b over the support of a."""
-    n = len(b)
-    out = np.zeros(a.shape, dtype=ring.dtype)
-    for k in np.flatnonzero(a).tolist():
-        shifted = np.concatenate((b[n - k :], b[: n - k]))  # np.roll(b, k)
-        out = ring.add_arr(out, ring.mul_arr(int(a[k]), shifted))
-    return out
-
-
-def _fft_product(ring: ChainRing, a, b):
-    """Cyclic convolution of length n by real FFTs, exact in the ring.
-
-    Both operands are indexed by the exponent of a^k, so the product in
-    R[x]/(x^n - 1) is one 1-D cyclic convolution.  Each payload is split
-    into digits of `width` bits: 8-bit limbs for Z/2^t, single bit-planes
-    for F2[u]/(u^t).  Digit k of the product is the integer convolution
-    sum_{i+j=k} A_i * B_j; digits at or above t bits vanish in the ring
-    and are never formed.  An int digit keeps its carries, a poly digit
-    is reduced mod 2.
-    """
-    width = 1 if ring.family == FAMILY_POLY else 8
-    digits = -(-ring.t // width)
-    shifts = (width * np.arange(digits))[:, None]
-
-    def spectra(x):
-        return np.fft.rfft((x.astype(np.int64) >> shifts) & ((1 << width) - 1))
-
-    fa, fb = spectra(a), spectra(b)
-    prod = np.stack([sum(fa[i] * fb[k - i] for i in range(k + 1)) for k in range(digits)])
-    real = np.fft.irfft(prod, n=a.size)
-    exact = np.rint(real)
-    err = float(np.abs(real - exact).max())
-    if err >= 0.25:
-        raise InvariantError(f"FFT product lost integer precision (rounding error {err:.3g})")
-    out = exact.astype(np.int64)
-    if width == 1:
-        out &= 1
-    return ((out << shifts).sum(axis=0) & ring.mask).astype(ring.dtype)
-
-
 class AlgebraElem:
     """Immutable element of a GroupAlgebra; coeffs is a read-only payload array."""
 
@@ -252,15 +205,19 @@ class AlgebraElem:
         return AlgebraElem(self.algebra, ring.mul_arr(payload, self.coeffs))
 
     def __mul__(self, other):
+        """Sum of coefficient * cyclic shift of the denser operand over the
+        support of the sparser one."""
         self._check(other)
-        alg = self.algebra
-        A, B = self.coeffs, other.coeffs
-        terms_a, terms_b = np.count_nonzero(A), np.count_nonzero(B)
-        if terms_a > terms_b:
-            A, B, terms_a = B, A, terms_b
-        if terms_a <= SHIFT_ADD_MAX_TERMS:
-            return AlgebraElem(alg, _shift_add_product(alg.ring, A, B))
-        return AlgebraElem(alg, _fft_product(alg.ring, A, B))
+        ring = self.algebra.ring
+        a, b = self.coeffs, other.coeffs
+        if np.count_nonzero(a) > np.count_nonzero(b):
+            a, b = b, a
+        n = len(b)
+        out = np.zeros(n, dtype=ring.dtype)
+        for k in np.flatnonzero(a).tolist():
+            shifted = np.concatenate((b[n - k :], b[: n - k]))  # np.roll(b, k)
+            out = ring.add_arr(out, ring.mul_arr(int(a[k]), shifted))
+        return AlgebraElem(self.algebra, out)
 
     def scale_exponents(self, m: int) -> AlgebraElem:
         """The algebra map a_i -> a_i^m, i.e. a^k -> a^(km) (m coprime to n)."""

@@ -9,19 +9,19 @@ iff l <= 1.  A block with l >= 2 splits into 2^(l-1) primitive pieces,
 built from the auxiliary elements u_i which satisfy u_i^3 = u_i + u_i^2 =
 (the i-th block factor) and generate a copy of F4 in each component.
 
-split_block, the one entry that splits, builds every block the same way:
-from the block idempotent, it halves each member by a lifted pair
-idempotent x + x^2 with x = u_{i_1} u_i, once per nonzero index i after
-the first one i_1.  Every lift from F2 goes through lift_idempotent, the
-one place that squares.  The F2 refinement oracle builds nothing; it only
-checks the members (see primitive_family).  primitive_family certifies
-each family once, and verify_family raises on any false flag, so no
-certificate is stored.  Its labelled records are the one source of family
-facts.  They come as a Family, a tuple of the records that also carries
-their index by (block, split) label, formed with the family and cached
-with it, so no second cache is kept: family_member finds a member by its
-label in one lookup, and codes.check_components compares each component
-with it.
+split_block, the one entry that splits, builds every block: from the
+block idempotent, it halves each member by a lifted pair idempotent
+x + x^2 with x = u_{i_1} u_i, once per nonzero index i after the first
+one i_1.  Every lift from F2 goes through lift_idempotent, the one place
+that squares.  Lifting, the split and the certificate run on m coset
+values in the subalgebra A that holds every idempotent (see f2_oracle).
+The F2 refinement oracle builds nothing; it only checks the members.
+primitive_family certifies each family once, and verify_family raises on
+any false flag, so no certificate is stored.  The labelled records, the
+one source of family facts, come as a Family: a tuple that also carries
+their index by (block, split) label, cached with it, so family_member
+finds a member in one lookup and codes.check_components compares each
+component with it.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 from .arith import GroupSpec, InvariantError, block_labels
 from .chain_ring import F2, ChainRing
-from .f2_oracle import component_count_formula, primitive_idempotents_f2
+from .f2_oracle import component_count_formula, coset_frame, coset_product, primitive_idempotents_f2
 from .group_algebra import AlgebraElem, GroupAlgebra
 
 
@@ -93,19 +95,23 @@ def split_block(alg: GroupAlgebra, block) -> list:
     the first one i_1 (last index first), split every member e into e*p
     and e - e*p, where p lifts x + x^2 for x = u_{i_1} u_i over F2.  In
     each component u_i acts as omega or omega^2 in F4, so x + x^2 is the
-    trace of x: the indicator that sigma_{i_1}/sigma_i is fixed.  Every
-    family is built through this one entry (primitive_family).
+    trace of x: the indicator that sigma_{i_1}/sigma_i is fixed; over F2,
+    x^2 = sigma_2(x).  Every family is built through this one entry.
     """
     block = alg.group.check_levels(block)
     idx = _split_indices(alg, block)
     members = [block_idempotent(alg, block)]
     if len(idx) >= 2:
         f2alg = GroupAlgebra(F2, alg.group)
+        frame, ring = coset_frame(alg.group), alg.ring
+        rows = members[0].coeffs[frame.leaders][None]  # each member's coset values
         u1 = u_element(f2alg, idx[0], block[idx[0]])
         for i in reversed(idx[1:]):
             x = u1 * u_element(f2alg, i, block[i])
-            p = lift_idempotent(x + x * x, alg.ring)
-            members = [m for e in members for ep in (e * p,) for m in (ep, e - ep)]
+            p = lift_idempotent(x + x.scale_exponents(2), ring).coeffs[frame.leaders]
+            ep = coset_product(ring, frame.tensor, rows, p)
+            rows = np.stack((ep, ring.sub_arr(rows, ep)), axis=1).reshape(-1, len(p))
+        members = [AlgebraElem(alg, row[frame.index]) for row in rows]
     return members
 
 
@@ -136,17 +142,21 @@ def u_product_pair(alg: GroupAlgebra, block) -> AlgebraElem:
 
 def lift_idempotent(f: AlgebraElem, ring: ChainRing) -> AlgebraElem:
     """The unique idempotent of RG reducing to f: its 0/1 coefficient lift,
-    squared t - 1 times (each squaring raises the valuation of w^2 - w)."""
+    squared t - 1 times (each squaring raises the valuation of w^2 - w).
+    Over F2, f^2 = sigma_2(f), so f is idempotent iff it lies in A; the
+    squarings and the check run on coset values, with no RG product."""
     if f.algebra.ring != F2:
         raise ValueError("expects an idempotent over F2")
-    if not f.is_idempotent():
+    frame = coset_frame(f.algebra.group)
+    row = frame.values(f)
+    if row is None:
         raise ValueError("element is not idempotent")
-    w = GroupAlgebra(ring, f.algebra.group).element(f.coeffs)
-    for _ in range(ring.t - 1):
-        w = w * w
-    if not w.is_idempotent() or w.reduce_f2() != f:
+    w = row.astype(ring.dtype)
+    for _ in range(ring.t):  # t - 1 squarings, then the square that checks the lift
+        w, prev = coset_product(ring, frame.tensor, w, w), w
+    if not np.array_equal(w, prev) or not np.array_equal(w & 1, row):
         raise InvariantError("the lift is not an idempotent reducing to f")
-    return w
+    return AlgebraElem(GroupAlgebra(ring, f.algebra.group), w[frame.index])
 
 
 class Family(tuple):
@@ -203,22 +213,27 @@ FAMILY_CHECKS = ("idempotent", "orthogonal", "sum_to_one", "count_matches_formul
 
 
 def verify_family(elems, alg: GroupAlgebra) -> None:
-    """Certify a family in 2m - 1 products; InvariantError names each false flag.
+    """Certify a family in 2m products in A; InvariantError names each false flag.
 
-    Orthogonality is tested against the running sum, e_i (e_1 + ... +
-    e_{i-1}) = 0.  For idempotents this is pairwise orthogonality: if
-    e_1..e_{i-1} are pairwise orthogonal, their sum S is idempotent with
-    e_j S = e_j, so e_i S = 0 gives e_i e_j = e_i (S e_j) = (e_i S) e_j = 0;
-    conversely e_i S = sum_j e_i e_j.  Each test stops at its first failure.
+    Every idempotent lies in A, so a member outside A is not idempotent;
+    orthogonality is tested among the members in A, against the running
+    sum: e_i (e_1 + ... + e_{i-1}) = 0.  For idempotents this is pairwise
+    orthogonality: if e_1..e_{i-1} are pairwise orthogonal, their sum S is
+    idempotent with e_j S = e_j, so e_i S = 0 gives e_i e_j = e_i (S e_j) =
+    (e_i S) e_j = 0; conversely e_i S = sum_j e_i e_j.  Each test stops at
+    its first failure.
     """
+    frame = coset_frame(alg.group)
+    ring, tensor = alg.ring, frame.tensor
     idempotent = orthogonal = True
-    total = alg.zero()
-    for i, e in enumerate(elems):
-        idempotent = idempotent and e.is_idempotent()
-        orthogonal = orthogonal and (i == 0 or (e * total).is_zero())
-        total = total + e
+    running = np.zeros(len(frame.leaders), dtype=ring.dtype)  # the sum of the members so far in A
+    for x in map(frame.values, elems):
+        idempotent = idempotent and x is not None and np.array_equal(coset_product(ring, tensor, x, x), x)
+        if x is not None:
+            orthogonal = orthogonal and not coset_product(ring, tensor, x, running).any()
+            running = ring.add_arr(running, x)
     count_ok = len(elems) == component_count_formula(alg.group)
-    flags = zip(FAMILY_CHECKS, (idempotent, orthogonal, total == alg.one(), count_ok))
+    flags = zip(FAMILY_CHECKS, (idempotent, orthogonal, sum(elems, alg.zero()) == alg.one(), count_ok))
     failed = ", ".join(name for name, ok in flags if not ok)
     if failed:
         raise InvariantError(f"{alg}: the family fails its certificate: {failed}")

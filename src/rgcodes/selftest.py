@@ -11,6 +11,7 @@ enumeration runs at the word budget codes.DEFAULT_BUDGET.
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import random
@@ -23,7 +24,7 @@ from itertools import product
 from .arith import GroupSpec, block_labels, euler_phi, factorize, mult_ord
 from .chain_ring import F2, parse_ring
 from .codes import CodeComponent, analyze_code, enumerate_codewords, residue_weight
-from .f2_oracle import primitive_idempotents_f2
+from .f2_oracle import coset_frame, primitive_idempotents_f2
 from .group_algebra import GroupAlgebra
 from .idempotents import (family_member, lift_idempotent, primitive_family, split_block,
                           verify_family)
@@ -300,13 +301,14 @@ def criterion_properties():
             frob += 1
 
     # byte determinism of the serialized family across two builds: the
-    # caches are cleared first, so each run builds the family afresh
+    # caches are cleared first, so each run builds the family afresh, also
+    # through wrappers that set __wrapped__ (bench/tracer.py's spans)
     from .cli import main as cli_main
 
     outs = []
     for _ in range(2):
-        primitive_family.cache_clear()
-        primitive_idempotents_f2.cache_clear()
+        for cached in (primitive_family, primitive_idempotents_f2, coset_frame):
+            inspect.unwrap(cached, stop=lambda f: hasattr(f, "cache_clear")).cache_clear()
         buf = io.StringIO()
         with redirect_stdout(buf):
             rc = cli_main(["idempotents", "--ring", "z4", "--group", "3^1,5^1"])

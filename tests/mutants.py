@@ -20,6 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CODES = "src/rgcodes/codes.py"
+ORACLE = "src/rgcodes/f2_oracle.py"
 T = "tests/test_codes.py::"
 F2 = "tests/test_f2_oracle.py::"
 
@@ -82,14 +83,20 @@ MUTANTS = {
         CODES, "if got[0] > member:", "if False:",
         [T + "test_sum_heavier_than_a_member_word_raises"]),
     "oracle-drops-piece-e-plus-ec": (
-        "src/rgcodes/f2_oracle.py", "np.stack((ec, ec ^ rows), axis=1)", "np.stack((ec, 0 * rows), axis=1)",
+        ORACLE, "np.stack((ec, ec ^ rows), axis=1)", "np.stack((ec, 0 * rows), axis=1)",
         [F2 + "test_oracle_is_the_product_refinement", F2 + "test_primitive_count_matches_formula"]),
     "oracle-skips-last-coset": (
-        "src/rgcodes/f2_oracle.py", "    for coset in cosets:\n", "    for coset in cosets[:-1]:\n",
+        ORACLE, "    for counts in frame.tensor:\n", "    for counts in frame.tensor[:-1]:\n",
         [F2 + "test_oracle_is_the_product_refinement", F2 + "test_primitive_count_matches_formula"]),
-    "fft-rounding-guard-disabled": (
-        "src/rgcodes/group_algebra.py", "if err >= 0.25:", "if False:",
-        ["tests/test_group_algebra.py::test_fft_rounding_guard"]),
+    "coset-product-counts-mod-2-over-z2t": (
+        ORACLE, "M = (tensor @ Y.astype(np.int64)) & ring.mask",
+        "M = ((tensor & 1) @ Y.astype(np.int64)) & ring.mask",
+        [F2 + "test_coset_product_is_the_rg_product",
+         "tests/test_idempotents.py::test_family_matches_lifted_oracle[3^1,5^1]"]),
+    "coset-product-ignores-parity-over-f2u": (  # every nonzero count adds once
+        ORACLE, "np.where(tensor & 1, Y, 0)", "np.where(tensor, Y, 0)",
+        [F2 + "test_coset_product_is_the_rg_product",
+         "tests/test_idempotents.py::test_family_matches_lifted_oracle[3^1,5^1]"]),
     "family-checks-drops-count-flag": (
         "src/rgcodes/idempotents.py", '"sum_to_one", "count_matches_formula")', '"sum_to_one")',
         ["tests/test_cli.py::test_false_certificate_flag_exit_4",

@@ -2,12 +2,16 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgcodes import f2_oracle
 from rgcodes.arith import GroupSpec, InvariantError, cyclotomic_cosets, require_valid, validate_group
-from rgcodes.chain_ring import F2
+from rgcodes.chain_ring import F2, parse_ring
 from rgcodes.f2_oracle import (
     component_count_formula,
+    coset_frame,
+    coset_product,
     coset_sums,
     primitive_idempotents_f2,
 )
@@ -18,8 +22,8 @@ C15 = GroupSpec((3, 5), (1, 1))
 
 def reference_refinement(spec: GroupSpec):
     """The refinement by RG products: every e*c is an AlgebraElem product of
-    n payloads.  primitive_idempotents_f2 must give the same elements in the
-    same order."""
+    n payloads, and no coset frame is read.  primitive_idempotents_f2 must
+    give the same elements in the same order."""
     require_valid(spec)
     alg = GroupAlgebra(F2, spec)
     working = [alg.one()]
@@ -128,6 +132,41 @@ def test_oracle_forms_no_product(monkeypatch):
     monkeypatch.setattr(AlgebraElem, "__mul__", refuse)
     prims = primitive_idempotents_f2(GroupSpec((3, 5, 11), (2, 1, 1)))
     assert len(prims) == 23
+
+
+PRODUCT_RINGS = ("z2", "z4", "z8", "z65536", "f2u1", "f2u2", "f2u3", "f2u16")
+PRODUCT_GROUPS = (C15, GroupSpec((3, 5), (2, 1)), GroupSpec((3, 5, 11), (1, 1, 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_coset_product_is_the_rg_product(data):
+    """On elements of A, made as random rows of m coset values expanded
+    through the coset index, coset_product equals the RG product of the
+    expanded elements; X comes as a batch of rows, as split_block passes it."""
+    ring = parse_ring(data.draw(st.sampled_from(PRODUCT_RINGS), label="ring"))
+    spec = data.draw(st.sampled_from(PRODUCT_GROUPS), label="group")
+    alg, frame = GroupAlgebra(ring, spec), coset_frame(spec)
+    row = st.lists(st.integers(0, ring.mask), min_size=len(frame.leaders), max_size=len(frame.leaders))
+    X = np.array(data.draw(st.lists(row, min_size=1, max_size=3), label="X"), dtype=ring.dtype)
+    y = np.array(data.draw(row, label="y"), dtype=ring.dtype)
+    got = coset_product(ring, frame.tensor, X, y)
+    assert got.shape == X.shape and got.dtype == ring.dtype
+    Y = alg.element(y[frame.index])
+    for x, xy in zip(X, got):
+        assert alg.element(x[frame.index]) * Y == alg.element(xy[frame.index])
+
+
+def test_coset_frame_of_15():
+    """The frame's index and leaders are the cosets of 15, and N counts the
+    pairs: N[c, l, j] = #{k in C_c : leader_l - k in C_j}."""
+    frame = coset_frame(C15)
+    cosets = [c for c, _ in coset_sums(C15)]
+    assert frame.leaders.tolist() == [0, 1, 3, 5, 7]
+    assert all(frame.index[k] == j for j, c in enumerate(cosets) for k in c)
+    for c, l, j in product(range(5), repeat=3):
+        want = sum((frame.leaders[l] - k) % 15 in cosets[j] for k in cosets[c])
+        assert frame.tensor[c, l, j] == want
 
 
 def test_family_is_complete_orthogonal():

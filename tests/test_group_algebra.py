@@ -1,16 +1,13 @@
 import math
 import random
-import subprocess
-import sys
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgcodes.arith import GroupSpec, InvariantError, crt_index, crt_multi
+from rgcodes.arith import GroupSpec, crt_index, crt_multi
 from rgcodes.chain_ring import F2, parse_ring
 from rgcodes.group_algebra import AlgebraElem, GroupAlgebra
 from rgcodes.idempotents import lift_idempotent
@@ -156,7 +153,7 @@ def test_layout_boundary(data):
         tuple(m * a % q for a, q in zip(x, qs)))
 
 
-# t in {1, 2, 8, 9, 16} in both families: one FFT digit, 8-bit limbs, bit-planes
+# t in {1, 2, 8, 9, 16} in both families: uint8 and uint16 payloads, each at its top bit
 KERNEL_RINGS = ("z2", "z4", "z256", "z512", "z65536", "f2u2", "f2u8", "f2u9", "f2u16")
 KERNEL_GROUPS = (GroupSpec((3,), (2,)), C15, C45)
 
@@ -175,8 +172,8 @@ def schoolbook(x: AlgebraElem, y: AlgebraElem) -> AlgebraElem:
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_convolution_against_schoolbook(data):
-    """Both product paths (shift-and-add up to SHIFT_ADD_MAX_TERMS terms in
-    the sparser operand, FFT above) equal the scalar schoolbook product."""
+    """Shift-and-add over the sparser operand's support, the one product
+    path, equals the scalar schoolbook product at every support size."""
     ring = parse_ring(data.draw(st.sampled_from(KERNEL_RINGS), label="ring"))
     alg = GroupAlgebra(ring, data.draw(st.sampled_from(KERNEL_GROUPS), label="group"))
     n = alg.n
@@ -192,33 +189,6 @@ def test_convolution_against_schoolbook(data):
 
     x, y = operand("x"), operand("y")
     assert x * y == schoolbook(x, y)
-
-
-def test_fft_rounding_guard(monkeypatch):
-    """An inverse transform that is off by 0.3 fails the integer check; a
-    product on the shift-and-add path never transforms and is unaffected."""
-    rng = random.Random(3)
-    alg = GroupAlgebra(Z4, C15)
-    x = alg.element([rng.randrange(1, 4) for _ in range(15)])
-    monomial = alg.monomial(crt_multi(4, C15))
-    want = alg.element(np.roll(x.coeffs, 4))  # times a^4: a cyclic shift by 4
-    real = np.fft.irfft
-    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: real(*a, **k) + 0.3)
-    with pytest.raises(InvariantError, match="FFT product lost integer precision"):
-        x * x
-    assert x * monomial == want
-
-
-def test_fft_rounding_guard_under_optimize():
-    """The same check in a python -O interpreter, where asserts are stripped."""
-    root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::test_fft_rounding_guard"],
-        cwd=root, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "1 passed" in proc.stdout
 
 
 def test_translate_and_scale():

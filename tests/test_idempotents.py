@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,17 +105,39 @@ def test_block_idempotent_forms_no_product(monkeypatch):
     assert not calls
 
 
-def test_lift_idempotent_product_count(monkeypatch):
-    """1 + (t - 1) + 1 products: the check on f, t - 1 squarings, the check on the lift."""
-    f = primitive_idempotents_f2(C15)[-1]
-    calls = []
-    mul = AlgebraElem.__mul__
-    monkeypatch.setattr(AlgebraElem, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
-    for ring_name in ("z2", "z4", "z8", "f2u3", "z65536"):
+def refuse_products(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("an RG product was formed")
+
+    monkeypatch.setattr(AlgebraElem, "__mul__", refuse)
+
+
+def test_lift_idempotent_forms_no_product(monkeypatch):
+    """The check on f is one gather, and the t - 1 squarings and the check on
+    the lift run on coset values: no RG product, whatever t is."""
+    prims = primitive_idempotents_f2(C165)
+    refuse_products(monkeypatch)
+    for ring_name in ("z2", "z4", "z8", "z65536", "f2u1", "f2u3", "f2u16"):
         ring = parse_ring(ring_name)
-        calls.clear()
-        assert lift_idempotent(f, ring).reduce_f2() == f
-        assert len(calls) == 1 + (ring.t - 1) + 1, ring_name
+        for f in prims:
+            assert lift_idempotent(f, ring).reduce_f2() == f
+
+
+def test_family_products_have_a_sparse_operand(monkeypatch):
+    """At n = 3135 the family's only RG products form x = u_{i_1} u_i from
+    the u-elements: each has an operand of at most max q_i terms.  Lifting,
+    the split and the certificate run on coset values."""
+    terms = []
+    mul = AlgebraElem.__mul__
+
+    def record(x, y):
+        terms.append(min(x.weight(), y.weight()))
+        return mul(x, y)
+
+    primitive_family.cache_clear()
+    monkeypatch.setattr(AlgebraElem, "__mul__", record)
+    assert len(primitive_family(C3135, Z4)) == 41
+    assert terms and max(terms) <= max(C3135.factor_orders)
 
 
 def test_split_block_2_members():
@@ -237,6 +260,26 @@ def test_record_is_frozen():
         rec.block = (9,)
 
 
+def block_home(f):
+    """The block of a primitive idempotent f of F2 G, by no dense product.
+    f * hat(H) is f or 0, and it is f iff a generator of H fixes f, so f
+    lies under hat(<a_i^(p_i^j)>) - hat(<a_i^(p_i^(j-1))>) for the least
+    level j whose generator fixes f (j = 0 if a_i itself does)."""
+    alg, spec = f.algebra, f.algebra.group
+    return tuple(next(j for j in range(e + 1) if f * alg.generator_power(i, p**j) == f)
+                 for i, (p, e) in enumerate(zip(spec.primes, spec.exponents)))
+
+
+def test_block_home_is_the_block_product():
+    """block_home(f) is the one block b with f * blk_b == f, on every oracle
+    primitive of 3^2,5^1 and 3^1,5^1,11^1."""
+    for group in (C45, C165):
+        f2alg = GroupAlgebra(F2, group)
+        blocks = {b: block_idempotent(f2alg, b) for b in block_labels(group)}
+        for f in primitive_idempotents_f2(group):
+            assert [b for b, blk in blocks.items() if f * blk == f] == [block_home(f)]
+
+
 @pytest.mark.parametrize("group,rings", [
     (C15, ("z2", "z4", "z8", "f2u2", "f2u3", "z65536", "f2u16")),
     (C45, ("z2", "z4", "z8", "f2u2", "f2u3")),
@@ -245,9 +288,8 @@ def test_record_is_frozen():
 ], ids=["3^1,5^1", "3^2,5^1", "3^1,5^1,11^1", "3^1,5^1,11^1,19^1"])
 def test_family_matches_lifted_oracle(group, rings):
     """Reference construction: lift every oracle primitive and home it in
-    its block by the product f * blk == f over F2."""
-    f2alg = GroupAlgebra(F2, group)
-    f2_blocks = {b: block_idempotent(f2alg, b) for b in block_labels(group)}
+    its block by the subgroups that fix its residue (block_home)."""
+    blocks = block_labels(group)
     for ring_name in rings:
         ring = parse_ring(ring_name)
         fam = primitive_family(group, ring)
@@ -255,12 +297,10 @@ def test_family_matches_lifted_oracle(group, rings):
         assert len(fam) == len(want)
         assert all(any(r.element == e for e in want) for r in fam)
         for r in fam:
-            f = r.element.reduce_f2()
-            homes = [b for b, blk in f2_blocks.items() if f * blk == f]
-            assert homes == [r.block]
+            assert block_home(r.element.reduce_f2()) == r.block
         # every block, l >= 4 included, is tagged (1)..(2^(l-1)) from the closed form
         assert all(r.method == "paper-formula" for r in fam)
-        for block in f2_blocks:
+        for block in blocks:
             l = sum(1 for j in block if j)
             tags = [r.split for r in fam if r.block == block]
             assert tags == ([None] if l <= 1 else [f"({i})" for i in range(1, (1 << (l - 1)) + 1)])
@@ -303,10 +343,10 @@ def test_lift_rejects_non_idempotent():
 
 
 def test_lift_checks_its_residue(monkeypatch):
-    """A lift that does not reduce to f raises, even when it is idempotent."""
+    """A lift that does not reduce to f raises, even when it is idempotent:
+    a coset product that gives zero leaves the lift 0, and 0 * 0 = 0."""
     f = primitive_idempotents_f2(C3)[1]
-    monkeypatch.setattr(AlgebraElem, "reduce_f2",
-                        lambda self: GroupAlgebra(F2, self.algebra.group).zero())
+    monkeypatch.setattr(idempotents, "coset_product", lambda ring, tensor, x, y: np.zeros_like(x))
     with pytest.raises(InvariantError, match="reducing to f"):
         lift_idempotent(f, Z4)
 
